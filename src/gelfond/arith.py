@@ -170,9 +170,10 @@ def as_point(p):
 
 def lerp(p, q, w):
     """(1 - w) p + w q for scalars or same-length point tuples."""
+    v = 1 - w
     if isinstance(p, tuple):
-        return tuple((1 - w) * a + w * b for a, b in zip(p, q, strict=True))
-    return (1 - w) * p + w * q
+        return tuple(v * a + w * b for a, b in zip(p, q, strict=True))
+    return v * p + w * q
 
 
 def vec_sub(p, q):

@@ -17,14 +17,15 @@ classical de Casteljau algorithm: at each pyramid node
     alpha = alpha(0^{n-r-i}, 1^i, t^{r-1}; t).
 
 alpha is provably in [0, 1] for the diagonal schedule used here only
-through the total positivity of the basis; the implementation asserts
-alpha in [-1e-12, 1 + 1e-12] at every node and never clamps.
+through the total positivity of the basis; the implementation checks
+alpha in [-1e-12, 1 + 1e-12] at every node, raises SingularityError when
+it falls outside (also under `python -O`), and never clamps.
 """
 
 from fractions import Fraction
 
 from .arith import (SingularityError, exact_div, is_exact, lerp, power,
-                    simplify, vec_scale)
+                    simplify, vec_add, vec_scale, vec_sub)
 from .partitions import (as_exponents, dimension, muntz_tableau,
                          partition_from_exponents)
 from .schur import schur
@@ -93,7 +94,7 @@ def control_points_from_coefficients(coeffs, exponents):
         p = vec_scale(columns[0][j], coeffs[0])
         for k in range(1, n + 1):
             if columns[k][j]:
-                p = _vec_add(p, vec_scale(columns[k][j], coeffs[k]))
+                p = vec_add(p, vec_scale(columns[k][j], coeffs[k]))
         points.append(p)
     return tuple(points)
 
@@ -112,22 +113,10 @@ def coefficients_from_control_points(points, exponents):
         acc = points[j]
         for k in range(j):
             if columns[k][j]:
-                acc = _vec_sub(acc, vec_scale(columns[k][j], coeffs[k]))
+                acc = vec_sub(acc, vec_scale(columns[k][j], coeffs[k]))
         diag = columns[j][j]
         coeffs.append(vec_scale(exact_div(1, diag), acc))
     return tuple(coeffs)
-
-
-def _vec_add(p, q):
-    if isinstance(p, tuple):
-        return tuple(a + b for a, b in zip(p, q, strict=True))
-    return p + q
-
-
-def _vec_sub(p, q):
-    if isinstance(p, tuple):
-        return tuple(a - b for a, b in zip(p, q, strict=True))
-    return p - q
 
 
 def blossom_value(coeffs, exponents, args, zeros=0):
@@ -141,7 +130,7 @@ def blossom_value(coeffs, exponents, args, zeros=0):
     for k in range(1, n + 1):
         w = monomial_blossom(r, k, args, zeros)
         if w:
-            out = _vec_add(out, vec_scale(w, coeffs[k]))
+            out = vec_add(out, vec_scale(w, coeffs[k]))
     return out
 
 
@@ -192,8 +181,9 @@ def de_casteljau(points, exponents, t):
         for i in range(n - level + 1):
             args = (1,) * i + (t,) * (level - 1)
             alpha = pseudo_affinity(r, n - level - i, args, t)
-            assert -ALPHA_SLACK <= alpha <= 1 + ALPHA_SLACK, (
-                f"pseudo-affinity {alpha} outside [0,1] at level {level}, node {i}")
+            if not -ALPHA_SLACK <= alpha <= 1 + ALPHA_SLACK:
+                raise SingularityError(
+                    f"pseudo-affinity {alpha} outside [0,1] at level {level}, node {i}")
             row.append(lerp(prev[i], prev[i + 1], alpha))
         prev = tuple(row)
         levels.append(prev)

@@ -411,6 +411,8 @@ def _apply_config(args):
     if getattr(args, "config", None):
         with open(args.config) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
         for key, value in data.items():
             attr = key.replace("-", "_")
             if hasattr(args, attr) and getattr(args, attr) is None:

@@ -13,11 +13,13 @@ import json
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
+
 from .arith import (as_point, exact_div, format_number, is_exact, parse_number,
-                    vec_scale, vec_sub, vec_zero_like)
+                    vec_add, vec_scale, vec_sub, vec_zero_like)
 from .blossom import (blossom_value, coefficients_from_control_points,
                       de_casteljau)
-from .gelfond_basis import basis_values, hodograph_data
+from .gelfond_basis import basis_polynomial, basis_values, hodograph_data
 from .partitions import as_exponents
 
 
@@ -55,10 +57,40 @@ class GelfondBezierCurve:
         weights = basis_values(self.exponents, s)
         out = vec_scale(weights[0], self.points[0])
         for w, p in zip(weights[1:], self.points[1:]):
-            out = _vadd(out, vec_scale(w, p))
+            out = vec_add(out, vec_scale(w, p))
         return out
 
     __call__ = evaluate
+
+    def evaluate_many(self, ts):
+        """[self.evaluate(t) for t in ts], value for value.
+
+        Integer exponents at float parameters take one numpy pass: each
+        basis polynomial by Horner's rule over all local parameters, then
+        the weighted points summed in the order `evaluate` sums them, so
+        every float operation is the one the scalar route performs.  Any
+        other input runs `evaluate` point by point."""
+        ts = list(ts)
+        if not (ts and self.exponents.is_integer()
+                and all(isinstance(t, float) for t in ts)):
+            return [self.evaluate(t) for t in ts]
+        a, b = self.interval
+        t = np.asarray(ts, dtype=float)
+        for end in (float(t.min()), float(t.max())):
+            if not a <= end <= b:
+                raise ValueError(f"t={end} outside [{a}, {b}]")
+        s = (t - float(a)) / float(b - a)
+        points = np.array(self.points, dtype=float).reshape(len(self.points), -1)
+        out = None
+        for k, p in enumerate(points):
+            w = np.zeros_like(s)
+            for c in reversed(basis_polynomial(self.exponents, k).coeffs):
+                w = w * s + float(c)
+            term = w[:, None] * p
+            out = term if out is None else out + term
+        if isinstance(self.points[0], tuple):
+            return [tuple(row) for row in out.tolist()]
+        return out[:, 0].tolist()
 
     def evaluate_de_casteljau(self, t):
         value, _ = de_casteljau(self.points, self.exponents,
@@ -117,12 +149,6 @@ class GelfondBezierCurve:
     def __repr__(self):
         return (f"GelfondBezierCurve(exponents={tuple(self.exponents)}, "
                 f"points={self.points}, interval={self.interval})")
-
-
-def _vadd(p, q):
-    if isinstance(p, tuple):
-        return tuple(a + b for a, b in zip(p, q, strict=True))
-    return p + q
 
 
 def derivative_curve(curve):
@@ -232,7 +258,7 @@ def c1_join_head(left, right_exponents, right_interval):
     factor = exact_div(c - b, b - a) * r[n]
     for j in range(2, m + 1):
         factor = factor * exact_div(s[j] - 1, s[j])
-    q1 = _vadd(q0, vec_scale(factor, vec_sub(left.points[-1], left.points[-2])))
+    q1 = vec_add(q0, vec_scale(factor, vec_sub(left.points[-1], left.points[-2])))
     return q0, q1
 
 

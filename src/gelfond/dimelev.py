@@ -21,6 +21,16 @@ that with two sampled distances per iteration:
    pairs two different parametrizations and is a deliberately crude
    stand-in for a true reparametrized sup distance; it upper-bounds the
    Hausdorff distance and is reported alongside it.
+
+The report carries the polygon in floats: it converts the control points
+once, before the first insertion, so each step costs a few float products
+instead of Fractions whose size grows with every step.  `insert_exponent`
+stays exact for exact input.  The distance kernels never form the full
+(m, m, d) difference tensor: they build squared distances one coordinate
+at a time over blocks of `BLOCK_ROWS` rows, keep running minima and
+maxima, and take square roots only of the final extremes.  The square
+root is monotone and correctly rounded, so the results are bit-identical
+to taking it of every entry first.
 """
 
 import numpy as np
@@ -28,6 +38,12 @@ import numpy as np
 from .arith import as_point, exact_div, lerp
 from .partitions import ExponentSequence, as_exponents
 from .curves import GelfondBezierCurve
+
+# Rows per squared-distance block.  Against 512 samples the block buffer
+# and its per-coordinate scratch take 2 x 256 KiB, reused for every block
+# and small enough to stay in cache between the passes over them; 32-96
+# rows timed alike, 128 and more slower.
+BLOCK_ROWS = 64
 
 
 def insert_exponent(points, exponents, rho):
@@ -149,19 +165,42 @@ def sample_curve(curve, count):
     dense = max(4 * count, 512)
     ts = np.linspace(float(a), float(b), dense)
     ts[0], ts[-1] = float(a), float(b)
-    arr = np.asarray([[float(c) for c in _as_tuple(curve.evaluate(t))]
-                      for t in ts], dtype=float)
-    return sample_polyline(arr, count)
+    arr = np.asarray(curve.evaluate_many(ts), dtype=float)
+    return sample_polyline(arr.reshape(dense, -1), count)
 
 
-def _as_tuple(p):
-    return p if isinstance(p, tuple) else (p,)
+def _squared_distance_blocks(A, B):
+    """Yield (start, block) with block[i, j] = |A[start + i] - B[j]|^2,
+    summed coordinate by coordinate in index order.  Each block is a view
+    of one buffer that the next step overwrites."""
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    if len(A) == 0 or len(B) == 0:
+        raise ValueError("distance between empty point sets")
+    if A.shape[1] != B.shape[1]:
+        raise ValueError(f"points of dimension {A.shape[1]} against {B.shape[1]}")
+    buffer = np.empty((min(BLOCK_ROWS, len(A)), len(B)))
+    scratch = np.empty_like(buffer)
+    for start in range(0, len(A), BLOCK_ROWS):
+        rows = A[start:start + BLOCK_ROWS]
+        block = buffer[:len(rows)]
+        np.subtract.outer(rows[:, 0], B[:, 0], out=block)
+        np.square(block, out=block)
+        for k in range(1, A.shape[1]):
+            diff = scratch[:len(rows)]
+            np.subtract.outer(rows[:, k], B[:, k], out=diff)
+            block += np.square(diff, out=diff)
+        yield start, block
 
 
 def hausdorff_distance(A, B):
     """Symmetric Hausdorff distance between two sampled point sets."""
-    d = np.sqrt(((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2))
-    return max(d.min(axis=1).max(), d.min(axis=0).max())
+    row_min = np.empty(len(A))
+    col_min = np.full(len(B), np.inf)
+    for start, block in _squared_distance_blocks(A, B):
+        block.min(axis=1, out=row_min[start:start + len(block)])
+        np.minimum(col_min, block.min(axis=0), out=col_min)
+    return np.sqrt(max(row_min.max(), col_min.max()))
 
 
 def sup_param_distance(A, B):
@@ -173,8 +212,8 @@ def sup_param_distance(A, B):
 
 def polygon_diameter(points):
     arr = _point_array(points)
-    d = np.sqrt(((arr[:, None, :] - arr[None, :, :]) ** 2).sum(axis=2))
-    return float(d.max())
+    return float(np.sqrt(max(block.max()
+                             for _, block in _squared_distance_blocks(arr, arr))))
 
 
 def convergence_report(points, exponents, source, iterations=100, samples=512,
@@ -189,8 +228,9 @@ def convergence_report(points, exponents, source, iterations=100, samples=512,
         target = GelfondBezierCurve(exponents,
                                     [as_point(p) for p in points])
     curve_pts = sample_curve(target, samples)
+    polygon = [tuple(p) for p in _point_array(points).tolist()]
     rows = []
-    for j, pts, r in corner_cutting(points, exponents, source, iterations):
+    for j, pts, r in corner_cutting(polygon, exponents, source, iterations):
         poly_pts = sample_polyline(pts, samples)
         rows.append((j, len(pts),
                      float(hausdorff_distance(poly_pts, curve_pts)),

@@ -1,9 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
+from gelfond import blossom
+from gelfond.arith import SingularityError
 from gelfond.blossom import (blossom_value, coefficients_from_control_points,
                              control_points_from_coefficients, de_casteljau,
                              monomial_blossom, monomial_control_points,
@@ -134,3 +140,33 @@ def test_argument_validation():
         de_casteljau(((0, 0), (1, 1)), EXPS, Fraction(1, 2))
     with pytest.raises(ValueError):
         pseudo_affinity(EXPS, 0, (1, 1, 1), Fraction(3, 2))
+
+
+def test_pseudo_affinity_out_of_range_raises(monkeypatch):
+    monkeypatch.setattr(blossom, "pseudo_affinity", lambda *args: 1.5)
+    with pytest.raises(SingularityError, match="outside"):
+        de_casteljau((0, 1, 2, 3), EXPS[:4], Fraction(1, 2))
+
+
+def test_pseudo_affinity_check_survives_optimize_flag():
+    script = (
+        "from gelfond import blossom\n"
+        "from gelfond.arith import SingularityError\n"
+        "assert False, 'asserts are live'\n"
+    )
+    check = (
+        "from gelfond import blossom\n"
+        "from gelfond.arith import SingularityError\n"
+        "blossom.pseudo_affinity = lambda *args: 1.5\n"
+        "try:\n"
+        "    blossom.de_casteljau((0, 1, 2), (0, 1, 2), 0.5)\n"
+        "except SingularityError:\n"
+        "    print('raised')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for code, expect in ((script, ""), (check, "raised")):
+        done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == expect

@@ -177,6 +177,15 @@ def test_config_file(tmp_path, capsys):
     assert len(overridden.splitlines()) == 6
 
 
+def test_config_file_must_be_object(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text("[1, 2]")
+    assert cli.main(["basis", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "JSON object" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_input_error_exit_codes(capsys):
     assert run(capsys, "basis", "--exponents", "0,3,3")[0] == 2
     assert run(capsys, "basis", "--exponents", "0,3", "--samples", "1")[0] == 2

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gelfond.curves import (GelfondBezierCurve, c1_join, c1_join_head,
@@ -26,6 +27,49 @@ def test_evaluate_routes_agree():
     for t in (Fraction(1, 5), Fraction(1, 2), Fraction(4, 5)):
         assert curve.evaluate(t) == curve.evaluate_de_casteljau(t)
     assert curve(0) == (0, 0) and curve(1) == (5, 0)
+
+
+def local_grid(curve, count):
+    """Float parameters across the interval; float(a) is dropped when it
+    rounds below a Fraction endpoint a."""
+    a, b = curve.interval
+    ts = np.linspace(float(a), float(b), count)
+    return np.array([t for t in ts if a <= t <= b])
+
+
+@pytest.mark.parametrize("exponents, points, interval", [
+    # integer exponents, Fraction and int control points
+    ((0, 2, 4, 14), ((0, 0), (Fraction(1, 3), 4), (3, Fraction(-7, 5)), (4, 0)),
+     (0, 1)),
+    # scalar control points
+    ((0, 1, 3, 6), (Fraction(1, 7), -2, 5, 0.25), (0, 1)),
+    # Fraction intervals: b - a is formed exactly; on [1/3, 1],
+    # float(b) - float(a) differs from float(b - a) in the last bit
+    ((0, 3, 4, 6, 9), ((0, 0, 1), (1, 4, 0), (3, 4, 2), (4, 1, -1), (5, 0, 0)),
+     (Fraction(1, 3), 2)),
+    ((0, 2, 3, 7), ((0, 0), (1, 4), (3, 4), (4, 0)), (Fraction(1, 3), 1)),
+    # real exponents run evaluate point by point
+    ((0, 0.5, 1.7, 3), ((0.0, 0.0), (1.0, 4.0), (3.0, 4.0), (4.0, 0.0)),
+     (0, 1)),
+])
+def test_evaluate_many_matches_evaluate(exponents, points, interval):
+    curve = GelfondBezierCurve(exponents, points, interval)
+    ts = local_grid(curve, 257)
+    a, b = curve.interval
+    for t in ts:
+        assert curve.local_parameter(t) == (t - a) / (b - a)
+    assert curve.evaluate_many(ts) == [curve.evaluate(t) for t in ts]
+    assert curve.evaluate_many(list(ts[:9])) == [curve.evaluate(t) for t in ts[:9]]
+
+
+def test_evaluate_many_exact_and_invalid_parameters():
+    curve = GelfondBezierCurve((0, 1, 3), ((0, 0), (1, 2), (3, 0)), (1, 3))
+    ts = [1, Fraction(3, 2), 3]
+    assert curve.evaluate_many(ts) == [curve.evaluate(t) for t in ts]
+    assert curve.evaluate_many([]) == []
+    for bad in ([1.0, 3.5], [float("nan")]):
+        with pytest.raises(ValueError):
+            curve.evaluate_many(bad)
 
 
 def test_interval_reparametrization():

@@ -2,13 +2,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gelfond.curves import GelfondBezierCurve
-from gelfond.dimelev import (PRESETS, convergence_report, corner_cutting,
-                             exponent_source, hausdorff_distance,
-                             insert_exponent, polygon_diameter, preset,
-                             sample_curve, sample_polyline,
-                             sup_param_distance)
+from gelfond.dimelev import (BLOCK_ROWS, PRESETS, convergence_report,
+                             corner_cutting, exponent_source,
+                             hausdorff_distance, insert_exponent,
+                             polygon_diameter, preset, sample_curve,
+                             sample_polyline, sup_param_distance)
 
 PTS = ((0, 0), (1, 4), (3, 4), (4, 0))
 
@@ -136,3 +138,68 @@ def test_sample_curve_endpoints():
     arr = sample_curve(curve, 33)
     assert tuple(arr[0]) == (0.0, 0.0)
     assert tuple(arr[-1]) == (4.0, 0.0)
+
+
+def dense_hausdorff(A, B):
+    """The full (m, m, d) tensor formula the blocked kernel replaces."""
+    d = np.sqrt(((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2))
+    return max(d.min(axis=1).max(), d.min(axis=0).max())
+
+
+def dense_diameter(arr):
+    return np.sqrt(((arr[:, None, :] - arr[None, :, :]) ** 2).sum(axis=2)).max()
+
+
+@st.composite
+def point_set_pairs(draw):
+    dim = draw(st.integers(1, 3))
+    coords = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    sizes = st.integers(1, 2 * BLOCK_ROWS + 7)
+    A = draw(arrays(float, (draw(sizes), dim), elements=coords))
+    B = draw(arrays(float, (draw(sizes), dim), elements=coords))
+    return A, B
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_set_pairs())
+def test_blocked_distances_equal_dense_formula(pair):
+    A, B = pair
+    assert hausdorff_distance(A, B) == dense_hausdorff(A, B)
+    assert polygon_diameter(A) == dense_diameter(A)
+
+
+def test_blocked_distances_on_block_edges():
+    rng = np.random.default_rng(3)
+    for m, n, dim in [(BLOCK_ROWS, 1, 1), (BLOCK_ROWS + 1, 2 * BLOCK_ROWS, 3),
+                      (3 * BLOCK_ROWS - 1, 5, 2), (1, 3 * BLOCK_ROWS, 3)]:
+        A = rng.normal(size=(m, dim)) * 10.0 ** rng.uniform(-6, 6)
+        B = rng.normal(size=(n, dim))
+        assert hausdorff_distance(A, B) == dense_hausdorff(A, B)
+        assert hausdorff_distance(B, A) == dense_hausdorff(B, A)
+        assert polygon_diameter(A) == dense_diameter(A)
+    with pytest.raises(ValueError):
+        hausdorff_distance(np.zeros((0, 2)), np.zeros((3, 2)))
+    with pytest.raises(ValueError):
+        hausdorff_distance(np.zeros((2, 2)), np.zeros((3, 3)))
+
+
+def exact_polygon_report(points, exponents, source, iterations, samples):
+    """convergence_report with the control polygon carried in Fractions."""
+    curve_pts = sample_curve(GelfondBezierCurve(exponents, points), samples)
+    rows = []
+    for j, pts, _ in corner_cutting(points, exponents, source, iterations):
+        poly_pts = sample_polyline(pts, samples)
+        rows.append((j, len(pts), float(hausdorff_distance(poly_pts, curve_pts)),
+                     sup_param_distance(poly_pts, curve_pts)))
+    return rows
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_float_polygon_matches_exact_polygon(name):
+    exps, source = preset(name)
+    got = convergence_report(PTS, exps, source, iterations=100, samples=512)
+    want = exact_polygon_report(PTS, exps, source, 100, 512)
+    assert [row[:2] for row in got] == [row[:2] for row in want]
+    for g, w in zip(got, want):
+        for col in (2, 3):
+            assert abs(g[col] - w[col]) <= 1e-12 * w[col], (g, w)
