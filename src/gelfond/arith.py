@@ -77,8 +77,10 @@ def det(rows):
     """Determinant of a square matrix given as a list of row lists.
 
     All-exact entries: fraction arithmetic with the first nonzero pivot,
-    giving an exact result.  Any float entry: partial pivoting on
-    magnitude.  The empty matrix has determinant 1.
+    giving an exact result.  Otherwise partial pivoting on magnitude in the
+    entries' own arithmetic (floats, or Decimals under the caller's
+    context); a zero pivot column gives a zero of that type.  The empty
+    matrix has determinant 1.
     """
     n = len(rows)
     if n == 0:
@@ -106,12 +108,11 @@ def det(rows):
         for i in range(n):
             out *= m[i][i]
         return out
-    m = [[float(x) for x in r] for r in m]
-    sign = 1.0
+    sign = 1
     for col in range(n):
         pivot_row = max(range(col, n), key=lambda r: abs(m[r][col]))
-        if m[pivot_row][col] == 0.0:
-            return 0.0
+        if m[pivot_row][col] == 0:
+            return abs(m[pivot_row][col])
         if pivot_row != col:
             m[col], m[pivot_row] = m[pivot_row], m[col]
             sign = -sign

@@ -22,6 +22,7 @@ underscores); explicit flags win over the file.
 import argparse
 import io
 import json
+import math
 import sys
 
 from .arith import SingularityError, as_point, format_number, parse_number
@@ -45,19 +46,27 @@ def _fmt6(x):
     return f"{float(x):.6g}"
 
 
+def _number(text):
+    """parse_number, refusing nan and inf at the input boundary."""
+    x = parse_number(text)
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ValueError(f"not a finite number: {text!r}")
+    return x
+
+
 def _parse_numbers(text):
-    return [parse_number(tok) for tok in str(text).split(",") if str(tok).strip()]
+    return [_number(tok) for tok in str(text).split(",") if str(tok).strip()]
 
 
 def _parse_points(spec):
     if isinstance(spec, (list, tuple)):
-        return [tuple(parse_number(c) for c in p) for p in spec]
+        return [tuple(_number(c) for c in p) for p in spec]
     pts = []
     for chunk in str(spec).split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
-        coords = tuple(parse_number(tok) for tok in chunk.split(","))
+        coords = tuple(_number(tok) for tok in chunk.split(","))
         pts.append(coords if len(coords) > 1 else coords[0])
     return pts
 
@@ -137,11 +146,16 @@ def _svg_text(polylines, markers=()):
     return "\n".join(parts) + "\n"
 
 
+def _parameter_grid(curve, samples):
+    """`samples` uniform float parameters across the curve's interval; the
+    rounded step can overshoot float(b), so the grid is capped there."""
+    a, b = (float(x) for x in curve.interval)
+    return [min(a + (b - a) * i / (samples - 1), b) for i in range(samples)]
+
+
 def _curve_svg(curve, samples):
     pts2 = []
-    a, b = curve.interval
-    for i in range(samples):
-        t = float(a) + (float(b) - float(a)) * i / (samples - 1)
+    for t in _parameter_grid(curve, samples):
         p = _coords(curve.evaluate(t))
         if len(p) != 2:
             raise ValueError("SVG output needs 2-dimensional control points")
@@ -173,6 +187,10 @@ def cmd_basis(args):
     samples = _samples(args)
     if getattr(args, "closed_form", None):
         family = args.closed_form
+        flags = ("l", "m", "n") if family == "hook" else ("l", "n")
+        missing = [f"--{f}" for f in flags if getattr(args, f) is None]
+        if missing:
+            raise ValueError(f"--closed-form {family} needs {', '.join(missing)}")
         l, m, n = args.l, args.m, args.n
         if family == "elementary":
             exps = elementary_exponents(l, n)
@@ -209,9 +227,7 @@ def cmd_curve(args):
     if fmt == "svg":
         _write_text(args.output, _curve_svg(curve, samples))
         return 0
-    a, b = curve.interval
-    ts = [float(a) + (float(b) - float(a)) * i / (samples - 1)
-          for i in range(samples)]
+    ts = _parameter_grid(curve, samples)
     if fmt == "csv":
         dim = len(_coords(curve.points[0]))
         header = ["t"] + [f"x{d}" for d in range(dim)]
@@ -235,7 +251,7 @@ def cmd_decasteljau(args):
     curve = GelfondBezierCurve(exps, _load_points(args), _interval(args))
     if args.t is None:
         raise ValueError("--t required")
-    t = parse_number(args.t)
+    t = _number(args.t)
     levels = curve.de_casteljau_levels(t)
     data = {
         "t": format_number(t),
@@ -286,7 +302,7 @@ def cmd_insert(args):
     points = _load_points(args)
     if args.rho is None:
         raise ValueError("--rho required")
-    rho = parse_number(args.rho)
+    rho = _number(args.rho)
     new_pts, new_exps = insert_exponent(points, exps, rho)
     curve = GelfondBezierCurve(new_exps, new_pts, _interval(args))
     _write_text(args.output, curve_to_json(curve) + "\n")
@@ -425,7 +441,7 @@ def main(argv=None):
     try:
         _apply_config(args)
         return args.func(args)
-    except (ValueError, NotImplementedError, FileNotFoundError) as exc:
+    except (ValueError, NotImplementedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SingularityError as exc:

@@ -46,15 +46,23 @@ class GelfondBezierCurve:
         return self.exponents.n
 
     def local_parameter(self, t):
+        """s = (t - a)/(b - a).  A float t is checked against the
+        endpoints rounded to floats, so a float grid from float(a) to
+        float(b) stays valid when an endpoint such as 1/3 rounds to just
+        outside [a, b]."""
         a, b = self.interval
-        if not a <= t <= b:
+        lo, hi = (a, b) if is_exact(t) else (float(a), float(b))
+        if not lo <= t <= hi:
             raise ValueError(f"t={t} outside [{a}, {b}]")
         return exact_div(t - a, b - a)
 
+    def _unit_parameter(self, t):
+        # at t = float(b) the rounded quotient can exceed 1, e.g. on [1/3, 1]
+        return min(self.local_parameter(t), 1.0)
+
     def evaluate(self, t):
         """Basis-sum evaluation."""
-        s = self.local_parameter(t)
-        weights = basis_values(self.exponents, s)
+        weights = basis_values(self.exponents, self._unit_parameter(t))
         out = vec_scale(weights[0], self.points[0])
         for w, p in zip(weights[1:], self.points[1:]):
             out = vec_add(out, vec_scale(w, p))
@@ -77,9 +85,9 @@ class GelfondBezierCurve:
         a, b = self.interval
         t = np.asarray(ts, dtype=float)
         for end in (float(t.min()), float(t.max())):
-            if not a <= end <= b:
+            if not float(a) <= end <= float(b):
                 raise ValueError(f"t={end} outside [{a}, {b}]")
-        s = (t - float(a)) / float(b - a)
+        s = np.minimum((t - float(a)) / float(b - a), 1.0)
         points = np.array(self.points, dtype=float).reshape(len(self.points), -1)
         out = None
         for k, p in enumerate(points):
@@ -94,12 +102,12 @@ class GelfondBezierCurve:
 
     def evaluate_de_casteljau(self, t):
         value, _ = de_casteljau(self.points, self.exponents,
-                                self.local_parameter(t))
+                                self._unit_parameter(t))
         return value
 
     def de_casteljau_levels(self, t):
         _, levels = de_casteljau(self.points, self.exponents,
-                                 self.local_parameter(t))
+                                 self._unit_parameter(t))
         return levels
 
     def coefficients(self):

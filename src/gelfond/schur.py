@@ -25,8 +25,8 @@ from fractions import Fraction
 from math import factorial
 
 from .arith import all_exact, det, falling_factorial, is_integral, power, simplify
-from .partitions import (IntegerPartition, RealPartition, interlacing_partitions,
-                         partition_parts)
+from .partitions import (IntegerPartition, RealPartition, _strip_zeros,
+                         interlacing_partitions, partition_parts)
 
 
 def _check_points(points):
@@ -35,13 +35,6 @@ def _check_points(points):
         if not u > 0:
             raise ValueError(f"evaluation points must be positive, got {u}")
     return pts
-
-
-def _strip(parts):
-    parts = list(parts)
-    while parts and parts[-1] == 0:
-        parts.pop()
-    return tuple(parts)
 
 
 def complete_homogeneous(r, points):
@@ -169,22 +162,9 @@ def _bialternant_decimal(groups, a, sign):
                     c = falling_factorial(aj, q)
                     row.append(c * dv ** (aj - q) if c != 0 else D(0))
                 rows.append(row)
-        n = len(rows)
-        num = D(1)
-        for col in range(n):
-            piv = max(range(col, n), key=lambda r: abs(rows[r][col]))
-            if rows[piv][col] == 0:
-                return 0.0
-            if piv != col:
-                rows[col], rows[piv] = rows[piv], rows[col]
-                num = -num
-            pivot = rows[col][col]
-            num *= pivot
-            for r in range(col + 1, n):
-                if rows[r][col]:
-                    f = rows[r][col] / pivot
-                    for c in range(col, n):
-                        rows[r][c] -= f * rows[col][c]
+        num = det(rows)
+        if num == 0:
+            return 0.0
         den = D(1)
         for i, (vi, mi) in enumerate(groups):
             for vj, mj in groups[i + 1:]:
@@ -210,7 +190,7 @@ def schur_bialternant(lam, points):
     column ordering.  Exact when the partition is integer and all points
     are rational; float otherwise."""
     pts = _check_points(points)
-    parts = _strip(partition_parts(lam))
+    parts = _strip_zeros(partition_parts(lam))
     n = len(pts)
     if len(parts) > n:
         raise ValueError(
@@ -244,7 +224,8 @@ def schur_bialternant(lam, points):
             row = []
             for aj in a:
                 c = falling_factorial(aj, q)
-                row.append(c * power(v, aj - q) if c != 0 else (0 if exact else 0.0))
+                x = c * power(v, aj - q) if c != 0 else 0
+                row.append(x if exact else float(x))
             rows.append(row)
     num = det(rows)
     den = Fraction(1) if exact else 1.0
@@ -264,7 +245,7 @@ def schur(lam, points):
     exactly.  Everything else: the bialternant, whose cancellation guard
     (float determinants of O(1) terms collapsing to a tiny Schur value)
     also covers integer shapes at float points near 0 or near coincidence."""
-    parts = _strip(partition_parts(lam))
+    parts = _strip_zeros(partition_parts(lam))
     if all(is_integral(p) for p in parts) and all_exact(tuple(points)):
         return schur_jacobi_trudi(parts, points)
     return schur_bialternant(parts, points)

@@ -214,3 +214,49 @@ def test_points_accept_fractions(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["levels"][0][0] == ["1/3", 0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["basis", "--closed-form", "hook", "--samples", "5"],
+    ["basis", "--closed-form", "elementary", "--l", "2"],
+    ["basis", "--exponents", "0,1,3", "--output", "{tmp}"],
+    ["curve", "--exponents", "0,1", "--points", "0,0;nan,1"],
+    ["curve", "--exponents", "0,1", "--points", "0,0;1,inf"],
+    ["basis", "--exponents", "0,inf"],
+    ["insert", "--exponents", "0,1", "--points", "0,0;1,1", "--rho", "inf"],
+    ["decasteljau", "--exponents", "0,1", "--points", "0,0;1,1",
+     "--interval", "0,inf", "--t", "1"],
+    ["curve", "--exponents", "0,1", "--points", "0,0;1,1",
+     "--interval", "nan,1"],
+])
+def test_boundary_inputs_exit_2(argv, tmp_path, capsys):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "svg"])
+@pytest.mark.parametrize("interval, ends", [
+    # float(1/3) rounds below 1/3, and the rounded step overshoots 2 at
+    # the last of the default 101 samples; 0.3 + (0.9 - 0.3) overshoots 0.9
+    ("1/3,2", ["0.33333333333333331", "2"]),
+    ("0.3,0.9", ["0.29999999999999999", "0.90000000000000002"]),
+])
+def test_curve_interval_grid_ends(interval, ends, fmt, capsys):
+    code, out = run(capsys, "curve", "--exponents", "0,1,2",
+                    "--points", "0,0;1,1;2,0", "--interval", interval,
+                    "--format", fmt)
+    assert code == 0
+    if fmt == "csv":
+        _, rows = parse_csv(out)
+        assert len(rows) == 101
+        assert rows[0] == [ends[0], "0", "0"]
+        assert rows[-1] == [ends[1], "2", "0"]
+    else:
+        curve, polygon = [line.split('points="')[1].split('"')[0].split()
+                          for line in out.splitlines() if "<polyline" in line]
+        assert len(curve) == 101
+        assert (curve[0], curve[-1]) == (polygon[0], polygon[-1])

@@ -140,6 +140,16 @@ def test_sample_curve_endpoints():
     assert tuple(arr[-1]) == (4.0, 0.0)
 
 
+@pytest.mark.parametrize("exps", [(0, 1, 2, 3), (0, 0.5, 2, 3.5)])
+def test_sample_curve_fraction_interval(exps):
+    # float(1/3) rounds below 1/3, and (1 - float(1/3)) / float(2/3)
+    # rounds above 1
+    curve = GelfondBezierCurve(exps, PTS, (Fraction(1, 3), 1))
+    arr = sample_curve(curve, 33)
+    assert tuple(arr[0]) == (0.0, 0.0)
+    assert np.abs(arr[-1] - (4.0, 0.0)).max() < 1e-12
+
+
 def dense_hausdorff(A, B):
     """The full (m, m, d) tensor formula the blocked kernel replaces."""
     d = np.sqrt(((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2))

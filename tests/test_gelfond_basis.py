@@ -1,4 +1,8 @@
+import random
+import time
 from fractions import Fraction
+from itertools import accumulate
+from math import prod
 
 import pytest
 
@@ -11,10 +15,34 @@ from gelfond.gelfond_basis import (basis_derivative, basis_polynomial,
                                    gelfond_basis_dd, gelfond_basis_schur,
                                    hodograph_data, hook_basis_polynomial,
                                    hook_exponents, vanishing_orders)
-from gelfond.partitions import partition_from_exponents
+from gelfond.partitions import (dimension, interlacing_partitions,
+                                partition_from_exponents)
 from gelfond.polynomials import Poly
 
 EXPS = (0, 3, 4, 6, 9)
+
+
+def _interlacing_basis_polynomial(exps, k):
+    """H_k = [prod_{i>k} r_i/(r_i - r_k)] t^{r_k} (1-t)^{n-k} psi(t), where
+    psi's coefficient of t^w sums f_eta(n-k)/f_{mu0}(n-k) over the
+    partitions eta interlacing mu = (lambda_{k+1}, .., lambda_n) with
+    |eta| = |mu0| + w, mu0 = (lambda_{k+2}, .., lambda_n).  Enumerates
+    about 4^n partitions: the oracle for the residue construction."""
+    n = len(exps) - 1
+    if k == n:
+        return Poly.monomial(1, exps[n])
+    mu = partition_from_exponents(exps).parts[k:]
+    mu0 = mu[1:]
+    m = n - k
+    base = sum(mu0)
+    f0 = dimension(mu0, m)
+    psi = [Fraction(0)] * (sum(mu) - base + 1)
+    for eta in interlacing_partitions(mu):
+        psi[eta.weight() - base] += Fraction(dimension(eta, m), f0)
+    prefactor = prod(Fraction(exps[i], exps[i] - exps[k])
+                     for i in range(k + 1, n + 1))
+    return (Poly.monomial(prefactor, exps[k]) * Poly(psi)
+            * Poly([1, -1]) ** m)
 
 
 def test_worked_basis_polynomial_frozen():
@@ -23,16 +51,30 @@ def test_worked_basis_polynomial_frozen():
                 * Poly([1, -1]) ** 2 * Poly([3, 6, 4, 2]))
     assert basis_polynomial(EXPS, 2) == expected
     assert basis_polynomial_residues(EXPS, 2) == expected
+    assert _interlacing_basis_polynomial(EXPS, 2) == expected
     assert expected == Poly.monomial(Fraction(27, 5), 4) \
         + Poly.monomial(-9, 6) + Poly.monomial(Fraction(18, 5), 9)
 
 
 def test_polynomial_routes_agree():
-    for exps in [(0, 1), (0, 1, 3), (0, 2, 3), EXPS, (0, 2, 4, 14)]:
-        n = len(exps) - 1
-        for k in range(n + 1):
+    rng = random.Random(41)
+    spaces = [(0, 1), (0, 1, 3), (0, 2, 3), EXPS, (0, 2, 4, 14)]
+    for n in range(1, 10):
+        for _ in range(4):
+            gaps = [rng.randint(1, 3) for _ in range(n)]
+            spaces.append(tuple(accumulate([0] + gaps)))
+    for exps in spaces:
+        for k in range(len(exps)):
             assert basis_polynomial(exps, k) == \
-                basis_polynomial_residues(exps, k)
+                _interlacing_basis_polynomial(exps, k), (exps, k)
+
+
+def test_large_exponent_polynomial_is_fast():
+    start = time.perf_counter()
+    polys = [basis_polynomial((0, 150, 300), k) for k in range(3)]
+    assert time.perf_counter() - start < 1.0
+    assert sum(polys, Poly()) == Poly([1])
+    assert polys[1] == Poly.monomial(2, 150) - Poly.monomial(2, 300)
 
 
 def test_three_value_routes_agree_integer():
