@@ -18,8 +18,9 @@ from .dimelev import (convergence_report, corner_cutting, exponent_source,
 from .divided_diff import (divided_difference, exponential_dd,
                            exponential_dd_naive, exponential_dd_recursive)
 from .gelfond_basis import (basis_derivative, basis_polynomial, basis_values,
-                            chebyshev_basis, gelfond_basis, gelfond_basis_dd,
-                            gelfond_basis_schur, hodograph_data)
+                            basis_values_many, chebyshev_basis,
+                            gelfond_basis_dd, gelfond_basis_schur,
+                            hodograph_data)
 from .partitions import (ExponentSequence, IntegerPartition, RealPartition,
                          dimension, exponents_from_partition,
                          interlacing_partitions, muntz_tableau,
@@ -42,7 +43,7 @@ __all__ = [
     "divided_difference", "exponential_dd", "exponential_dd_naive",
     "exponential_dd_recursive",
     "basis_derivative", "basis_polynomial", "basis_values",
-    "chebyshev_basis", "gelfond_basis", "gelfond_basis_dd",
+    "basis_values_many", "chebyshev_basis", "gelfond_basis_dd",
     "gelfond_basis_schur", "hodograph_data",
     "ExponentSequence", "IntegerPartition", "RealPartition", "dimension",
     "exponents_from_partition", "interlacing_partitions", "muntz_tableau",

@@ -12,15 +12,18 @@ join         C1-join a new curve onto the end of a serialized one
 oracle       cross-route consistency report (max deviations)
 
 Outputs are deterministic: CSV floats carry 17 significant digits, SVG
-coordinates 6, and the CSV dialect is RFC 4180 (CRLF).  Exit codes:
-0 success, 2 invalid input, 3 numeric singularity.
+coordinates 6, and the CSV dialect is RFC 4180 (CRLF).  Tables of many
+parameters (`basis`, `curve`, the production columns of `oracle`) are
+evaluated in one batch per space, which prints the same bytes as
+evaluating each parameter on its own.  Exit codes: 0 success, 2 invalid
+input, 3 numeric singularity.
 
 A JSON config file (--config) may supply any long flag (dashes as
-underscores); explicit flags win over the file.
+underscores), checked against the flag's type and choices as on the
+command line; explicit flags win over the file.
 """
 
 import argparse
-import io
 import json
 import math
 import sys
@@ -30,12 +33,17 @@ from .curves import (GelfondBezierCurve, c1_join, curve_from_json,
                      curve_to_json)
 from .dimelev import (PRESETS, convergence_report, corner_cutting,
                       exponent_source, insert_exponent, preset, sample_curve)
-from .gelfond_basis import (basis_values, complete_basis_polynomial,
+from .gelfond_basis import (basis_values_many, complete_basis_polynomial,
                             complete_exponents, elementary_basis_polynomial,
                             elementary_exponents, gelfond_basis_dd,
                             gelfond_basis_schur, hook_basis_polynomial,
                             hook_exponents)
 from .partitions import ExponentSequence
+from .polynomials import horner_table
+
+# --samples above this is refused before any grid is built: tables hold
+# samples x (n + 1) floats and their text in memory.
+MAX_SAMPLES = 10 ** 6
 
 
 def _fmt17(x):
@@ -96,12 +104,13 @@ def _write_text(path, text):
 
 
 def _csv_text(header, rows):
-    import csv
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    """RFC 4180 text with CRLF line ends.  Every field written here is a
+    number or a column name, none holding a comma, quote or line break, so
+    none needs quoting."""
+    lines = [",".join(header)]
+    lines.extend(",".join(row) for row in rows)
+    lines.append("")
+    return "\r\n".join(lines)
 
 
 def _coords(p):
@@ -153,13 +162,10 @@ def _parameter_grid(curve, samples):
     return [min(a + (b - a) * i / (samples - 1), b) for i in range(samples)]
 
 
-def _curve_svg(curve, samples):
-    pts2 = []
-    for t in _parameter_grid(curve, samples):
-        p = _coords(curve.evaluate(t))
-        if len(p) != 2:
-            raise ValueError("SVG output needs 2-dimensional control points")
-        pts2.append((float(p[0]), float(p[1])))
+def _curve_svg(curve, ts):
+    if len(_coords(curve.points[0])) != 2:
+        raise ValueError("SVG output needs 2-dimensional control points")
+    pts2 = [(float(x), float(y)) for x, y in curve.evaluate_many(ts)]
     poly = [tuple(float(c) for c in _coords(p)) for p in curve.points]
     markers = [(x, y, 3.0) for x, y in poly]
     return _svg_text([(pts2, "#1f77b4", None), (poly, "#d62728", "4 3")],
@@ -180,11 +186,14 @@ def _samples(args, default=101):
     n = int(n)
     if n < 2:
         raise ValueError("need at least 2 samples")
+    if n > MAX_SAMPLES:
+        raise ValueError(f"at most {MAX_SAMPLES} samples, got {n}")
     return n
 
 
 def cmd_basis(args):
     samples = _samples(args)
+    ts = [i / (samples - 1) for i in range(samples)]
     if getattr(args, "closed_form", None):
         family = args.closed_form
         flags = ("l", "m", "n") if family == "hook" else ("l", "n")
@@ -203,18 +212,14 @@ def cmd_basis(args):
             polys = [hook_basis_polynomial(l, m, n, k) for k in range(n + 1)]
         else:
             raise ValueError(f"unknown closed form {family!r}")
-        values = lambda t: [p(t) for p in polys]
+        table = horner_table(polys, ts).tolist()
     else:
         exps = _exponents_from(args)
-        values = lambda t: list(basis_values(exps, t))
+        table = basis_values_many(exps, ts)
     n = exps.n
     header = ["t"] + [f"H{k}" for k in range(n + 1)] + ["unity_residual"]
-    rows = []
-    for i in range(samples):
-        t = i / (samples - 1)
-        vals = values(t)
-        rows.append([_fmt17(t)] + [_fmt17(v) for v in vals]
-                    + [_fmt17(sum(vals) - 1.0)])
+    rows = ([_fmt17(t)] + [_fmt17(v) for v in vals] + [_fmt17(sum(vals) - 1.0)]
+            for t, vals in zip(ts, table))
     _write_text(args.output, _csv_text(header, rows))
     return 0
 
@@ -224,26 +229,23 @@ def cmd_curve(args):
     curve = GelfondBezierCurve(exps, _load_points(args), _interval(args))
     samples = _samples(args)
     fmt = args.format or "csv"
-    if fmt == "svg":
-        _write_text(args.output, _curve_svg(curve, samples))
-        return 0
     ts = _parameter_grid(curve, samples)
+    if fmt == "svg":
+        _write_text(args.output, _curve_svg(curve, ts))
+        return 0
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown format {fmt!r}")
+    rows = [[_fmt17(t)] + [_fmt17(c) for c in _coords(p)]
+            for t, p in zip(ts, curve.evaluate_many(ts))]
     if fmt == "csv":
         dim = len(_coords(curve.points[0]))
         header = ["t"] + [f"x{d}" for d in range(dim)]
-        rows = [[_fmt17(t)] + [_fmt17(c) for c in _coords(curve.evaluate(t))]
-                for t in ts]
-        _write_text(args.output, _csv_text(header, rows))
-        return 0
-    if fmt == "json":
-        data = {
-            "curve": json.loads(curve_to_json(curve)),
-            "samples": [[_fmt17(t)] + [_fmt17(c) for c in _coords(curve.evaluate(t))]
-                        for t in ts],
-        }
-        _write_text(args.output, json.dumps(data, indent=2) + "\n")
-        return 0
-    raise ValueError(f"unknown format {fmt!r}")
+        text = _csv_text(header, rows)
+    else:
+        data = {"curve": json.loads(curve_to_json(curve)), "samples": rows}
+        text = json.dumps(data, indent=2) + "\n"
+    _write_text(args.output, text)
+    return 0
 
 
 def cmd_decasteljau(args):
@@ -338,9 +340,12 @@ def cmd_oracle(args):
     dev_routes = 0.0
     dev_unity = 0.0
     dev_dc = 0.0
-    for i in range(samples):
-        t = i / (samples - 1)
-        vals = basis_values(exps, t)
+    # the production routes run in batches; the routes they are checked
+    # against run point by point
+    ts = [i / (samples - 1) for i in range(samples)]
+    table = basis_values_many(exps, ts)
+    values = curve.evaluate_many(ts)
+    for t, vals, v1 in zip(ts, table, values):
         dev_unity = max(dev_unity, abs(sum(vals) - 1.0))
         if 0 < t:
             for k in range(n + 1):
@@ -348,7 +353,6 @@ def cmd_oracle(args):
                 b = gelfond_basis_dd(exps, k, t)
                 dev_routes = max(dev_routes, abs(float(a) - float(b)),
                                  abs(float(a) - float(vals[k])))
-        v1 = curve.evaluate(t)
         v2 = curve.evaluate_de_casteljau(t)
         dev_dc = max(dev_dc, max(abs(x - y) for x, y in zip(v1, v2)))
     lines = [
@@ -420,26 +424,46 @@ def _build_parser():
     p.add_argument("--seed")
     p.set_defaults(func=cmd_oracle)
 
-    return parser
+    return parser, sub.choices
 
 
-def _apply_config(args):
+def _config_value(action, value):
+    """A config value as the command line would give it: through the
+    flag's type= and choices=."""
+    flag = action.option_strings[0]
+    if action.type is not None:
+        try:
+            value = action.type(str(value))
+        except ValueError:
+            raise ValueError(f"config {flag}: invalid {action.type.__name__} "
+                             f"value: {value!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"config {flag}: invalid choice: {value!r} (choose "
+                         f"from {', '.join(map(repr, action.choices))})")
+    return value
+
+
+def _apply_config(args, parser):
+    """Fill the flags left unset from the --config file, read against the
+    command's own `parser`."""
     if getattr(args, "config", None):
         with open(args.config) as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")
+        actions = {a.dest: a for a in parser._actions}
         for key, value in data.items():
             attr = key.replace("-", "_")
-            if hasattr(args, attr) and getattr(args, attr) is None:
-                setattr(args, attr, value)
+            if (value is not None and hasattr(args, attr)
+                    and getattr(args, attr) is None):
+                setattr(args, attr, _config_value(actions[attr], value))
 
 
 def main(argv=None):
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        _apply_config(args, commands[args.command])
         return args.func(args)
     except (ValueError, NotImplementedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

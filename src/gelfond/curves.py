@@ -21,6 +21,7 @@ from .blossom import (blossom_value, coefficients_from_control_points,
                       de_casteljau)
 from .gelfond_basis import basis_polynomial, basis_values, hodograph_data
 from .partitions import as_exponents
+from .polynomials import horner_table
 
 
 class GelfondBezierCurve:
@@ -73,11 +74,12 @@ class GelfondBezierCurve:
     def evaluate_many(self, ts):
         """[self.evaluate(t) for t in ts], value for value.
 
-        Integer exponents at float parameters take one numpy pass: each
-        basis polynomial by Horner's rule over all local parameters, then
-        the weighted points summed in the order `evaluate` sums them, so
-        every float operation is the one the scalar route performs.  Any
-        other input runs `evaluate` point by point."""
+        Integer exponents at float parameters take one numpy pass: the
+        basis values of all local parameters by the Horner table that
+        `basis_values_many` uses, then the weighted points summed in the
+        order `evaluate` sums them, so every float operation is the one
+        the scalar route performs.  Any other input runs `evaluate` point
+        by point."""
         ts = list(ts)
         if not (ts and self.exponents.is_integer()
                 and all(isinstance(t, float) for t in ts)):
@@ -88,12 +90,11 @@ class GelfondBezierCurve:
             if not float(a) <= end <= float(b):
                 raise ValueError(f"t={end} outside [{a}, {b}]")
         s = np.minimum((t - float(a)) / float(b - a), 1.0)
+        weights = horner_table(
+            [basis_polynomial(self.exponents, k) for k in range(self.n + 1)], s)
         points = np.array(self.points, dtype=float).reshape(len(self.points), -1)
         out = None
-        for k, p in enumerate(points):
-            w = np.zeros_like(s)
-            for c in reversed(basis_polynomial(self.exponents, k).coeffs):
-                w = w * s + float(c)
+        for w, p in zip(weights.T, points):
             term = w[:, None] * p
             out = term if out is None else out + term
         if isinstance(self.points[0], tuple):
@@ -231,8 +232,10 @@ def hyperplane_crossings(curve, normal, offset, samples=401):
         vals = [v if v != 0.0 else 1e-12 for v in vals]
         return sum(1 for u, v in zip(vals, vals[1:]) if u * v < 0)
 
-    ts = [a + (b - a) * i / (samples - 1) for i in range(samples)]
-    curve_vals = [height(curve.evaluate(t)) for t in ts]
+    # capped at b: with float endpoints the rounded last step overshoots,
+    # e.g. 0.3 + (0.9 - 0.3) > 0.9
+    ts = [min(a + (b - a) * i / (samples - 1), b) for i in range(samples)]
+    curve_vals = [height(p) for p in curve.evaluate_many(ts)]
     poly_vals = [height(p) for p in curve.points]
     return count(curve_vals), count(poly_vals)
 

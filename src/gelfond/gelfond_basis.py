@@ -35,7 +35,7 @@ from .divided_diff import exponential_dd
 from .partitions import (ExponentSequence, RealPartition, as_exponents,
                          hook_partition_dimension, dimension,
                          partition_from_exponents, partition_parts)
-from .polynomials import Poly
+from .polynomials import Poly, horner_table
 from .schur import schur
 
 
@@ -141,6 +141,24 @@ def basis_values(exponents, t):
     """All of H_0(t), ..., H_n(t)."""
     r = as_exponents(exponents)
     return tuple(gelfond_basis(r, k, t) for k in range(r.n + 1))
+
+
+def basis_values_many(exponents, ts):
+    """[list(basis_values(exponents, t)) for t in ts], value for value.
+
+    Integer exponents at float parameters take one batched pass: the cached
+    basis polynomials by Horner's rule over all of ts (`horner_table`).
+    Any other input runs `basis_values` point by point.  Parameters outside
+    [0, 1] raise ValueError."""
+    r = as_exponents(exponents)
+    ts = list(ts)
+    for t in ts:
+        if not 0 <= t <= 1:
+            raise ValueError(f"t must be in [0, 1], got {t}")
+    if not (ts and r.is_integer() and all(isinstance(t, float) for t in ts)):
+        return [list(basis_values(r, t)) for t in ts]
+    polys = [basis_polynomial(r, k) for k in range(r.n + 1)]
+    return horner_table(polys, ts).tolist()
 
 
 def chebyshev_basis(lam, a, b, k, t):

@@ -1,11 +1,14 @@
 """Dense univariate polynomials with exact rational coefficients.
 
 Just enough structure for the exact basis-polynomial cache: sums,
-products, powers, Horner evaluation, formal derivatives.  Coefficients
-are stored constant-term first with trailing zeros stripped.
+products, powers, Horner evaluation (one point, or a table over many float
+points), formal derivatives.  Coefficients are stored constant-term first
+with trailing zeros stripped.
 """
 
 from fractions import Fraction
+
+import numpy as np
 
 from .arith import is_exact
 
@@ -125,3 +128,17 @@ class Poly:
             if c:
                 terms.append(f"{c}*t^{i}" if i else f"{c}")
         return "Poly(" + " + ".join(terms) + ")"
+
+
+def horner_table(polys, ts):
+    """The (len(ts), len(polys)) array of p(t) for float ts, equal value
+    for value to [[p(t) for p in polys] for t in ts]: one numpy Horner pass
+    per polynomial over all of ts, starting from 0.0 and performing the
+    float operations `Poly.__call__` performs."""
+    s = np.asarray(ts, dtype=float)
+    out = np.zeros((len(polys), s.size))
+    for w, p in zip(out, polys):
+        for c in reversed(p.coeffs):
+            w *= s
+            w += float(c)
+    return out.T

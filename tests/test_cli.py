@@ -1,13 +1,16 @@
 import csv
+import io
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gelfond import cli
 from gelfond.arith import SingularityError
 from gelfond.curves import GelfondBezierCurve, curve_from_json
 from gelfond.dimelev import insert_exponent
+from gelfond.gelfond_basis import basis_values
 
 
 def run(capsys, *argv):
@@ -177,6 +180,28 @@ def test_config_file(tmp_path, capsys):
     assert len(overridden.splitlines()) == 6
 
 
+def test_config_values_take_flag_types(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"closed_form": "elementary", "l": "2", "n": 3}))
+    code, from_cfg = run(capsys, "basis", "--config", str(cfg))
+    assert code == 0
+    assert from_cfg == run(capsys, "basis", "--closed-form", "elementary",
+                           "--l", "2", "--n", "3")[1]
+
+
+@pytest.mark.parametrize("data", [{"l": "x"}, {"closed_form": "bogus"},
+                                  {"samples": 2.5}])
+def test_config_values_refused(data, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"closed_form": "elementary", "l": 2, "n": 3,
+                               **data}))
+    assert cli.main(["basis", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: config --")
+
+
 def test_config_file_must_be_object(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text("[1, 2]")
@@ -260,3 +285,85 @@ def test_curve_interval_grid_ends(interval, ends, fmt, capsys):
                           for line in out.splitlines() if "<polyline" in line]
         assert len(curve) == 101
         assert (curve[0], curve[-1]) == (polygon[0], polygon[-1])
+
+
+@pytest.mark.parametrize("argv", [
+    ["basis", "--samples", "{ceiling}", "--exponents", "0,1,3"],
+    ["curve", "--samples", "{ceiling}", "--exponents", "0,1",
+     "--points", "0,0;1,1"],
+    ["oracle", "--samples", "{ceiling}", "--exponents", "0,1,3"],
+    ["elevate", "--samples", "{ceiling}", "--preset", "cubic-linear",
+     "--points", "0,0;1,4;3,4;4,0", "--iterations", "1"],
+])
+def test_samples_ceiling(argv, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("evaluated above the sample ceiling")
+    for name in ("_parameter_grid", "basis_values_many", "convergence_report"):
+        monkeypatch.setattr(cli, name, refuse)
+    argv = [a.replace("{ceiling}", str(cli.MAX_SAMPLES + 1)) for a in argv]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert str(cli.MAX_SAMPLES) in lines[0]
+
+
+def _fmt_row(values):
+    return ",".join(cli._fmt17(v) for v in values)
+
+
+def test_basis_table_matches_pointwise(capsys):
+    exps = (0, 1, 3, 4, 6, 8, 9, 11, 14, 16)
+    code, out = run(capsys, "basis", "--exponents", ",".join(map(str, exps)),
+                    "--samples", "37")
+    assert code == 0
+    lines = ["t," + ",".join(f"H{k}" for k in range(10)) + ",unity_residual"]
+    for i in range(37):
+        t = i / 36
+        vals = basis_values(exps, t)
+        lines.append(_fmt_row((t, *vals, sum(vals) - 1.0)))
+    assert out == "\r\n".join(lines) + "\r\n"
+
+
+def _pointwise_routes(monkeypatch):
+    """Send the batched routes of the CLI back to one parameter at a time."""
+    monkeypatch.setattr(cli, "basis_values_many", lambda exps, ts: [
+        list(basis_values(exps, t)) for t in ts])
+    monkeypatch.setattr(cli, "horner_table", lambda polys, ts: np.array([
+        [p(t) for p in polys] for t in ts]))
+    monkeypatch.setattr(GelfondBezierCurve, "evaluate_many", lambda self, ts: [
+        self.evaluate(t) for t in ts])
+
+
+CURVE = ["--exponents", "0,2,4,14", "--points", "0,0;1,4;3,4;4,0",
+         "--samples", "129"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["basis", "--exponents", "0,2,4,14", "--samples", "257"],
+    ["basis", "--closed-form", "elementary", "--l", "2", "--n", "4"],
+    ["basis", "--closed-form", "complete", "--l", "2", "--n", "3"],
+    ["basis", "--closed-form", "hook", "--l", "1", "--m", "2", "--n", "4"],
+    ["basis", "--exponents", "0,1.5,3", "--samples", "17"],
+    ["oracle", "--exponents", "0,2,3", "--seed", "4"],
+    ["oracle", "--exponents", "0,3,4,6,9", "--samples", "17"],
+    ["oracle", "--exponents", "0,1.5,3", "--samples", "5"],
+] + [["curve", *CURVE, "--format", fmt, "--interval", interval]
+     for fmt in ("csv", "json", "svg")
+     for interval in ("0,1", "1/3,2", "0.3,0.9")])
+def test_batched_output_matches_pointwise(argv, monkeypatch, capsys):
+    code, batched = run(capsys, *argv)
+    assert code == 0
+    _pointwise_routes(monkeypatch)
+    assert run(capsys, *argv) == (0, batched)
+
+
+def test_csv_reads_back():
+    header = ["t", "x0", "x1"]
+    rows = [[cli._fmt17(x) for x in (t, -t / 3, 1e-300 * t)]
+            for t in (0.0, 1 / 3, 1.0, 12345.678)]
+    rows.append([cli._fmt17(x) for x in (float("inf"), -0.0, 2 ** 70)])
+    text = cli._csv_text(header, rows)
+    assert text.endswith("\r\n") and text.count("\r\n") == len(rows) + 1
+    assert list(csv.reader(io.StringIO(text, newline=""))) == [header] + rows

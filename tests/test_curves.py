@@ -199,6 +199,20 @@ def test_variation_diminishing_spot():
         assert on_curve <= on_polygon
 
 
+@pytest.mark.parametrize("interval", [(0.3, 0.9), (Fraction(1, 3), 2)])
+@pytest.mark.parametrize("samples", [3, 7, 401])
+def test_crossings_on_shifted_interval(interval, samples):
+    # float endpoints: the rounded last grid step overshoots 0.9
+    exps = (0, 3, 4, 6, 9)
+    points = ((0, 0), (1, 4), (3, 4), (4, 1), (5, 0))
+    unit = GelfondBezierCurve(exps, points)
+    shifted = GelfondBezierCurve(exps, points, interval)
+    for normal, offset in [((0, 1), 1.0), ((0, 1), 3.9), ((1, 0), 2.5),
+                           ((1, -1), 0.0)]:
+        assert (hyperplane_crossings(shifted, normal, offset, samples)
+                == hyperplane_crossings(unit, normal, offset, samples))
+
+
 def test_curve_validation():
     with pytest.raises(ValueError):
         GelfondBezierCurve((0, 1, 3), ((0, 0), (1, 1)))

@@ -5,9 +5,12 @@ from itertools import accumulate
 from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gelfond import gelfond_basis as gelfond_basis_module
 from gelfond.gelfond_basis import (basis_derivative, basis_polynomial,
                                    basis_polynomial_residues, basis_values,
+                                   basis_values_many,
                                    chebyshev_basis, complete_basis_polynomial,
                                    complete_exponents,
                                    elementary_basis_polynomial,
@@ -17,7 +20,7 @@ from gelfond.gelfond_basis import (basis_derivative, basis_polynomial,
                                    hook_exponents, vanishing_orders)
 from gelfond.partitions import (dimension, interlacing_partitions,
                                 partition_from_exponents)
-from gelfond.polynomials import Poly
+from gelfond.polynomials import Poly, horner_table
 
 EXPS = (0, 3, 4, 6, 9)
 
@@ -209,3 +212,71 @@ def test_index_validation():
         basis_polynomial((0, 1, 3), -1)
     with pytest.raises(ValueError):
         basis_polynomial((0, 1.5, 3), 1)
+
+
+def test_package_attribute_is_the_module():
+    import types
+
+    import gelfond
+    import gelfond.gelfond_basis as imported
+    assert isinstance(gelfond.gelfond_basis, types.ModuleType)
+    assert imported is gelfond_basis_module
+    assert "gelfond_basis" not in gelfond.__all__
+    assert imported.gelfond_basis is gelfond_basis
+
+
+# parameters of the batched tables: both ends plus floats from [0, 1]
+unit_floats = st.lists(st.floats(0.0, 1.0), max_size=40).map(
+    lambda ts: [0.0, 1.0] + ts)
+
+
+@st.composite
+def integer_spaces(draw):
+    n = draw(st.integers(0, 9))
+    gaps = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    return (0,) + tuple(accumulate(gaps))
+
+
+CLOSED_FORMS = [
+    (elementary_exponents(2, 5), lambda k: elementary_basis_polynomial(2, 5, k)),
+    (complete_exponents(3, 4), lambda k: complete_basis_polynomial(3, 4, k)),
+    (hook_exponents(2, 2, 5), lambda k: hook_basis_polynomial(2, 2, 5, k)),
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(integer_spaces(), unit_floats)
+def test_basis_values_many_matches_basis_values(exps, ts):
+    assert basis_values_many(exps, ts) == [list(basis_values(exps, t)) for t in ts]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(CLOSED_FORMS), unit_floats)
+def test_closed_form_tables_match_pointwise(form, ts):
+    exps, poly = form
+    polys = [poly(k) for k in range(exps.n + 1)]
+    want = [[p(t) for p in polys] for t in ts]
+    assert horner_table(polys, ts).tolist() == want
+    assert basis_values_many(exps, ts) == want
+
+
+@pytest.mark.parametrize("exps, ts", [
+    ((0, 0.5, 1.7, 3), [0.0, 0.25, 0.6, 1.0]),          # real exponents
+    ((0, 3, 4, 6, 9), [0, Fraction(1, 3), 1]),          # exact parameters
+    ((0, 3, 4, 6, 9), [0.5, Fraction(1, 3)]),           # mixed parameters
+])
+def test_basis_values_many_loops_otherwise(exps, ts, monkeypatch):
+    want = [list(basis_values(exps, t)) for t in ts]
+
+    def refuse(polys, ts):
+        raise AssertionError("batched route taken")
+    monkeypatch.setattr(gelfond_basis_module, "horner_table", refuse)
+    assert basis_values_many(exps, ts) == want
+    assert basis_values_many(exps, []) == []
+
+
+@pytest.mark.parametrize("exps", [(0, 3, 4, 6, 9), (0, 0.5, 1.7, 3)])
+@pytest.mark.parametrize("bad", [1.5, -0.25, float("nan"), Fraction(4, 3)])
+def test_basis_values_many_range(exps, bad):
+    with pytest.raises(ValueError):
+        basis_values_many(exps, [0.5, bad])
