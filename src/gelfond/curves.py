@@ -41,6 +41,7 @@ class GelfondBezierCurve:
         self.points = pts
         self.interval = (a, b)
         self._coeffs = None
+        self._polys = None
 
     @property
     def n(self):
@@ -61,9 +62,25 @@ class GelfondBezierCurve:
         # at t = float(b) the rounded quotient can exceed 1, e.g. on [1/3, 1]
         return min(self.local_parameter(t), 1.0)
 
+    def _basis_polys(self):
+        """The cached basis polynomials H_0..H_n of an integer space; empty
+        for real exponents."""
+        if self._polys is None:
+            self._polys = ([basis_polynomial(self.exponents, k)
+                            for k in range(self.n + 1)]
+                           if self.exponents.is_integer() else [])
+        return self._polys
+
     def evaluate(self, t):
-        """Basis-sum evaluation."""
-        weights = basis_values(self.exponents, self._unit_parameter(t))
+        """Basis-sum evaluation.  Integer exponents at a float parameter
+        evaluate the curve's own basis polynomials, the values
+        `basis_values` returns, without its per-call dispatch."""
+        s = self._unit_parameter(t)
+        polys = self._basis_polys()
+        if polys and isinstance(s, float):
+            weights = [p(s) for p in polys]
+        else:
+            weights = basis_values(self.exponents, s)
         out = vec_scale(weights[0], self.points[0])
         for w, p in zip(weights[1:], self.points[1:]):
             out = vec_add(out, vec_scale(w, p))
@@ -81,8 +98,8 @@ class GelfondBezierCurve:
         the scalar route performs.  Any other input runs `evaluate` point
         by point."""
         ts = list(ts)
-        if not (ts and self.exponents.is_integer()
-                and all(isinstance(t, float) for t in ts)):
+        polys = self._basis_polys()
+        if not (ts and polys and all(isinstance(t, float) for t in ts)):
             return [self.evaluate(t) for t in ts]
         a, b = self.interval
         t = np.asarray(ts, dtype=float)
@@ -90,8 +107,7 @@ class GelfondBezierCurve:
             if not float(a) <= end <= float(b):
                 raise ValueError(f"t={end} outside [{a}, {b}]")
         s = np.minimum((t - float(a)) / float(b - a), 1.0)
-        weights = horner_table(
-            [basis_polynomial(self.exponents, k) for k in range(self.n + 1)], s)
+        weights = horner_table(polys, s)
         points = np.array(self.points, dtype=float).reshape(len(self.points), -1)
         out = None
         for w, p in zip(weights.T, points):

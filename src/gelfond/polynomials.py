@@ -21,10 +21,17 @@ def _normalize(coeffs):
 
 
 class Poly:
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_horner")
 
     def __init__(self, coeffs=()):
         self.coeffs = _normalize(coeffs)
+        self._horner = None
+
+    def _float_horner(self):
+        """float(c) of each coefficient, leading one first (cached)."""
+        if self._horner is None:
+            self._horner = tuple(float(c) for c in reversed(self.coeffs))
+        return self._horner
 
     @staticmethod
     def monomial(c, k):
@@ -113,8 +120,8 @@ class Poly:
             return acc
         acc = 0.0
         t = float(t)
-        for c in reversed(self.coeffs):
-            acc = acc * t + float(c)
+        for c in self._float_horner():
+            acc = acc * t + c
         return acc
 
     def derivative(self):
@@ -138,7 +145,7 @@ def horner_table(polys, ts):
     s = np.asarray(ts, dtype=float)
     out = np.zeros((len(polys), s.size))
     for w, p in zip(out, polys):
-        for c in reversed(p.coeffs):
+        for c in p._float_horner():
             w *= s
-            w += float(c)
+            w += c
     return out.T

@@ -3,10 +3,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gelfond.arith import vec_add, vec_scale
 from gelfond.curves import (GelfondBezierCurve, c1_join, c1_join_head,
                             curve_from_json, curve_to_json, derivative_curve,
                             endpoint_derivatives, hyperplane_crossings,
                             initial_tangency)
+from gelfond.gelfond_basis import basis_values
 from gelfond.polynomials import Poly
 
 
@@ -60,6 +62,18 @@ def test_evaluate_many_matches_evaluate(exponents, points, interval):
         assert curve.local_parameter(t) == (t - a) / (b - a)
     assert curve.evaluate_many(ts) == [curve.evaluate(t) for t in ts]
     assert curve.evaluate_many(list(ts[:9])) == [curve.evaluate(t) for t in ts[:9]]
+
+
+@pytest.mark.parametrize("interval", [(0, 1), (Fraction(1, 3), 2)])
+def test_float_evaluate_matches_basis_values_sum(interval):
+    points = ((0, 0), (Fraction(1, 3), 4), (3, Fraction(-7, 5)), (4, 0))
+    curve = GelfondBezierCurve((0, 2, 4, 14), points, interval)
+    for t in local_grid(curve, 65):
+        weights = basis_values(curve.exponents, curve._unit_parameter(t))
+        want = vec_scale(weights[0], points[0])
+        for w, p in zip(weights[1:], points[1:]):
+            want = vec_add(want, vec_scale(w, p))
+        assert curve.evaluate(t) == want
 
 
 def test_evaluate_many_exact_and_invalid_parameters():

@@ -31,6 +31,16 @@ def test_poly_evaluation_exactness():
     assert p.derivative().coeffs == (0, 2)
 
 
+def test_float_evaluation_is_horner_over_float_coefficients():
+    p = Poly([Fraction(1, 3), Fraction(-7, 5), 0, Fraction(22, 7), 10 ** 20])
+    for t in (0.0, 0.1, 1 / 3, 0.9999999, 1.0):
+        want = 0.0
+        for c in reversed(p.coeffs):
+            want = want * t + float(c)
+        assert p(t) == want and p(t) == want  # second call: cached floats
+    assert Poly()(0.5) == 0.0 and Poly()(Fraction(1, 2)) == 0
+
+
 def test_power_exact_and_float():
     assert power(Fraction(2, 3), 2) == Fraction(4, 9)
     assert power(2, -1) == Fraction(1, 2)
