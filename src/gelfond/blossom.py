@@ -134,13 +134,18 @@ def blossom_value(coeffs, exponents, args, zeros=0):
     return out
 
 
-def pseudo_affinity(exponents, zeros, args, t):
+def pseudo_affinity(exponents, zeros, args, t, schur_values=None):
     """alpha(0^zeros, args; 0, 1, t): the de Casteljau weight on [0, 1].
 
     With lam the space's partition padded by one zero, mu its first
     n-zeros parts and eta the next window (lam_2..lam_{n-zeros+1}),
 
         alpha = t S_mu(args, t) S_eta(args, 1) / (S_mu(args, 1) S_eta(args, t)).
+
+    `schur_values`, a dict that the nodes of one de Casteljau pyramid
+    share, keeps each Schur value under its shape and its points as a
+    multiset; Schur functions are symmetric, so a value needed by two
+    nodes is computed once and is the same value either way.
     """
     r = as_exponents(exponents)
     n = r.n
@@ -155,8 +160,18 @@ def pseudo_affinity(exponents, zeros, args, t):
     parts = partition_from_exponents(r).parts + (0,)
     mu = parts[:n - j]
     eta = parts[1:n - j + 1]
-    num = schur(mu, args + (t,)) * schur(eta, args + (1,))
-    den = schur(mu, args + (1,)) * schur(eta, args + (t,))
+
+    def value(shape, last):
+        points = args + (last,)
+        if schur_values is None:
+            return schur(shape, points)
+        key = (shape, tuple(sorted(points)))
+        if key not in schur_values:
+            schur_values[key] = schur(shape, points)
+        return schur_values[key]
+
+    num = value(mu, t) * value(eta, 1)
+    den = value(mu, 1) * value(eta, t)
     if den == 0:
         raise SingularityError(f"pseudo-affinity denominator vanished at t={t}")
     return t * exact_div(num, den)
@@ -166,7 +181,10 @@ def de_casteljau(points, exponents, t):
     """Evaluate by corner cutting; returns (value, pyramid levels).
 
     Level r, node i uses alpha(0^{n-r-i}, 1^i, t^{r-1}; t), so
-    p_i^r = f_P(0^{n-r-i}, 1^i, t, .., t) with r copies of t."""
+    p_i^r = f_P(0^{n-r-i}, 1^i, t, .., t) with r copies of t.  The nodes
+    share their Schur values: S_{lam[:m]}(1^{i+1}, t^{m-i-1}), for one,
+    serves both node (r, i) and node (r-1, i+1), so a pyramid evaluates
+    at most n(n+3) Schur values, not 4 per node."""
     r = as_exponents(exponents)
     n = r.n
     points = tuple(points)
@@ -176,11 +194,12 @@ def de_casteljau(points, exponents, t):
         raise ValueError(f"t={t} outside [0, 1]")
     levels = [points]
     prev = points
+    schur_values = {}
     for level in range(1, n + 1):
         row = []
         for i in range(n - level + 1):
             args = (1,) * i + (t,) * (level - 1)
-            alpha = pseudo_affinity(r, n - level - i, args, t)
+            alpha = pseudo_affinity(r, n - level - i, args, t, schur_values)
             if not -ALPHA_SLACK <= alpha <= 1 + ALPHA_SLACK:
                 raise SingularityError(
                     f"pseudo-affinity {alpha} outside [0,1] at level {level}, node {i}")

@@ -24,6 +24,7 @@ command line; explicit flags win over the file.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -367,7 +368,11 @@ def cmd_oracle(args):
     return 0
 
 
+@functools.cache
 def _build_parser():
+    """The argparse tree and its subparsers by command name, built once per
+    process.  The tree names no handler: `main` looks up `cmd_<command>`
+    when it runs one."""
     parser = argparse.ArgumentParser(
         prog="gelfond",
         description="Gelfond-Bezier curve toolkit over Muntz spaces")
@@ -391,17 +396,14 @@ def _build_parser():
     p.add_argument("--l", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--n", type=int)
-    p.set_defaults(func=cmd_basis)
 
     p = sub.add_parser("curve", help="sample or draw a curve")
     common(p, points=True)
     p.add_argument("--format", choices=["csv", "json", "svg"])
-    p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("decasteljau", help="corner-cutting pyramid as JSON")
     common(p, points=True)
     p.add_argument("--t")
-    p.set_defaults(func=cmd_decasteljau)
 
     p = sub.add_parser("elevate", help="dimension elevation experiment")
     common(p, points=True)
@@ -410,22 +412,18 @@ def _build_parser():
     p.add_argument("--extra", help="comma list inserted before the tail rule")
     p.add_argument("--iterations", type=int)
     p.add_argument("--frames-dir", dest="frames_dir")
-    p.set_defaults(func=cmd_elevate)
 
     p = sub.add_parser("insert", help="insert one exponent")
     common(p, points=True)
     p.add_argument("--rho")
-    p.set_defaults(func=cmd_insert)
 
     p = sub.add_parser("join", help="C1-join a right segment")
     common(p, points=True)
     p.add_argument("--left", help="serialized left curve (JSON file)")
-    p.set_defaults(func=cmd_join)
 
     p = sub.add_parser("oracle", help="cross-route consistency report")
     common(p)
     p.add_argument("--seed")
-    p.set_defaults(func=cmd_oracle)
 
     return parser, sub.choices
 
@@ -467,7 +465,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         _apply_config(args, commands[args.command])
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (ValueError, NotImplementedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

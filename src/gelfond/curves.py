@@ -19,9 +19,9 @@ from .arith import (as_point, exact_div, format_number, is_exact, parse_number,
                     vec_add, vec_scale, vec_sub, vec_zero_like)
 from .blossom import (blossom_value, coefficients_from_control_points,
                       de_casteljau)
-from .gelfond_basis import basis_polynomial, basis_values, hodograph_data
+from .gelfond_basis import (basis_polynomial, basis_table, basis_values,
+                            hodograph_data)
 from .partitions import as_exponents
-from .polynomials import horner_table
 
 
 class GelfondBezierCurve:
@@ -91,15 +91,14 @@ class GelfondBezierCurve:
     def evaluate_many(self, ts):
         """[self.evaluate(t) for t in ts], value for value.
 
-        Integer exponents at float parameters take one numpy pass: the
-        basis values of all local parameters by the Horner table that
-        `basis_values_many` uses, then the weighted points summed in the
-        order `evaluate` sums them, so every float operation is the one
-        the scalar route performs.  Any other input runs `evaluate` point
-        by point."""
+        Float parameters take one numpy pass: the basis values of all
+        local parameters from `basis_table` (the Horner table of the
+        basis polynomials, or the Opitz kernel for real exponents), then
+        the weighted points summed in the order `evaluate` sums them, so
+        every float operation is the one the scalar route performs.  Exact
+        parameters run `evaluate` point by point."""
         ts = list(ts)
-        polys = self._basis_polys()
-        if not (ts and polys and all(isinstance(t, float) for t in ts)):
+        if not (ts and all(isinstance(t, float) for t in ts)):
             return [self.evaluate(t) for t in ts]
         a, b = self.interval
         t = np.asarray(ts, dtype=float)
@@ -107,7 +106,7 @@ class GelfondBezierCurve:
             if not float(a) <= end <= float(b):
                 raise ValueError(f"t={end} outside [{a}, {b}]")
         s = np.minimum((t - float(a)) / float(b - a), 1.0)
-        weights = horner_table(polys, s)
+        weights = basis_table(self.exponents, s)
         points = np.array(self.points, dtype=float).reshape(len(self.points), -1)
         out = None
         for w, p in zip(weights.T, points):

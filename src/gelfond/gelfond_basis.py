@@ -11,27 +11,37 @@ Routes:
  * integer exponents: H_k is an honest polynomial.  Expanding the divided
    difference into partial fractions gives one rational coefficient per
    exponent r_k..r_n, so `basis_polynomial` builds H_k exactly in O(n^2)
-   operations, once per (exponents, k), and caches it.
- * real exponents: the divided difference above (`gelfond_basis_dd`), or
-   the Schur-quotient form (`gelfond_basis_schur`)
+   operations, once per (exponents, k), and caches it.  Float parameters
+   go through Horner's rule, exact ones stay exact.
+ * real exponents: one matrix exponential (Opitz) holds every divided
+   difference [r_k..r_n] f_t at once, so `basis_table` takes all of
+   H_0(t)..H_n(t) from the float kernel `divided_diff.exponential_dd_table`,
+   for a whole batch of parameters in one call.  The results are floats,
+   also at exact parameters.
+
+`basis_values`, `basis_values_many`, `gelfond_basis` and `basis_table`
+are the production entry points and pick the route by the exponents.  Two
+independent real-exponent routes remain as oracles: the divided difference
+by partial fractions or recursion (`gelfond_basis_dd`) and the
+Schur-quotient form (`gelfond_basis_schur`)
 
      H_k(t) = [prod_{i>k} r_i/(r_i - r_k)] t^{r_k} (1-t)^{n-k}
               * S_{(lambda_{k+1..n})}(1, t, .., t) / S_{(lambda_{k+2..n})}(t, .., t)
 
-   with n-k copies of t, which is also exact for integer exponents at
-   rational t.
-
-H_k(0) and H_k(1) are delta values; t = 0 is short-circuited because the
-Schur quotient there is a 0/0 limit (resolved by the splitting limit, which
-is exactly what the short-circuit encodes).
+with n-k copies of t, which is also exact for integer exponents at
+rational t.  H_k(0) and H_k(1) are delta values; the Schur route
+short-circuits t = 0 because its quotient there is a 0/0 limit (resolved
+by the splitting limit, which is exactly what the short-circuit encodes).
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, prod
 
+import numpy as np
+
 from .arith import SingularityError, all_exact, exact_div, is_exact, power, simplify
-from .divided_diff import exponential_dd
+from .divided_diff import exponential_dd, exponential_dd_table
 from .partitions import (ExponentSequence, RealPartition, as_exponents,
                          hook_partition_dimension, dimension,
                          partition_from_exponents, partition_parts)
@@ -50,8 +60,9 @@ def _prefactor(r, k):
 
 
 def gelfond_basis_schur(exponents, k, t):
-    """Schur-quotient evaluation; works for real exponents, exact for
-    integer exponents with rational t."""
+    """Schur-quotient evaluation, an oracle for the production routes;
+    works for real exponents, exact for integer exponents with rational
+    t."""
     r = as_exponents(exponents)
     n = r.n
     if not 0 <= k <= n:
@@ -76,7 +87,8 @@ def gelfond_basis_schur(exponents, k, t):
 
 
 def gelfond_basis_dd(exponents, k, t):
-    """Divided-difference evaluation, the other real-exponent route."""
+    """One divided difference by partial fractions or recursion
+    (`exponential_dd`), the other oracle for real exponents."""
     r = as_exponents(exponents)
     n = r.n
     if not 0 <= k <= n:
@@ -126,39 +138,71 @@ def basis_polynomial(exponents, k):
 basis_polynomial_residues = basis_polynomial
 
 
+def _check_parameter(t):
+    if not 0 <= t <= 1:
+        raise ValueError(f"t must be in [0, 1], got {t}")
+
+
 def gelfond_basis(exponents, k, t):
-    """H^n_k(t): cached polynomial for integer exponents, Schur quotient
-    otherwise."""
+    """H^n_k(t) for t in [0, 1]: cached polynomial for integer exponents,
+    the Opitz kernel otherwise."""
     r = as_exponents(exponents)
+    if not 0 <= k <= r.n:
+        raise ValueError(f"basis index {k} outside 0..{r.n}")
+    _check_parameter(t)
     if r.is_integer():
-        if not 0 <= k <= r.n:
-            raise ValueError(f"basis index {k} outside 0..{r.n}")
         return basis_polynomial(r, k)(t)
-    return gelfond_basis_schur(r, k, t)
+    return basis_values(r, t)[k]
 
 
 def basis_values(exponents, t):
-    """All of H_0(t), ..., H_n(t)."""
+    """All of H_0(t), ..., H_n(t) for t in [0, 1]."""
     r = as_exponents(exponents)
-    return tuple(gelfond_basis(r, k, t) for k in range(r.n + 1))
+    _check_parameter(t)
+    if r.is_integer():
+        return tuple(basis_polynomial(r, k)(t) for k in range(r.n + 1))
+    return tuple(basis_table(r, [t])[0].tolist())
+
+
+def basis_table(exponents, ts):
+    """H_0..H_n at every parameter of `ts` as floats, an array of shape
+    (len(ts), n + 1); parameters outside [0, 1] (nan too) raise
+    ValueError.
+
+    Integer exponents: the cached basis polynomials by Horner's rule over
+    all of ts (`horner_table`).  Real exponents: the divided differences
+    of `exponential_dd_table` times (-1)^{n-k} r_{k+1}..r_n, with
+    H_k(0) = delta_{k0}.  A row does not depend on the batch it is in."""
+    r = as_exponents(exponents)
+    t = np.asarray(ts, dtype=float)
+    if t.size and not (t.min() >= 0 and t.max() <= 1):
+        bad = t[~((t >= 0) & (t <= 1))][0]
+        raise ValueError(f"t must be in [0, 1], got {bad}")
+    n = r.n
+    if r.is_integer():
+        return horner_table([basis_polynomial(r, k) for k in range(n + 1)], t)
+    scale = [1.0] * (n + 1)
+    for k in range(n - 1, -1, -1):
+        scale[k] = -float(r[k + 1]) * scale[k + 1]
+    out = exponential_dd_table(r.exponents, np.where(t > 0, t, 1.0)) * scale
+    if not t.all():
+        out[t == 0] = np.eye(1, n + 1)
+    return out
 
 
 def basis_values_many(exponents, ts):
     """[list(basis_values(exponents, t)) for t in ts], value for value.
 
-    Integer exponents at float parameters take one batched pass: the cached
-    basis polynomials by Horner's rule over all of ts (`horner_table`).
-    Any other input runs `basis_values` point by point.  Parameters outside
-    [0, 1] raise ValueError."""
+    Float parameters take one batched pass (`basis_table`); exact
+    parameters of integer spaces run `basis_values` point by point, so
+    they stay exact.  Parameters outside [0, 1] raise ValueError."""
     r = as_exponents(exponents)
     ts = list(ts)
-    for t in ts:
-        if not 0 <= t <= 1:
-            raise ValueError(f"t must be in [0, 1], got {t}")
-    if not (ts and r.is_integer() and all(isinstance(t, float) for t in ts)):
+    if not ts:
+        return []
+    if r.is_integer() and not all(isinstance(t, float) for t in ts):
         return [list(basis_values(r, t)) for t in ts]
-    polys = [basis_polynomial(r, k) for k in range(r.n + 1)]
-    return horner_table(polys, ts).tolist()
+    return basis_table(r, ts).tolist()
 
 
 def chebyshev_basis(lam, a, b, k, t):

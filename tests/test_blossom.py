@@ -9,13 +9,14 @@ from pathlib import Path
 import pytest
 
 from gelfond import blossom
-from gelfond.arith import SingularityError
+from gelfond.arith import SingularityError, lerp
 from gelfond.blossom import (blossom_value, coefficients_from_control_points,
                              control_points_from_coefficients, de_casteljau,
                              monomial_blossom, monomial_control_points,
                              pseudo_affinity)
 from gelfond.gelfond_basis import basis_polynomial, basis_values, elementary_exponents
 from gelfond.polynomials import Poly
+from gelfond.schur import schur
 
 EXPS = (0, 3, 4, 6, 9)
 
@@ -170,3 +171,51 @@ def test_pseudo_affinity_check_survives_optimize_flag():
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == expect
+
+
+def _pyramid_node_by_node(points, exps, t):
+    """The de Casteljau pyramid with one pseudo_affinity call per node and
+    no Schur values shared between nodes."""
+    n = len(exps) - 1
+    levels = [tuple(points)]
+    for level in range(1, n + 1):
+        prev = levels[-1]
+        row = []
+        for i in range(n - level + 1):
+            args = (1,) * i + (t,) * (level - 1)
+            alpha = pseudo_affinity(exps, n - level - i, args, t)
+            row.append(lerp(prev[i], prev[i + 1], alpha))
+        levels.append(tuple(row))
+    return levels
+
+
+REAL7 = (0, 0.5, 1.8, 4.0, 4.07, 4.97, 5.32, 6.92)
+
+
+@pytest.mark.parametrize("exps, t", [
+    (REAL7, 0.37), (REAL7, 0.9), (REAL7, Fraction(1, 3)), (REAL7, 1.0),
+    ((0, 1.2, 1.55, 3.65), 0.15),
+    (EXPS, Fraction(2, 7)), (EXPS, 0.61), ((0, 1, 2), 1)])
+def test_shared_schur_values_leave_the_pyramid_unchanged(exps, t):
+    rng = random.Random(len(exps))
+    pts = tuple((rng.uniform(-1, 1), rng.randint(-5, 5)) for _ in exps)
+    _, levels = de_casteljau(pts, exps, t)
+    assert levels == _pyramid_node_by_node(pts, exps, t)
+
+
+def test_pyramid_computes_each_schur_value_once(monkeypatch):
+    calls = []
+
+    def counted(lam, points):
+        calls.append((tuple(lam), tuple(sorted(points))))
+        return schur(lam, points)
+
+    monkeypatch.setattr(blossom, "schur", counted)
+    n = len(REAL7) - 1
+    de_casteljau(tuple(range(n + 1)), REAL7, 0.37)
+    assert len(calls) == len(set(calls))
+    assert len(calls) <= n * (n + 3) + n
+    # node by node, every pseudo-affinity evaluates its own four
+    calls.clear()
+    _pyramid_node_by_node(tuple(range(n + 1)), REAL7, 0.37)
+    assert len(calls) == 4 * n * (n + 1) // 2

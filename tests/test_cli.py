@@ -367,3 +367,16 @@ def test_csv_reads_back():
     text = cli._csv_text(header, rows)
     assert text.endswith("\r\n") and text.count("\r\n") == len(rows) + 1
     assert list(csv.reader(io.StringIO(text, newline=""))) == [header] + rows
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    tree = cli._build_parser()
+    assert run(capsys, "basis", "--exponents", "0,1", "--samples", "3")[0] == 0
+    assert cli._build_parser() is tree
+    # the handler is looked up when a command runs, not bound into the tree
+    seen = []
+    monkeypatch.setattr(cli, "cmd_curve", lambda args: seen.append(args.command) or 0)
+    assert run(capsys, "curve", "--exponents", "0,1", "--points", "0,0;1,1")[0] == 0
+    assert seen == ["curve"] and cli._build_parser() is tree
+    args = tree[0].parse_args(["basis", "--exponents", "0,2"])
+    assert not hasattr(args, "func")

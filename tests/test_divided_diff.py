@@ -1,14 +1,20 @@
 import math
+import random
 from fractions import Fraction
+from itertools import accumulate
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gelfond.divided_diff import (MIN_GAP, divided_difference, exponential_dd,
-                                  exponential_dd_derivative,
+from gelfond.arith import SingularityError
+from gelfond.divided_diff import (BLOCK_ROWS, MIN_GAP, divided_difference,
+                                  exponential_dd, exponential_dd_derivative,
                                   exponential_dd_naive,
                                   exponential_dd_recursive,
-                                  exponential_dd_shifted)
+                                  exponential_dd_shifted, exponential_dd_table)
+from gelfond.gelfond_basis import (basis_table, basis_values,
+                                   basis_values_many, gelfond_basis_schur)
 
 
 def test_generic_divided_difference():
@@ -113,3 +119,163 @@ def test_input_validation():
         exponential_dd((0, 1), -0.5)
     with pytest.raises(ValueError):
         exponential_dd((), Fraction(1, 2))
+
+
+# -- the Opitz kernel against mpmath ------------------------------------
+
+REF_DIGITS = 50
+
+
+def _mp_basis(exps, t):
+    """H_0(t)..H_n(t) of a real-exponent space to REF_DIGITS digits, from
+    the partial-fraction form of (-1)^{n-k} r_{k+1}..r_n [r_k..r_n] t^x.
+    The sum cancels about (1/gap)^n, so the working precision doubles
+    until two passes agree."""
+    n = len(exps) - 1
+    digits = REF_DIGITS + 20
+    prev = None
+    while True:
+        with mpmath.workdps(digits):
+            r = [mpmath.mpf(x) for x in exps]
+            powers = [mpmath.mpf(t) ** x for x in r]
+            dens = [mpmath.mpf(1)] * (n + 1)
+            out = [None] * (n + 1)
+            scale = mpmath.mpf(1)
+            for k in range(n, -1, -1):
+                # dens[i] = prod_{j >= k, j != i} (r_i - r_j)
+                for i in range(k + 1, n + 1):
+                    dens[i] *= r[i] - r[k]
+                dens[k] = mpmath.fprod(r[k] - r[j] for j in range(k + 1, n + 1))
+                out[k] = scale * mpmath.fsum(powers[i] / dens[i]
+                                             for i in range(k, n + 1))
+                scale *= -r[k]
+        if prev is not None and all(
+                abs(a - b) <= max(abs(a), mpmath.mpf(10) ** -400)
+                * mpmath.mpf(10) ** -REF_DIGITS for a, b in zip(out, prev)):
+            return out
+        prev = out
+        digits *= 2
+        assert digits < 4000, exps
+
+
+def _kernel_spaces():
+    rng = random.Random(2026)
+    spaces = [(0, 150.5, 300.25)]
+    for n in (1, 2, 3, 4, 5, 7, 9, 12, 16, 20):
+        for gaps in ("mixed", "wide"):
+            r = [0.0]
+            for _ in range(n):
+                if gaps == "mixed":
+                    g = rng.choice((1e-6, 1e-4, 1e-2, 0.3, 1.7, 6.0))
+                else:
+                    g = rng.uniform(5.0, 300.0 / n)
+                r.append(r[-1] + g)
+            spaces.append(tuple(r))
+    return spaces
+
+
+KERNEL_TS = (1e-3, 0.01, 0.2, 0.5, 0.8, 0.95, 0.99, 0.999999)
+
+
+def test_kernel_matches_mpmath():
+    """Orders 1-20, gaps from 1e-6, exponents up to 300, t from 1e-3 to
+    1 - 1e-6: absolute error and unity residual at most 1e-14, relative
+    error at most 1e-8, also near t = 1 where H_0 is as small as 1e-122.
+    The relative bound is checked where H_k >= 1e-250, so that the
+    divided difference H_k / (r_{k+1}..r_n) is still a normal float.
+
+    The worst absolute error here is about 1.2e-15.  Squaring the
+    diagonal instead of recomputing it gives 2.5e-14, so the absolute
+    bound is 1e-14 rather than 1e-13."""
+    worst_abs = worst_rel = 0.0
+    for exps in _kernel_spaces():
+        n = len(exps) - 1
+        table = basis_table(exps, KERNEL_TS)
+        for t, row in zip(KERNEL_TS, table):
+            ref = _mp_basis(exps, t)
+            assert abs(math.fsum(row) - 1.0) <= 1e-14, (exps, t)
+            for k in range(n + 1):
+                err = abs(row[k] - float(ref[k]))
+                worst_abs = max(worst_abs, err)
+                assert err <= 1e-14, (exps, t, k, row[k], ref[k])
+                if abs(ref[k]) >= 1e-250:
+                    rel = err / abs(float(ref[k]))
+                    worst_rel = max(worst_rel, rel)
+                    assert rel <= 1e-8, (exps, t, k, row[k], ref[k])
+    assert worst_abs > 0 and worst_rel > 0     # the loops did compare
+
+
+def test_kernel_divided_differences_match_mpmath():
+    nodes = (0.0, 0.5, 0.5 + 1e-6, 2.0, 7.25)
+    for t in (1e-3, 0.3, 0.97):
+        got = exponential_dd_table(nodes, [t])[0]
+        for k in range(len(nodes)):
+            with mpmath.workdps(120):
+                tail = [mpmath.mpf(x) for x in nodes[k:]]
+                ref = mpmath.fsum(
+                    mpmath.mpf(t) ** xi
+                    / mpmath.fprod(xi - xj for j, xj in enumerate(tail) if j != i)
+                    for i, xi in enumerate(tail))
+            assert abs(got[k] - float(ref)) <= 1e-12 * abs(float(ref)), (t, k)
+
+
+def test_kernel_repeated_nodes_and_endpoints():
+    t = 0.4
+    got = exponential_dd_table((1.0, 2.0, 2.0), [t])[0]
+    assert got[0] == pytest.approx(exponential_dd_recursive((1.0, 2.0, 2.0), t),
+                                   rel=1e-13)
+    assert got[1] == pytest.approx(t ** 2 * math.log(t), rel=1e-13)
+    # t = 1: exp(0) = I, so only [x_n] t^x = 1 survives
+    assert exponential_dd_table((0.0, 1.5, 3.0), [1.0]).tolist() == [[0.0, 0.0, 1.0]]
+    assert exponential_dd_table((0.0, 1.5), []).shape == (0, 2)
+    for bad in (0.0, -0.5, 1.5, float("nan")):
+        with pytest.raises(ValueError):
+            exponential_dd_table((0.0, 1.5), [0.5, bad])
+    with pytest.raises(ValueError):
+        exponential_dd_table((), [0.5])
+    with pytest.raises(ValueError):
+        exponential_dd_table((0.0, float("inf")), [0.5])
+
+
+def test_kernel_handles_what_the_schur_route_could_not():
+    # the Schur quotient's float determinants cancel to nothing here
+    exps = (0, 150.5, 300.25)
+    with pytest.raises(SingularityError):
+        gelfond_basis_schur(exps, 0, 0.001)
+    for t in (0.001, 0.5, 0.999):
+        vals = basis_values(exps, t)
+        assert all(math.isfinite(v) for v in vals)
+        ref = _mp_basis(exps, t)
+        assert max(abs(v - float(h)) for v, h in zip(vals, ref)) <= 1e-13
+
+
+exponent_gaps = st.lists(
+    st.one_of(st.floats(1e-6, 1e-2), st.floats(0.05, 40.0)),
+    min_size=1, max_size=12)
+unit_floats = st.one_of(st.sampled_from([0.0, 1.0, 1e-300, 1 - 2 ** -53]),
+                        st.floats(0.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(gaps=exponent_gaps, ts=st.lists(unit_floats, min_size=1, max_size=9))
+def test_batched_rows_equal_pointwise_rows(gaps, ts):
+    exps = tuple(accumulate(gaps, initial=0.0))
+    if len(set(exps)) < len(exps):
+        return
+    table = basis_table(exps, ts)
+    for t, row in zip(ts, table):
+        assert row.tolist() == list(basis_values(exps, t))
+    inner = [t for t in ts if t > 0]
+    if inner:
+        dd = exponential_dd_table(exps, inner)
+        for t, row in zip(inner, dd):
+            assert row.tolist() == exponential_dd_table(exps, [t])[0].tolist()
+
+
+def test_rows_do_not_depend_on_the_block():
+    exps = (0.0, 0.7, 2.05, 2.0501, 5.5)
+    ts = [i / (2 * BLOCK_ROWS + 6) for i in range(2 * BLOCK_ROWS + 7)]
+    table = exponential_dd_table(exps, ts[1:])
+    for t, row in zip(ts[1:], table):
+        assert row.tolist() == exponential_dd_table(exps, [t])[0].tolist()
+    assert basis_values_many(exps, ts) == [list(basis_values(exps, t)) for t in ts]

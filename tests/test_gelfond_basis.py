@@ -280,3 +280,32 @@ def test_basis_values_many_loops_otherwise(exps, ts, monkeypatch):
 def test_basis_values_many_range(exps, bad):
     with pytest.raises(ValueError):
         basis_values_many(exps, [0.5, bad])
+
+
+@pytest.mark.parametrize("exps", [(0, 2, 3), (0, 0.5, 1.7, 3)])
+@pytest.mark.parametrize("bad", [1.5, -0.25, float("nan"), Fraction(4, 3)])
+def test_scalar_routes_refuse_parameters_outside_unit_interval(exps, bad):
+    # integer exponents used to return the polynomial's extrapolation
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        basis_values(exps, bad)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        gelfond_basis(exps, 1, bad)
+    assert len(basis_values(exps, Fraction(1, 2))) == len(exps)
+
+
+def test_real_exponents_take_the_kernel(monkeypatch):
+    exps = (0, 0.5, 1.7, 3)
+    want = basis_values(exps, 0.3)
+
+    def refuse(*args):
+        raise AssertionError("Schur route taken")
+    monkeypatch.setattr(gelfond_basis_module, "schur", refuse)
+    assert basis_values(exps, 0.3) == want
+    assert gelfond_basis(exps, 2, 0.3) == want[2]
+    assert basis_values_many(exps, [0.3, Fraction(3, 10)]) == [list(want)] * 2
+    assert basis_values(exps, 0) == (1.0, 0.0, 0.0, 0.0)
+    assert basis_values(exps, 1) == (0.0, 0.0, 0.0, 1.0)
+    slope = (0, 1.5, 2.7, 4)
+    assert basis_derivative(slope, 1, 0.3) == pytest.approx(
+        (basis_values(slope, 0.3 + 1e-6)[1] - basis_values(slope, 0.3 - 1e-6)[1])
+        / 2e-6, rel=1e-6)
