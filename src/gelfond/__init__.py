@@ -15,19 +15,12 @@ from .curves import (GelfondBezierCurve, c1_join, curve_from_json,
                      initial_tangency)
 from .dimelev import (convergence_report, corner_cutting, exponent_source,
                       insert_exponent, preset)
-from .divided_diff import (divided_difference, exponential_dd,
-                           exponential_dd_naive, exponential_dd_recursive)
 from .gelfond_basis import (basis_derivative, basis_polynomial, basis_values,
-                            basis_values_many, chebyshev_basis,
-                            gelfond_basis_dd, gelfond_basis_schur,
-                            hodograph_data)
+                            basis_values_many, chebyshev_basis, hodograph_data)
 from .partitions import (ExponentSequence, IntegerPartition, RealPartition,
-                         dimension, exponents_from_partition,
-                         interlacing_partitions, muntz_tableau,
+                         dimension, exponents_from_partition, muntz_tableau,
                          partition_from_exponents)
-from .schur import (schur, schur_bialternant, schur_giambelli,
-                    schur_jacobi_trudi, schur_nagelsbach_kostka,
-                    schur_tableaux, skew_schur, splitting_limit)
+from .schur import schur, schur_bialternant, schur_jacobi_trudi
 
 __version__ = "0.1.0"
 
@@ -40,15 +33,9 @@ __all__ = [
     "derivative_curve", "endpoint_derivatives", "initial_tangency",
     "convergence_report", "corner_cutting", "exponent_source",
     "insert_exponent", "preset",
-    "divided_difference", "exponential_dd", "exponential_dd_naive",
-    "exponential_dd_recursive",
     "basis_derivative", "basis_polynomial", "basis_values",
-    "basis_values_many", "chebyshev_basis", "gelfond_basis_dd",
-    "gelfond_basis_schur", "hodograph_data",
+    "basis_values_many", "chebyshev_basis", "hodograph_data",
     "ExponentSequence", "IntegerPartition", "RealPartition", "dimension",
-    "exponents_from_partition", "interlacing_partitions", "muntz_tableau",
-    "partition_from_exponents",
-    "schur", "schur_bialternant", "schur_giambelli", "schur_jacobi_trudi",
-    "schur_nagelsbach_kostka", "schur_tableaux", "skew_schur",
-    "splitting_limit",
+    "exponents_from_partition", "muntz_tableau", "partition_from_exponents",
+    "schur", "schur_bialternant", "schur_jacobi_trudi",
 ]

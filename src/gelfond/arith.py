@@ -6,7 +6,6 @@ back to floats.  The predicates and wrappers here implement that rule in
 one place.
 """
 
-import math
 from fractions import Fraction
 
 
@@ -126,10 +125,6 @@ def det(rows):
     for i in range(n):
         out *= m[i][i]
     return out
-
-
-def product(xs):
-    return math.prod(xs) if xs else 1
 
 
 def simplify(x):

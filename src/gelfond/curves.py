@@ -10,7 +10,6 @@ exact for int/Fraction data and falls back to floats otherwise.
 """
 
 import json
-from fractions import Fraction
 from math import factorial
 
 import numpy as np
@@ -180,29 +179,14 @@ def derivative_curve(curve):
 
 
 def endpoint_derivatives(curve):
-    """The two endpoint identities: P'(a) and P'(b) from control points.
+    """The two endpoint identities: P'(a) and P'(b), the first and last
+    control points of the hodograph.
 
-    P'(b) = r_n (p_n - p_{n-1}) / (b - a) always; P'(a) is
+    P'(b) = r_n (p_n - p_{n-1}) / (b - a); P'(a) is
     (prod_{j>=2} r_j/(r_j - 1)) (p_1 - p_0) / (b - a) when r_1 = 1 and the
     zero vector when r_1 > 1."""
-    r = curve.exponents
-    n = r.n
-    a, b = curve.interval
-    if n == 0:
-        z = vec_zero_like(curve.points[0])
-        return z, z
-    inv = exact_div(1, b - a)
-    at_b = vec_scale(r[n] * inv, vec_sub(curve.points[-1], curve.points[-2]))
-    if r[1] == 1:
-        c = Fraction(1) if all(is_exact(x) for x in r.exponents) else 1.0
-        for j in range(2, n + 1):
-            c = c * r[j] / (r[j] - 1)
-        at_a = vec_scale(c * inv, vec_sub(curve.points[1], curve.points[0]))
-    elif r[1] > 1:
-        at_a = vec_zero_like(curve.points[0])
-    else:
-        raise NotImplementedError("endpoint derivative needs r_1 >= 1")
-    return at_a, at_b
+    hodograph = curve.derivative()
+    return hodograph.points[0], hodograph.points[-1]
 
 
 def initial_tangency(curve):
@@ -260,13 +244,15 @@ def c1_join_head(left, right_exponents, right_interval):
     joining `left` with a continuous value and first derivative.
 
     The right space must have s_1 = 1 (otherwise its start derivative is
-    pinned to zero and cannot match a generic left derivative):
+    pinned to zero and cannot match a generic left derivative).  With D_0
+    the first hodograph coefficient of the right space (`hodograph_data`)
+    and P'(b) = r_n (P_n - P_{n-1}) / (b-a), which holds for every left
+    space:
 
         Q_0 = P_n,
-        Q_1 = Q_0 + (c-b)/(b-a) r_n [prod_{j=2}^m (s_j - 1)/s_j] (P_n - P_{n-1})."""
+        Q_1 = Q_0 + (c-b)/D_0 P'(b)."""
     s = as_exponents(right_exponents)
-    m = s.n
-    if m == 0:
+    if s.n == 0:
         raise ValueError("right space must have at least order 1")
     if s[1] != 1:
         raise NotImplementedError("C1 join needs s_1 = 1 in the right space")
@@ -281,9 +267,8 @@ def c1_join_head(left, right_exponents, right_interval):
     if n == 0:
         raise ValueError("left curve is constant; join any constant curve")
     q0 = left.points[-1]
-    factor = exact_div(c - b, b - a) * r[n]
-    for j in range(2, m + 1):
-        factor = factor * exact_div(s[j] - 1, s[j])
+    _, _, coeffs = hodograph_data(s)
+    factor = exact_div((c - b) * r[n], (b - a) * coeffs[0])
     q1 = vec_add(q0, vec_scale(factor, vec_sub(left.points[-1], left.points[-2])))
     return q0, q1
 

@@ -2,15 +2,18 @@
 
 Routes:
 
- * `exponential_dd_table`, the float kernel behind every basis value of
-   real exponents (Opitz): for J = diag(x_0..x_n) plus a superdiagonal
-   of ones,
+ * `exponential_dd_table`, the float kernel (Opitz): for J = diag(x_0..x_n)
+   plus a superdiagonal of ones,
 
        exp(ln(t) J)_{ij} = [x_i..x_j] f_t,
 
    so the last column of one matrix exponential holds [x_k..x_n] f_t for
    every k.  It is computed by Taylor scaling and squaring on the
-   bidiagonal J, a batch of parameters at a time;
+   bidiagonal J, a batch of parameters at a time.  Any other
+   superdiagonal u is a diagonal similarity away and multiplies entry
+   (i, j) by u_i..u_{j-1}; with u_k = -r_{k+1} the last column is the
+   basis H_0..H_n itself, which is how every basis value of real
+   exponents is computed (`_opitz_table`);
  * the naive partial-fraction sum over distinct nodes,
        [x_0..x_s] f_t = sum_i t^{x_i} / prod_{j != i} (x_i - x_j),
    exact for rational t and integer nodes;
@@ -20,13 +23,13 @@ Routes:
 `exponential_dd` evaluates one divided difference by the last two: the
 naive sum unless nodes repeat or the smallest gap drops below MIN_GAP
 (the sum's cancellation blows up roughly like 1/gap, the recursion
-degrades much more gently).  It serves the exact integer route and the
-divided-difference oracle `gelfond_basis.gelfond_basis_dd`.
+degrades much more gently).  It serves only the divided-difference oracle
+`gelfond_basis.gelfond_basis_dd`; integer basis polynomials are built
+from their own residue form.
 """
 
 import functools
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -155,20 +158,22 @@ def exponential_dd_derivative(nodes, t):
 
 
 @functools.lru_cache(maxsize=16)
-def _taylor_terms(nodes):
+def _taylor_terms(nodes, upper):
     """(x, sigma, terms): the nodes as an array, sigma the power of two at
-    or above max(1, max|x|), and terms[m] = (J / sigma)^m / m! for m below
-    a power of two that exceeds n + TAYLOR_EXTRA.  Built by doubling:
+    or above 1 and every |x_i| and |u_i|, and terms[m] = (J / sigma)^m / m!
+    for m below a power of two that exceeds n + TAYLOR_EXTRA, where
+    J = diag(x) plus the superdiagonal u = `upper`.  Built by doubling:
     J^k..J^{2k-1} are J^0..J^{k-1} times J^k.  Shared by callers, so
     read-only."""
     x = np.array(nodes, dtype=float)
     x.flags.writeable = False
     size = x.size
-    sigma = 2.0 ** math.ceil(math.log2(max(float(np.abs(x).max()), 1.0)))
+    top = max(1.0, float(np.abs(x).max()), *(abs(u) for u in upper))
+    sigma = 2.0 ** math.ceil(math.log2(top))
     count = 1 << (size - 1 + TAYLOR_EXTRA).bit_length()
     terms = np.empty((count, size, size))
     terms[0] = np.eye(size)
-    terms[1] = np.diag(x / sigma) + np.eye(size, k=1) / sigma
+    terms[1] = np.diag(x / sigma) + np.diag(np.array(upper) / sigma, k=1)
     k = 2
     while k < count:
         terms[k:2 * k] = terms[:k] @ (terms[k - 1] @ terms[1])
@@ -181,17 +186,26 @@ def _taylor_terms(nodes):
 def exponential_dd_table(nodes, ts):
     """[x_k..x_n] t^x for k = 0..n at every t of `ts` in (0, 1], as an
     array of shape (len(ts), n + 1): the last column of exp(ln(t) J),
-    J = diag(x_0..x_n) plus a superdiagonal of ones.
+    J = diag(x_0..x_n) plus a superdiagonal of ones (`_opitz_table`)."""
+    nodes = tuple(nodes)
+    return _opitz_table(nodes, (1.0,) * (len(nodes) - 1), ts)
+
+
+def _opitz_table(nodes, upper, ts):
+    """The last column of exp(ln(t) J) at every t of `ts` in (0, 1], an
+    array of shape (len(ts), n + 1), for J = diag(x_0..x_n) plus the
+    superdiagonal u_0..u_{n-1} = `upper`: entry k is
+    u_k..u_{n-1} [x_k..x_n] t^x.
 
     Scaling and squaring (Higham, SIMAX 2005), as McCurdy, Ng & Parlett
     (Math. Comp. 1984) apply it to divided differences of exp: h = ln(t)
     is halved s times, until |h| sigma <= TAYLOR_THETA, the Taylor
     polynomial of exp(h J) is summed by Estrin's scheme, and the matrix
     is squared s times.  Entry (i, j) of exp(h J) has the sign of
-    (-1)^{j-i} for h < 0, so every sum a squaring forms has terms of one
-    sign and nothing cancels; the diagonal is set to exp(2^-k ln(t) x_i)
-    after each squaring instead of being squared.  Repeated and nearly
-    coincident nodes need no special case.
+    (-1)^{j-i} u_i..u_{j-1} for h < 0, so every sum a squaring forms has
+    terms of one sign and nothing cancels; the diagonal is set to
+    exp(2^-k ln(t) x_i) after each squaring instead of being squared.
+    Repeated and nearly coincident nodes need no special case.
 
     Each parameter has its own s and no operation mixes parameters, so a
     batch gives the bits that a batch of one gives."""
@@ -203,7 +217,7 @@ def exponential_dd_table(nodes, ts):
     t = np.asarray(ts, dtype=float)
     if t.size and not (t.min() > 0 and t.max() <= 1):
         raise ValueError("t must be in (0, 1]")
-    xs, sigma, terms = _taylor_terms(x)
+    xs, sigma, terms = _taylor_terms(x, tuple(float(u) for u in upper))
     out = np.empty((t.size, xs.size))
     for lo in range(0, t.size, BLOCK_ROWS):
         out[lo:lo + BLOCK_ROWS] = _exp_last_column(

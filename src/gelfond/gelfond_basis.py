@@ -14,10 +14,11 @@ Routes:
    operations, once per (exponents, k), and caches it.  Float parameters
    go through Horner's rule, exact ones stay exact.
  * real exponents: one matrix exponential (Opitz) holds every divided
-   difference [r_k..r_n] f_t at once, so `basis_table` takes all of
-   H_0(t)..H_n(t) from the float kernel `divided_diff.exponential_dd_table`,
-   for a whole batch of parameters in one call.  The results are floats,
-   also at exact parameters.
+   difference [r_k..r_n] f_t at once, and with the superdiagonal
+   -r_1..-r_n its last column is H_0(t)..H_n(t) itself, so `basis_table`
+   takes the whole basis from the float kernel of `divided_diff`, for a
+   whole batch of parameters in one call.  The results are floats, also
+   at exact parameters.
 
 `basis_values`, `basis_values_many`, `gelfond_basis` and `basis_table`
 are the production entry points and pick the route by the exponents.  Two
@@ -41,7 +42,7 @@ from math import comb, prod
 import numpy as np
 
 from .arith import SingularityError, all_exact, exact_div, is_exact, power, simplify
-from .divided_diff import exponential_dd, exponential_dd_table
+from .divided_diff import _opitz_table, exponential_dd
 from .partitions import (ExponentSequence, RealPartition, as_exponents,
                          hook_partition_dimension, dimension,
                          partition_from_exponents, partition_parts)
@@ -59,11 +60,10 @@ def _prefactor(r, k):
     return out
 
 
-def gelfond_basis_schur(exponents, k, t):
-    """Schur-quotient evaluation, an oracle for the production routes;
-    works for real exponents, exact for integer exponents with rational
-    t."""
-    r = as_exponents(exponents)
+def _oracle_shortcut(r, k, t):
+    """The index check of both oracles, then H_k where it needs no divided
+    difference: 1 for n = 0, t^{r_n} for k = n, delta_{k0} at t = 0.
+    None everywhere else."""
     n = r.n
     if not 0 <= k <= n:
         raise ValueError(f"basis index {k} outside 0..{n}")
@@ -74,10 +74,21 @@ def gelfond_basis_schur(exponents, k, t):
     if t == 0:
         one = 1 if is_exact(t) else 1.0
         return one if k == 0 else 0 * one
+    return None
+
+
+def gelfond_basis_schur(exponents, k, t):
+    """Schur-quotient evaluation, an oracle for the production routes;
+    works for real exponents, exact for integer exponents with rational
+    t."""
+    r = as_exponents(exponents)
+    value = _oracle_shortcut(r, k, t)
+    if value is not None:
+        return value
     if not t > 0:
         raise ValueError(f"t must be in [0, 1], got {t}")
     lam = partition_from_exponents(r).parts
-    m = n - k
+    m = r.n - k
     num = schur(lam[k:], (1,) + (t,) * m)
     den = schur(lam[k + 1:], (t,) * m)
     if den == 0:
@@ -90,21 +101,14 @@ def gelfond_basis_dd(exponents, k, t):
     """One divided difference by partial fractions or recursion
     (`exponential_dd`), the other oracle for real exponents."""
     r = as_exponents(exponents)
-    n = r.n
-    if not 0 <= k <= n:
-        raise ValueError(f"basis index {k} outside 0..{n}")
-    if n == 0:
-        return 1 if is_exact(t) else 1.0
-    if k == n:
-        return power(t, r[n])
-    if t == 0:
-        one = 1 if is_exact(t) else 1.0
-        return one if k == 0 else 0 * one
+    value = _oracle_shortcut(r, k, t)
+    if value is not None:
+        return value
     coeff = 1
-    for i in range(k + 1, n + 1):
+    for i in range(k + 1, r.n + 1):
         coeff = coeff * r[i]
     value = coeff * exponential_dd(r.exponents[k:], t)
-    return -value if (n - k) % 2 else value
+    return -value if (r.n - k) % 2 else value
 
 
 @lru_cache(maxsize=None)
@@ -170,9 +174,11 @@ def basis_table(exponents, ts):
     ValueError.
 
     Integer exponents: the cached basis polynomials by Horner's rule over
-    all of ts (`horner_table`).  Real exponents: the divided differences
-    of `exponential_dd_table` times (-1)^{n-k} r_{k+1}..r_n, with
-    H_k(0) = delta_{k0}.  A row does not depend on the batch it is in."""
+    all of ts (`horner_table`).  Real exponents: the last column of the
+    Opitz kernel with superdiagonal -r_1..-r_n, which is
+    (-1)^{n-k} r_{k+1}..r_n [r_k..r_n] t^x = H_k itself, so a tiny H_k
+    keeps its relative accuracy; H_k(0) = delta_{k0}.  A row does not
+    depend on the batch it is in."""
     r = as_exponents(exponents)
     t = np.asarray(ts, dtype=float)
     if t.size and not (t.min() >= 0 and t.max() <= 1):
@@ -181,10 +187,8 @@ def basis_table(exponents, ts):
     n = r.n
     if r.is_integer():
         return horner_table([basis_polynomial(r, k) for k in range(n + 1)], t)
-    scale = [1.0] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        scale[k] = -float(r[k + 1]) * scale[k + 1]
-    out = exponential_dd_table(r.exponents, np.where(t > 0, t, 1.0)) * scale
+    out = _opitz_table(r.exponents, [-r[k] for k in range(1, n + 1)],
+                       np.where(t > 0, t, 1.0))
     if not t.all():
         out[t == 0] = np.eye(1, n + 1)
     return out
@@ -324,6 +328,8 @@ def hodograph_data(exponents):
        coefficient D_k multiplies Delta P_{k-1} against the reduced H_k,
        k = 1..n (so P'(0) = 0).
 
+    Both cases list the same n products,
+    r_m..r_n / ((r_{m+1} - 1)..(r_n - 1)) for m = 1..n.
     r_1 < 1 is not covered by the theory implemented here."""
     r = as_exponents(exponents)
     n = r.n
@@ -332,32 +338,24 @@ def hodograph_data(exponents):
     if r[1] < 1:
         raise NotImplementedError("derivative formulas need r_1 >= 1")
     exact = all_exact(r.exponents)
-    one = Fraction(1) if exact else 1.0
-    if r[1] == 1:
-        reduced = ExponentSequence([0] + [r[j] - 1 for j in range(2, n + 1)])
-        coeffs = []
-        for k in range(n):
-            c = one
-            for j in range(k + 1, n + 1):
-                c = c * r[j]
-            for j in range(k + 2, n + 1):
-                c = c / (r[j] - 1)
-            coeffs.append(simplify(c) if exact else c)
-        return "unit", reduced, tuple(coeffs)
-    reduced = ExponentSequence([0] + [r[j] - 1 for j in range(1, n + 1)])
     coeffs = []
-    for k in range(1, n + 1):
-        c = one
-        for j in range(k, n + 1):
+    for m in range(1, n + 1):
+        c = Fraction(1) if exact else 1.0
+        for j in range(m, n + 1):
             c = c * r[j]
-        for j in range(k + 1, n + 1):
+        for j in range(m + 1, n + 1):
             c = c / (r[j] - 1)
         coeffs.append(simplify(c) if exact else c)
-    return "shifted", reduced, tuple(coeffs)
+    first = 2 if r[1] == 1 else 1
+    reduced = ExponentSequence([0] + [r[j] - 1 for j in range(first, n + 1)])
+    return ("unit" if first == 2 else "shifted"), reduced, tuple(coeffs)
 
 
 def basis_derivative(exponents, k, t):
-    """d/dt H^n_k(t) through the reduced-space recurrences."""
+    """d/dt H^n_k(t), the coefficient of p_k in the hodograph: with G the
+    reduced basis of `hodograph_data`, D_{k-1} G_{k-1} - D_k G_k when
+    r_1 = 1 and D_k G_k - D_{k+1} G_{k+1} when r_1 > 1, where a term
+    without a coefficient D is zero."""
     r = as_exponents(exponents)
     n = r.n
     if not 0 <= k <= n:
@@ -366,33 +364,15 @@ def basis_derivative(exponents, k, t):
         return 0 if is_exact(t) else 0.0
     if k == n:
         return r[n] * power(t, r[n] - 1)
-    if r[1] < 1:
-        raise NotImplementedError("derivative formulas need r_1 >= 1")
-    if r[1] == 1:
-        reduced = ExponentSequence([0] + [r[j] - 1 for j in range(2, n + 1)])
-        if k == 0:
-            c = _ratio(r, 2, 2, n)
-            return -c * gelfond_basis(reduced, 0, t)
-        c = _ratio(r, k + 1, k + 1, n)
-        return c * (r[k] * gelfond_basis(reduced, k - 1, t)
-                    - (r[k + 1] - 1) * gelfond_basis(reduced, k, t))
-    reduced = ExponentSequence([0] + [r[j] - 1 for j in range(1, n + 1)])
-    if k == 0:
-        c = _ratio(r, 1, 2, n)
-        return -c * gelfond_basis(reduced, 1, t)
-    c = _ratio(r, k + 1, k + 1, n)
-    return c * (r[k] * gelfond_basis(reduced, k, t)
-                - (r[k + 1] - 1) * gelfond_basis(reduced, k + 1, t))
+    case, reduced, coeffs = hodograph_data(r)
+    first = 0 if case == "unit" else 1      # coeffs[i] is D_{first + i}
 
+    def term(j):
+        i = j - first
+        return coeffs[i] * gelfond_basis(reduced, j, t) if 0 <= i < n else 0
 
-def _ratio(r, num_from, den_from, n):
-    """prod_{j=num_from}^n r_j / prod_{j=den_from}^n (r_j - 1)."""
-    out = Fraction(1) if all_exact(r.exponents) else 1.0
-    for j in range(num_from, n + 1):
-        out = out * r[j]
-    for j in range(den_from, n + 1):
-        out = out / (r[j] - 1)
-    return out
+    j = k - 1 + first
+    return term(j) - term(j + 1)
 
 
 def vanishing_orders(exponents, k):

@@ -68,12 +68,6 @@ class RealPartition:
     def n(self):
         return len(self.parts)
 
-    def weight(self):
-        return sum(self.parts)
-
-    def is_integer(self):
-        return all(is_integral(p) and p >= 0 for p in self.parts)
-
     def padded(self, n):
         if n < len(self.parts):
             raise ValueError(f"cannot pad {self.parts} down to length {n}")
@@ -139,12 +133,6 @@ class IntegerPartition:
             if m > p:
                 return False
         return True
-
-    def cells(self):
-        """Row-major (i, j) pairs, 0-based."""
-        for i, p in enumerate(self.parts):
-            for j in range(p):
-                yield (i, j)
 
     def hooks(self):
         """Hook lengths h(i,j) = lambda_i + lambda'_j - i - j - 1 (0-based),
@@ -240,9 +228,6 @@ class ExponentSequence:
 
     def is_integer(self):
         return all(is_integral(x) for x in self.exponents)
-
-    def partition(self):
-        return partition_from_exponents(self)
 
     def __eq__(self, other):
         if isinstance(other, ExponentSequence):

@@ -70,17 +70,9 @@ def _elementary_table(pts, max_degree):
 
 
 def schur_jacobi_trudi(lam, points):
-    """det(h_{lambda_i - i + j}) over i, j = 1..l(lambda)."""
-    parts = IntegerPartition(partition_parts(lam)).parts
-    pts = _check_points(points)
-    l = len(parts)
-    if l == 0:
-        return 1
-    top = parts[0] + l - 1
-    h = _complete_table(pts, top)
-    rows = [[h[parts[i] - i + j] if parts[i] - i + j >= 0 else 0
-             for j in range(l)] for i in range(l)]
-    return simplify(det(rows)) if all_exact(pts) else det(rows)
+    """det(h_{lambda_i - i + j}) over i, j = 1..l(lambda): the skew
+    determinant with mu empty."""
+    return skew_schur(lam, (), points)
 
 
 def schur_nagelsbach_kostka(lam, points):
@@ -253,37 +245,9 @@ def schur(lam, points):
 
 def schur_tableaux(lam, points):
     """Brute-force sum over semistandard tableaux of shape lambda with
-    entries in 1..len(points).  Oracle only; exponential in the weight."""
-    parts = IntegerPartition(partition_parts(lam)).parts
-    pts = _check_points(points)
-    m = len(pts)
-    if len(parts) > m:
-        return 0
-    cells = [(i, j) for i, p in enumerate(parts) for j in range(p)]
-    tab = [[0] * p for p in parts]
-    total = 0
-
-    def rec(idx):
-        nonlocal total
-        if idx == len(cells):
-            w = 1
-            for i, j in cells:
-                w = w * pts[tab[i][j] - 1]
-            total = total + w
-            return
-        i, j = cells[idx]
-        lo = 1
-        if j > 0:
-            lo = tab[i][j - 1]
-        if i > 0:
-            lo = max(lo, tab[i - 1][j] + 1)
-        for v in range(lo, m + 1):
-            tab[i][j] = v
-            rec(idx + 1)
-        tab[i][j] = 0
-
-    rec(0)
-    return total
+    entries in 1..len(points): the skew sum with mu empty.  Oracle only;
+    exponential in the weight."""
+    return skew_schur_tableaux(lam, (), points)
 
 
 def skew_schur(lam, mu, points):

@@ -184,6 +184,16 @@ def test_c1_join_head_frozen():
     assert q1 == (7, -4)
 
 
+def test_c1_join_head_from_a_left_space_below_one():
+    # P'(b) = r_n (p_n - p_{n-1}) / (b-a) holds for r_1 < 1 too, although
+    # that left curve has no hodograph here
+    left = GelfondBezierCurve((0, 0.5, 2), ((0, 0), (1, 2), (3, 0)))
+    assert c1_join_head(left, (0, 1, 3), (1, 2)) == \
+        ((3, 0), (Fraction(17, 3), Fraction(-8, 3)))
+    with pytest.raises(NotImplementedError):
+        endpoint_derivatives(left)
+
+
 def test_c1_join_continuity_exact():
     left = GelfondBezierCurve((0, 1, 3), ((0, 0), (1, 2), (3, 0)))
     right = c1_join(left, (0, 1, 2, 4), (1, Fraction(5, 2)),

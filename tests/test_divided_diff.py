@@ -205,6 +205,22 @@ def test_kernel_matches_mpmath():
     assert worst_abs > 0 and worst_rel > 0     # the loops did compare
 
 
+def test_tiny_basis_values_keep_relative_accuracy():
+    """H_10 of (0, 30, .., 600) at t = 0.1 is 1.85e-295.  A kernel whose
+    last column is the divided difference H_k / (r_{k+1}..r_n) gets it
+    wrong by 4.9e-3 relative, because that quotient is subnormal; with
+    the basis itself in the last column the worst is about 6e-14."""
+    exps = tuple(30.0 * j for j in range(21))
+    row = basis_table(exps, [0.1])[0]
+    ref = _mp_basis(exps, 0.1)
+    checked = 0
+    for k in range(len(exps)):
+        if ref[k] >= 1e-300:
+            assert abs(row[k] - float(ref[k])) <= 1e-12 * float(ref[k]), (k, row[k])
+            checked += 1
+    assert checked >= 11
+
+
 def test_kernel_divided_differences_match_mpmath():
     nodes = (0.0, 0.5, 0.5 + 1e-6, 2.0, 7.25)
     for t in (1e-3, 0.3, 0.97):

@@ -167,6 +167,13 @@ def test_basis_derivative_exact():
                 assert basis_derivative(exps, k, t) == dp(t), (exps, k, t)
 
 
+def test_basis_derivative_last_index_for_every_space():
+    # k = n is r_n t^(r_n - 1) even where the hodograph needs r_1 >= 1
+    assert basis_derivative((0, 0.5, 2), 2, 0.3) == 0.6
+    with pytest.raises(NotImplementedError):
+        basis_derivative((0, 0.5, 2), 1, 0.3)
+
+
 def test_derivative_sums_to_zero():
     # d/dt sum H_k = 0: partition of unity differentiated
     exps = (0, 2, 3, 5)
