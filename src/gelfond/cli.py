@@ -27,13 +27,14 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 from .arith import SingularityError, as_point, format_number, parse_number
 from .curves import (GelfondBezierCurve, c1_join, curve_from_json,
                      curve_to_json)
-from .dimelev import (PRESETS, convergence_report, corner_cutting,
-                      exponent_source, insert_exponent, preset, sample_curve)
+from .dimelev import (PRESETS, convergence_report, exponent_source,
+                      insert_exponent, preset)
 from .gelfond_basis import (basis_values_many, complete_basis_polynomial,
                             complete_exponents, elementary_basis_polynomial,
                             elementary_exponents, gelfond_basis_dd,
@@ -45,6 +46,13 @@ from .polynomials import horner_table
 # --samples above this is refused before any grid is built: tables hold
 # samples x (n + 1) floats and their text in memory.
 MAX_SAMPLES = 10 ** 6
+
+# `elevate` above this work is refused before any sampling.  Each of its
+# iterations + 1 rows compares two samplings (up to samples^2 squared
+# distances) and inserts into and resamples a polygon that grows from
+# n + 1 points by one per iteration; the README example and the benchmark
+# (100 iterations, 512 samples) do 2.6e7.
+MAX_ELEVATE_WORK = 10 ** 8
 
 
 def _fmt17(x):
@@ -283,25 +291,29 @@ def cmd_elevate(args):
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     samples = _samples(args, default=512)
-    rows = convergence_report(points, exps, source, iterations, samples)
+    work = (iterations + 1) * (samples ** 2 + exps.n + iterations)
+    if work > MAX_ELEVATE_WORK:
+        raise ValueError(
+            f"(iterations + 1) x (samples^2 + n + iterations) = {work} is above "
+            f"the ceiling {MAX_ELEVATE_WORK}; lower --iterations or --samples")
+    frame = None
+    if args.frames_dir:
+        if any(len(_coords(as_point(p))) != 2 for p in points):
+            raise ValueError("SVG frames need 2-dimensional points")
+        os.makedirs(args.frames_dir, exist_ok=True)
+
+        def frame(it, polygon, curve):
+            svg = _svg_text([(curve.tolist(), "#1f77b4", None),
+                             (polygon.tolist(), "#d62728", "4 3")])
+            with open(f"{args.frames_dir}/frame_{it:03d}.svg", "w") as fh:
+                fh.write(svg)
+
+    rows = convergence_report(points, exps, source, iterations, samples,
+                              frame=frame)
     header = ["iteration", "polygon_size", "hausdorff", "sup_param_distance"]
     out_rows = [[str(it), str(size), _fmt17(h), _fmt17(s)]
                 for it, size, h, s in rows]
     _write_text(args.output, _csv_text(header, out_rows))
-    if args.frames_dir:
-        import os
-        if any(len(_coords(as_point(p))) != 2 for p in points):
-            raise ValueError("SVG frames need 2-dimensional points")
-        os.makedirs(args.frames_dir, exist_ok=True)
-        target = GelfondBezierCurve(exps, points)
-        curve_samples = [(float(x), float(y)) for x, y in
-                         sample_curve(target, samples)]
-        for it, pts, _ in corner_cutting(points, exps, source, iterations):
-            poly = [tuple(float(c) for c in _coords(p)) for p in pts]
-            svg = _svg_text([(curve_samples, "#1f77b4", None),
-                             (poly, "#d62728", "4 3")])
-            with open(f"{args.frames_dir}/frame_{it:03d}.svg", "w") as fh:
-                fh.write(svg)
     return 0
 
 

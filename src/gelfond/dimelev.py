@@ -22,28 +22,64 @@ that with two sampled distances per iteration:
    stand-in for a true reparametrized sup distance; it upper-bounds the
    Hausdorff distance and is reported alongside it.
 
-The report carries the polygon in floats: it converts the control points
-once, before the first insertion, so each step costs a few float products
-instead of Fractions whose size grows with every step.  `insert_exponent`
-stays exact for exact input.  The distance kernels never form the full
-(m, m, d) difference tensor: they build squared distances one coordinate
-at a time over blocks of `BLOCK_ROWS` rows, keep running minima and
-maxima, and take square roots only of the final extremes.  The square
-root is monotone and correctly rounded, so the results are bit-identical
-to taking it of every entry first.
+The report carries the control polygon as one (m, d) float array,
+converted once before the first insertion.  `corner_cutting` makes the
+source increase, so every inserted rho lies above r_n (s = n) and one
+vectorised step forms
+
+    Q_0 = P_0,   Q_k = v_k P_k + w_k P_{k-1} (k = 1..n),   Q_{n+1} = P_n.
+
+The weights are the floats by which `lerp` multiplies float points in
+`insert_exponent`.  For exact r_k = a/b and rho = c/d they are the
+correctly rounded quotients w_k = ad/(bc) and v_k = (bc - ad)/(bc), which
+is plain float64 division while these integers stay below 2^53 (beyond,
+they are formed one by one in Fractions); for a float on either side
+w_k = r_k/rho and v_k = 1 - w_k.  So the float polygons are bit for bit
+those of `insert_exponent` on float points, and `insert_exponent` stays
+exact for exact input.
+
+Every squared distance is formed one way: (a_k - b_k)^2 summed over the
+coordinates in index order.  Square roots are taken only of the final
+extremes; the square root is monotone and correctly rounded, so that is
+bit-identical to taking it of every entry first.
+
+The Hausdorff distance is the larger of the directed maxima
+D(A, B) = max_i min_j |a_i - b_j|^2, and each is pruned with the early
+break of Taha and Hanbury (IEEE TPAMI 2015).  Every row a_i gets an upper
+bound U_i, its least squared distance to a fixed number of candidates in
+B: the band of indices around i rescaled to len(B), and evenly spaced
+points of B.  Rows are visited in order of decreasing U_i, eight at
+first and twice as many each step after, and a row's minimum over all
+of B is computed only while U_i exceeds the largest such minimum found
+so far, `best`.  A skipped row has
+min_j |a_i - b_j|^2 <= U_i <= best, so it cannot raise the maximum; since
+the bounds are entries of the same rows, computed by the same formula,
+the result is bit-identical to the dense pass.  When no row can be
+skipped the kernel costs the dense pass plus the bound pass.  The second
+direction starts from the first's maximum.
 """
 
 import numpy as np
 
-from .arith import as_point, exact_div, lerp
+from .arith import as_point, exact_div, is_exact, lerp
 from .partitions import ExponentSequence, as_exponents
 from .curves import GelfondBezierCurve
 
-# Rows per squared-distance block.  Against 512 samples the block buffer
-# and its per-coordinate scratch take 2 x 256 KiB, reused for every block
-# and small enough to stay in cache between the passes over them; 32-96
-# rows timed alike, 128 and more slower.
+# Rows per squared-distance block of the diameter kernel, and the most
+# rows per exact step of the pruned Hausdorff pass.
 BLOCK_ROWS = 64
+
+# The pruned Hausdorff pass: half-width of the index band and number of
+# evenly spaced points that bound each row, rows of its first exact step,
+# and rows per block of the bound pass, which holds
+# (2 _BAND + 1 + _COARSE) d floats per row.
+_BAND = 4
+_COARSE = 24
+_PRUNE_ROWS = 8
+_BOUND_ROWS = 4096
+
+# Integers below this are exact float64s.
+_EXACT_INT = 2 ** 53
 
 
 def insert_exponent(points, exponents, rho):
@@ -128,6 +164,75 @@ def corner_cutting(points, exponents, source, iterations):
         yield j, pts, r
 
 
+class _InsertionWeights:
+    """The exponents r_1..r_n of a float corner-cutting flow, kept as arrays
+    so that the weights of each insertion come from one vectorised pass
+    (see the module docstring)."""
+
+    def __init__(self, exponents):
+        self.exponents = []
+        self.values = np.empty(0)                 # float(r_k)
+        self.floats = np.empty(0, dtype=bool)     # r_k is not exact
+        # r_k = a_k / b_k (0 / 1 for a float), kept while the largest
+        # |a_k| and b_k so far, `size`, is below 2^53
+        self.num = np.empty(0, dtype=np.int64)
+        self.den = np.empty(0, dtype=np.int64)
+        self.size = 0
+        for x in exponents:
+            self.append(x)
+
+    def append(self, x):
+        self.exponents.append(x)
+        self.values = np.append(self.values, float(x))
+        exact = is_exact(x)
+        self.floats = np.append(self.floats, not exact)
+        a, b = (x.numerator, x.denominator) if exact else (0, 1)
+        self.size = max(self.size, abs(a), b)
+        if self.size < _EXACT_INT:
+            self.num = np.append(self.num, a)
+            self.den = np.append(self.den, b)
+
+    def weights(self, rho):
+        """(v, w) of inserting rho above every r_k."""
+        if not is_exact(rho):
+            w = self.values / rho
+            return 1.0 - w, w
+        c, d = rho.numerator, rho.denominator
+        if self.size * max(c, d) >= _EXACT_INT:
+            q = [exact_div(x, rho) for x in self.exponents]
+            return (np.array([float(1 - x) for x in q]),
+                    np.array([float(x) for x in q]))
+        a, b = self.num * d, self.den * c
+        w, v = a / b, (b - a) / b
+        if self.floats.any():
+            w = np.where(self.floats, self.values / float(rho), w)
+            v = np.where(self.floats, 1.0 - w, v)
+        return v, w
+
+
+def _float_corner_cutting(points, exponents, source, iterations):
+    """`corner_cutting` with the control points as one (m, d) float array;
+    yields (iteration, polygon), bit for bit the points `corner_cutting`
+    gives on the same points as float tuples."""
+    r = as_exponents(exponents)
+    exps, last = _InsertionWeights(r[1:]), r[r.n]
+    polygon = _point_array(points)
+    yield 0, polygon
+    for j in range(1, iterations + 1):
+        rho = source(r.n + j)
+        if not rho > last:
+            raise ValueError(
+                f"exponent source must increase: got {rho} after {last}")
+        v, w = exps.weights(rho)
+        exps.append(rho)
+        last = rho
+        polygon = np.concatenate([
+            polygon[:1],
+            v[:, None] * polygon[1:] + w[:, None] * polygon[:-1],
+            polygon[-1:]])
+        yield j, polygon
+
+
 def _point_array(points):
     if isinstance(points, np.ndarray):
         return np.asarray(points, dtype=float)
@@ -169,38 +274,74 @@ def sample_curve(curve, count):
     return sample_polyline(arr.reshape(dense, -1), count)
 
 
-def _squared_distance_blocks(A, B):
-    """Yield (start, block) with block[i, j] = |A[start + i] - B[j]|^2,
-    summed coordinate by coordinate in index order.  Each block is a view
-    of one buffer that the next step overwrites."""
+def _coordinates(A, B):
+    """Two point sets as (d, m) and (d, n) arrays of coordinate rows."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if len(A) == 0 or len(B) == 0:
         raise ValueError("distance between empty point sets")
     if A.shape[1] != B.shape[1]:
         raise ValueError(f"points of dimension {A.shape[1]} against {B.shape[1]}")
-    buffer = np.empty((min(BLOCK_ROWS, len(A)), len(B)))
-    scratch = np.empty_like(buffer)
-    for start in range(0, len(A), BLOCK_ROWS):
-        rows = A[start:start + BLOCK_ROWS]
-        block = buffer[:len(rows)]
-        np.subtract.outer(rows[:, 0], B[:, 0], out=block)
-        np.square(block, out=block)
-        for k in range(1, A.shape[1]):
-            diff = scratch[:len(rows)]
-            np.subtract.outer(rows[:, k], B[:, k], out=diff)
-            block += np.square(diff, out=diff)
-        yield start, block
+    return np.ascontiguousarray(A.T), np.ascontiguousarray(B.T)
+
+
+def _squared_distances(X, Y):
+    """(X[0] - Y[0])^2 + (X[1] - Y[1])^2 + .. over the leading, coordinate
+    axis, summed in index order, with X[k] and Y[k] broadcast together."""
+    total = np.subtract(X[0], Y[0])
+    np.square(total, out=total)
+    for k in range(1, len(X)):
+        diff = np.subtract(X[k], Y[k])
+        total += np.square(diff, out=diff)
+    return total
+
+
+def _rescaled(i, m, n):
+    """The nearest of n evenly spaced indices to index i of m."""
+    return (i * (n - 1) + (m - 1) // 2) // max(m - 1, 1)
+
+
+def _row_bounds(A, B):
+    """For each point of A, its least squared distance to the points of B
+    in the index band around it and to `_COARSE` evenly spaced ones."""
+    m, n = A.shape[1], B.shape[1]
+    k = min(n, _COARSE)
+    coarse = B[:, _rescaled(np.arange(k), k, n), None]
+    band = np.arange(-_BAND, _BAND + 1)[:, None]
+    bound = np.empty(m)
+    for start in range(0, m, _BOUND_ROWS):
+        rows = A[:, start:start + _BOUND_ROWS]
+        i = np.arange(start, start + rows.shape[1])
+        near = B[:, np.clip(_rescaled(i, m, n) + band, 0, n - 1)]
+        bound[i] = np.minimum(_squared_distances(rows, near).min(axis=0),
+                              _squared_distances(rows[:, None], coarse).min(axis=0))
+    return bound
+
+
+def _directed_max_min(A, B, best):
+    """max(best, max_i min_j |a_i - b_j|^2), skipping the points of A whose
+    bound cannot exceed the running maximum.  The rows computed per step
+    grow from `_PRUNE_ROWS` to `BLOCK_ROWS`, so that a pass that prunes
+    nothing takes few steps."""
+    bound = _row_bounds(A, B)
+    order = np.argsort(bound)[::-1]
+    start, size = 0, _PRUNE_ROWS
+    while start < len(order):
+        rows = order[start:start + size]
+        rows = rows[bound[rows] > best]
+        if not len(rows):
+            break
+        best = max(best, _squared_distances(A[:, rows, None], B[:, None])
+                   .min(axis=1).max())
+        start += size
+        size = min(2 * size, BLOCK_ROWS)
+    return best
 
 
 def hausdorff_distance(A, B):
     """Symmetric Hausdorff distance between two sampled point sets."""
-    row_min = np.empty(len(A))
-    col_min = np.full(len(B), np.inf)
-    for start, block in _squared_distance_blocks(A, B):
-        block.min(axis=1, out=row_min[start:start + len(block)])
-        np.minimum(col_min, block.min(axis=0), out=col_min)
-    return np.sqrt(max(row_min.max(), col_min.max()))
+    A, B = _coordinates(A, B)
+    return np.sqrt(_directed_max_min(B, A, _directed_max_min(A, B, -np.inf)))
 
 
 def sup_param_distance(A, B):
@@ -212,27 +353,34 @@ def sup_param_distance(A, B):
 
 def polygon_diameter(points):
     arr = _point_array(points)
-    return float(np.sqrt(max(block.max()
-                             for _, block in _squared_distance_blocks(arr, arr))))
+    C, _ = _coordinates(arr, arr)
+    return float(np.sqrt(max(
+        _squared_distances(C[:, start:start + BLOCK_ROWS, None], C[:, None]).max()
+        for start in range(0, C.shape[1], BLOCK_ROWS))))
 
 
 def convergence_report(points, exponents, source, iterations=100, samples=512,
-                       target=None):
+                       target=None, frame=None):
     """Corner-cut `iterations` times and measure each polygon against the
     target curve (by default the curve the initial data defines).
 
-    Returns rows of (iteration, polygon_size, hausdorff, sup_param)."""
+    Returns rows of (iteration, polygon_size, hausdorff, sup_param).  If
+    `frame` is given, it is called as frame(iteration, polygon, curve) with
+    each float control polygon and the curve samples it was measured
+    against, both (m, d) arrays."""
     if samples < 2:
         raise ValueError("need at least 2 samples per side")
     if target is None:
         target = GelfondBezierCurve(exponents,
                                     [as_point(p) for p in points])
     curve_pts = sample_curve(target, samples)
-    polygon = [tuple(p) for p in _point_array(points).tolist()]
     rows = []
-    for j, pts, r in corner_cutting(polygon, exponents, source, iterations):
-        poly_pts = sample_polyline(pts, samples)
-        rows.append((j, len(pts),
+    for j, polygon in _float_corner_cutting(points, exponents, source,
+                                            iterations):
+        poly_pts = sample_polyline(polygon, samples)
+        rows.append((j, len(polygon),
                      float(hausdorff_distance(poly_pts, curve_pts)),
                      sup_param_distance(poly_pts, curve_pts)))
+        if frame is not None:
+            frame(j, polygon, curve_pts)
     return rows

@@ -9,7 +9,8 @@ import pytest
 from gelfond import cli
 from gelfond.arith import SingularityError
 from gelfond.curves import GelfondBezierCurve, curve_from_json
-from gelfond.dimelev import insert_exponent
+from gelfond.dimelev import (PRESETS, corner_cutting, insert_exponent,
+                             preset, sample_curve)
 from gelfond.gelfond_basis import basis_values
 
 
@@ -127,6 +128,25 @@ def test_elevate_preset_with_frames(tmp_path, capsys):
     assert float(rows[-1][2]) < float(rows[0][2])
     assert sorted(p.name for p in frames.iterdir()) == [
         f"frame_{i:03d}.svg" for i in range(5)]
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_elevate_frames_equal_exact_polygon_frames(name, tmp_path, capsys):
+    # frames are drawn from the report's float polygons; at 6 significant
+    # digits they match frames drawn from the exact polygons
+    points = ((0, 0), (1, 4), (3, 4), (4, 0))
+    frames = tmp_path / "frames"
+    code, _ = run(capsys, "elevate", "--preset", name,
+                  "--points", "0,0;1,4;3,4;4,0", "--frames-dir", str(frames))
+    assert code == 0
+    exps, source = preset(name)
+    curve = [(float(x), float(y)) for x, y in
+             sample_curve(GelfondBezierCurve(exps, points), 512)]
+    for it, pts, _ in corner_cutting(points, exps, source, 100):
+        poly = [tuple(float(c) for c in p) for p in pts]
+        want = cli._svg_text([(curve, "#1f77b4", None),
+                              (poly, "#d62728", "4 3")])
+        assert (frames / f"frame_{it:03d}.svg").read_text() == want, it
 
 
 def test_insert_roundtrip(capsys):
@@ -307,6 +327,33 @@ def test_samples_ceiling(argv, monkeypatch, capsys):
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert str(cli.MAX_SAMPLES) in lines[0]
+
+
+def _elevate_work(iterations, samples, n=3):
+    return (iterations + 1) * (samples ** 2 + n + iterations)
+
+
+@pytest.mark.parametrize("iterations, samples", [
+    (10 ** 9, 2), (0, 20000), (500, 512)])
+def test_elevate_work_ceiling(iterations, samples, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled above the work ceiling")
+    monkeypatch.setattr(cli, "convergence_report", refuse)
+    assert _elevate_work(iterations, samples) > cli.MAX_ELEVATE_WORK
+    assert cli.main(["elevate", "--preset", "cubic-linear",
+                     "--points", "0,0;1,4;3,4;4,0",
+                     "--iterations", str(iterations),
+                     "--samples", str(samples)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert str(cli.MAX_ELEVATE_WORK) in lines[0]
+
+
+def test_elevate_defaults_well_inside_work_ceiling():
+    # the README example and the benchmark ops: 100 iterations, 512 samples
+    assert 3 * _elevate_work(100, 512) <= cli.MAX_ELEVATE_WORK
 
 
 def _fmt_row(values):

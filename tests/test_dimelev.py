@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gelfond.curves import GelfondBezierCurve
-from gelfond.dimelev import (BLOCK_ROWS, PRESETS, convergence_report,
+from gelfond.dimelev import (BLOCK_ROWS, PRESETS, _COARSE, _PRUNE_ROWS,
+                             _coordinates, _float_corner_cutting, _row_bounds,
+                             convergence_report,
                              corner_cutting, exponent_source,
                              hausdorff_distance, insert_exponent,
                              polygon_diameter, preset, sample_curve,
@@ -213,3 +215,94 @@ def test_float_polygon_matches_exact_polygon(name):
     for g, w in zip(got, want):
         for col in (2, 3):
             assert abs(g[col] - w[col]) <= 1e-12 * w[col], (g, w)
+
+
+def _pruning_cases():
+    rng = np.random.default_rng(11)
+    sizes = (1, 2, _PRUNE_ROWS - 1, _PRUNE_ROWS, _PRUNE_ROWS + 1,
+             _COARSE - 1, _COARSE, _COARSE + 1, 2 * BLOCK_ROWS + 3)
+    for m in sizes:
+        for dim in (1, 2, 3):
+            A = np.cumsum(rng.normal(size=(m, dim)), axis=0)
+            yield f"reversed-{m}-{dim}", A, A[::-1]
+            yield f"permuted-{m}-{dim}", A, A[rng.permutation(m)]
+            yield f"shifted-{m}-{dim}", A, A[::-1] + 1e-3
+    for scale in (1e-6, 1e6):
+        A = rng.normal(size=(150, 2)) * scale
+        yield f"scale-{scale:g}", A, rng.normal(size=(97, 2)) * scale
+        yield f"scale-offset-{scale:g}", A + scale, A[::-1] - scale
+    # row minima all but tied, the index band useful or not
+    t = np.linspace(0.0, 2 * np.pi, 300)
+    u = np.linspace(0.01, 2 * np.pi + 0.01, 301)
+    circle = np.stack([np.cos(t), np.sin(t)], axis=1)
+    shifted = np.stack([np.cos(u), np.sin(u)], axis=1)
+    yield "near-ties", circle, shifted
+    yield "near-ties-reversed", circle, shifted[::-1]
+    yield "near-ties-1e6", 1e6 + circle, 1e6 + shifted[::-1]
+    line = np.linspace(0.0, 1.0, 40)[:, None]
+    yield "duplicates", np.repeat(line, 3, axis=0), line[::-1]
+    yield "ties", np.array([[0.0], [2.0], [4.0]]), np.array([[1.0], [3.0]])
+    grid = np.array([[x, y] for x in range(6) for y in range(6)], dtype=float)
+    yield "grid-ties", grid, grid[::2] + 0.5
+    yield "all-equal", np.full((30, 2), 2.5), np.full((9, 2), 2.5)
+    yield "all-equal-apart", np.full((30, 3), 2.5), np.zeros((1, 3))
+    yield "single-points", np.array([[1.0, 2.0]]), np.array([[-3.0, 5.0]])
+    yield "single-against-many", np.array([[0.5]]), line
+
+
+@pytest.mark.parametrize("A, B", [pytest.param(A, B, id=name)
+                                  for name, A, B in _pruning_cases()])
+def test_pruned_hausdorff_equals_dense_formula(A, B):
+    assert hausdorff_distance(A, B) == dense_hausdorff(A, B)
+    assert hausdorff_distance(B, A) == dense_hausdorff(B, A)
+    # the pruning is exact because each row bound is an entry of its row
+    At, Bt = _coordinates(A, B)
+    squared = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
+    bound = _row_bounds(At, Bt)
+    assert (bound[:, None] == squared).any(axis=1).all()
+
+
+def float_polygon_report(points, exponents, source, iterations, samples):
+    """The report route of float tuples: the control points converted to
+    floats once, then `corner_cutting`, `sample_polyline` and the dense
+    Hausdorff formula."""
+    curve_pts = sample_curve(GelfondBezierCurve(exponents, points), samples)
+    polygon = [tuple(float(c) for c in p) for p in points]
+    rows = []
+    for j, pts, _ in corner_cutting(polygon, exponents, source, iterations):
+        poly_pts = sample_polyline(pts, samples)
+        rows.append((j, len(pts), float(dense_hausdorff(poly_pts, curve_pts)),
+                     sup_param_distance(poly_pts, curve_pts)))
+    return rows
+
+
+SEEDED_POLYGON = tuple(tuple(int(c) for c in p) for p in
+                       np.random.default_rng(7).integers(-9, 10, size=(4, 2)))
+
+
+@pytest.mark.parametrize("points", [PTS, SEEDED_POLYGON],
+                         ids=["figure", "seeded"])
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_report_equals_float_polygon_route(name, points):
+    exps, source = preset(name)
+    got = convergence_report(points, exps, source, iterations=100, samples=512)
+    assert got == float_polygon_report(points, exps, source, 100, 512)
+
+
+@pytest.mark.parametrize("exps, source", [
+    ((0, 1, 2, 3), exponent_source("quadratic")),
+    ((0, 1, 2, 3), exponent_source("linear", extra=(Fraction(7, 2),),
+                                   first_index=4)),
+    ((0, Fraction(1, 3), 2, Fraction(7, 2)), exponent_source("affine")),
+    ((0, 0.5, 2, 3.5), exponent_source("classical")),
+    ((0, 1, 2, 3), exponent_source("linear", extra=(4.25, 4.5, Fraction(19, 4)),
+                                   first_index=4)),
+    # integers past 2^53, where the weights are formed in Fractions
+    ((0, 1, 2, 3), lambda j: 2 ** 60 + j),
+], ids=["int", "fraction-extra", "fraction", "float", "float-extra", "huge"])
+def test_float_insertion_equals_insert_exponent(exps, source):
+    points = ((0.1, -2.0), (1.3, 4.7), (3.0, 4.1), (4.9, 0.2))
+    float_steps = _float_corner_cutting(points, exps, source, 30)
+    tuple_steps = corner_cutting(points, exps, source, 30)
+    for (j, polygon), (i, pts, _) in zip(float_steps, tuple_steps, strict=True):
+        assert j == i and polygon.tolist() == [list(p) for p in pts]
