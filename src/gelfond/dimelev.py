@@ -31,12 +31,12 @@ vectorised step forms
 
 The weights are the floats by which `lerp` multiplies float points in
 `insert_exponent`.  For exact r_k = a/b and rho = c/d they are the
-correctly rounded quotients w_k = ad/(bc) and v_k = (bc - ad)/(bc), which
-is plain float64 division while these integers stay below 2^53 (beyond,
-they are formed one by one in Fractions); for a float on either side
-w_k = r_k/rho and v_k = 1 - w_k.  So the float polygons are bit for bit
-those of `insert_exponent` on float points, and `insert_exponent` stays
-exact for exact input.
+correctly rounded quotients w_k = ad/(bc) and v_k = (bc - ad)/(bc), formed
+from Python ints in object arrays, whose true division is correctly
+rounded at any size; for a float on either side w_k = r_k/rho and
+v_k = 1 - w_k.  So the float polygons are bit for bit those of
+`insert_exponent` on float points, and `insert_exponent` stays exact for
+exact input.
 
 Every squared distance is formed one way: (a_k - b_k)^2 summed over the
 coordinates in index order.  Square roots are taken only of the final
@@ -70,16 +70,11 @@ from .curves import GelfondBezierCurve
 BLOCK_ROWS = 64
 
 # The pruned Hausdorff pass: half-width of the index band and number of
-# evenly spaced points that bound each row, rows of its first exact step,
-# and rows per block of the bound pass, which holds
-# (2 _BAND + 1 + _COARSE) d floats per row.
+# evenly spaced points that bound each row, and rows of its first exact
+# step.  The bound pass holds (2 _BAND + 1 + _COARSE) d floats per row.
 _BAND = 4
 _COARSE = 24
 _PRUNE_ROWS = 8
-_BOUND_ROWS = 4096
-
-# Integers below this are exact float64s.
-_EXACT_INT = 2 ** 53
 
 
 def insert_exponent(points, exponents, rho):
@@ -170,40 +165,30 @@ class _InsertionWeights:
     (see the module docstring)."""
 
     def __init__(self, exponents):
-        self.exponents = []
         self.values = np.empty(0)                 # float(r_k)
         self.floats = np.empty(0, dtype=bool)     # r_k is not exact
-        # r_k = a_k / b_k (0 / 1 for a float), kept while the largest
-        # |a_k| and b_k so far, `size`, is below 2^53
-        self.num = np.empty(0, dtype=np.int64)
-        self.den = np.empty(0, dtype=np.int64)
-        self.size = 0
+        # r_k = a_k / b_k as Python ints (0 / 1 for a float)
+        self.num = np.empty(0, dtype=object)
+        self.den = np.empty(0, dtype=object)
         for x in exponents:
             self.append(x)
 
     def append(self, x):
-        self.exponents.append(x)
-        self.values = np.append(self.values, float(x))
         exact = is_exact(x)
-        self.floats = np.append(self.floats, not exact)
         a, b = (x.numerator, x.denominator) if exact else (0, 1)
-        self.size = max(self.size, abs(a), b)
-        if self.size < _EXACT_INT:
-            self.num = np.append(self.num, a)
-            self.den = np.append(self.den, b)
+        self.values = np.append(self.values, float(x))
+        self.floats = np.append(self.floats, not exact)
+        self.num = np.append(self.num, np.array([a], dtype=object))
+        self.den = np.append(self.den, np.array([b], dtype=object))
 
     def weights(self, rho):
         """(v, w) of inserting rho above every r_k."""
         if not is_exact(rho):
             w = self.values / rho
             return 1.0 - w, w
-        c, d = rho.numerator, rho.denominator
-        if self.size * max(c, d) >= _EXACT_INT:
-            q = [exact_div(x, rho) for x in self.exponents]
-            return (np.array([float(1 - x) for x in q]),
-                    np.array([float(x) for x in q]))
-        a, b = self.num * d, self.den * c
-        w, v = a / b, (b - a) / b
+        a, b = self.num * rho.denominator, self.den * rho.numerator
+        w = (a / b).astype(float)
+        v = ((b - a) / b).astype(float)
         if self.floats.any():
             w = np.where(self.floats, self.values / float(rho), w)
             v = np.where(self.floats, 1.0 - w, v)
@@ -215,8 +200,10 @@ def _float_corner_cutting(points, exponents, source, iterations):
     yields (iteration, polygon), bit for bit the points `corner_cutting`
     gives on the same points as float tuples."""
     r = as_exponents(exponents)
-    exps, last = _InsertionWeights(r[1:]), r[r.n]
     polygon = _point_array(points)
+    if len(polygon) != r.n + 1:
+        raise ValueError(f"expected {r.n + 1} control points, got {len(polygon)}")
+    exps, last = _InsertionWeights(r[1:]), r[r.n]
     yield 0, polygon
     for j in range(1, iterations + 1):
         rho = source(r.n + j)
@@ -308,14 +295,9 @@ def _row_bounds(A, B):
     k = min(n, _COARSE)
     coarse = B[:, _rescaled(np.arange(k), k, n), None]
     band = np.arange(-_BAND, _BAND + 1)[:, None]
-    bound = np.empty(m)
-    for start in range(0, m, _BOUND_ROWS):
-        rows = A[:, start:start + _BOUND_ROWS]
-        i = np.arange(start, start + rows.shape[1])
-        near = B[:, np.clip(_rescaled(i, m, n) + band, 0, n - 1)]
-        bound[i] = np.minimum(_squared_distances(rows, near).min(axis=0),
-                              _squared_distances(rows[:, None], coarse).min(axis=0))
-    return bound
+    near = B[:, np.clip(_rescaled(np.arange(m), m, n) + band, 0, n - 1)]
+    return np.minimum(_squared_distances(A, near).min(axis=0),
+                      _squared_distances(A[:, None], coarse).min(axis=0))
 
 
 def _directed_max_min(A, B, best):

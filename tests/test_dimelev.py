@@ -124,6 +124,14 @@ def test_convergence_report_against_foreign_target():
     rows = convergence_report(PTS, exps, source, iterations=2, samples=64,
                               target=target)
     assert all(row[2] > 0 for row in rows)
+    # the points are checked against the exponents also when the target
+    # curve does not come from them
+    with pytest.raises(ValueError, match="expected 4 control points, got 2"):
+        convergence_report(PTS[:2], exps, source, iterations=2, samples=64,
+                           target=target)
+    with pytest.raises(ValueError, match="expected 2 control points, got 4"):
+        convergence_report(PTS, (0, 1), exponent_source("linear"),
+                           iterations=2, samples=64, target=target)
 
 
 def test_presets():
@@ -297,9 +305,11 @@ def test_report_equals_float_polygon_route(name, points):
     ((0, 0.5, 2, 3.5), exponent_source("classical")),
     ((0, 1, 2, 3), exponent_source("linear", extra=(4.25, 4.5, Fraction(19, 4)),
                                    first_index=4)),
-    # integers past 2^53, where the weights are formed in Fractions
+    # integers and Fractions past 2^53, whose products are not exact floats
     ((0, 1, 2, 3), lambda j: 2 ** 60 + j),
-], ids=["int", "fraction-extra", "fraction", "float", "float-extra", "huge"])
+    ((0, 1, 2, 3), lambda j: Fraction(2 ** 70 + j, 3)),
+], ids=["int", "fraction-extra", "fraction", "float", "float-extra", "huge",
+        "huge-fraction"])
 def test_float_insertion_equals_insert_exponent(exps, source):
     points = ((0.1, -2.0), (1.3, 4.7), (3.0, 4.1), (4.9, 0.2))
     float_steps = _float_corner_cutting(points, exps, source, 30)
