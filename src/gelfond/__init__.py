@@ -11,12 +11,11 @@ from .blossom import (blossom_value, coefficients_from_control_points,
                       control_points_from_coefficients, de_casteljau,
                       monomial_blossom, pseudo_affinity)
 from .curves import (GelfondBezierCurve, c1_join, curve_from_json,
-                     curve_to_json, derivative_curve, endpoint_derivatives,
-                     initial_tangency)
+                     curve_to_json, endpoint_derivatives, initial_tangency)
 from .dimelev import (convergence_report, corner_cutting, exponent_source,
                       insert_exponent, preset)
 from .gelfond_basis import (basis_derivative, basis_polynomial, basis_values,
-                            basis_values_many, chebyshev_basis, hodograph_data)
+                            chebyshev_basis, hodograph_data)
 from .partitions import (ExponentSequence, IntegerPartition, RealPartition,
                          dimension, exponents_from_partition, muntz_tableau,
                          partition_from_exponents)
@@ -30,11 +29,11 @@ __all__ = [
     "control_points_from_coefficients", "de_casteljau", "monomial_blossom",
     "pseudo_affinity",
     "GelfondBezierCurve", "c1_join", "curve_from_json", "curve_to_json",
-    "derivative_curve", "endpoint_derivatives", "initial_tangency",
+    "endpoint_derivatives", "initial_tangency",
     "convergence_report", "corner_cutting", "exponent_source",
     "insert_exponent", "preset",
     "basis_derivative", "basis_polynomial", "basis_values",
-    "basis_values_many", "chebyshev_basis", "hodograph_data",
+    "chebyshev_basis", "hodograph_data",
     "ExponentSequence", "IntegerPartition", "RealPartition", "dimension",
     "exponents_from_partition", "muntz_tableau", "partition_from_exponents",
     "schur", "schur_bialternant", "schur_jacobi_trudi",

@@ -6,6 +6,7 @@ back to floats.  The predicates and wrappers here implement that rule in
 one place.
 """
 
+import math
 from fractions import Fraction
 
 
@@ -76,10 +77,10 @@ def det(rows):
     """Determinant of a square matrix given as a list of row lists.
 
     All-exact entries: fraction arithmetic with the first nonzero pivot,
-    giving an exact result.  Otherwise partial pivoting on magnitude in the
-    entries' own arithmetic (floats, or Decimals under the caller's
-    context); a zero pivot column gives a zero of that type.  The empty
-    matrix has determinant 1.
+    giving an exact result, an int where it is integral.  Otherwise
+    partial pivoting on magnitude in the entries' own arithmetic (floats,
+    or Decimals under the caller's context); a zero pivot column gives a
+    zero of that type.  The empty matrix has determinant 1.
     """
     n = len(rows)
     if n == 0:
@@ -87,31 +88,17 @@ def det(rows):
     m = [list(r) for r in rows]
     if any(len(r) != n for r in m):
         raise ValueError("determinant of a non-square matrix")
-    if all(all_exact(r) for r in m):
+    exact = all(all_exact(r) for r in m)
+    if exact:
         m = [[Fraction(x) for x in r] for r in m]
-        sign = 1
-        for col in range(n):
-            pivot_row = next((r for r in range(col, n) if m[r][col] != 0), None)
-            if pivot_row is None:
-                return Fraction(0)
-            if pivot_row != col:
-                m[col], m[pivot_row] = m[pivot_row], m[col]
-                sign = -sign
-            pivot = m[col][col]
-            for r in range(col + 1, n):
-                if m[r][col]:
-                    factor = m[r][col] / pivot
-                    for c in range(col, n):
-                        m[r][c] -= factor * m[col][c]
-        out = Fraction(sign)
-        for i in range(n):
-            out *= m[i][i]
-        return out
     sign = 1
     for col in range(n):
-        pivot_row = max(range(col, n), key=lambda r: abs(m[r][col]))
+        if exact:
+            pivot_row = next((r for r in range(col, n) if m[r][col] != 0), col)
+        else:
+            pivot_row = max(range(col, n), key=lambda r: abs(m[r][col]))
         if m[pivot_row][col] == 0:
-            return abs(m[pivot_row][col])
+            return 0 if exact else abs(m[pivot_row][col])
         if pivot_row != col:
             m[col], m[pivot_row] = m[pivot_row], m[col]
             sign = -sign
@@ -124,7 +111,7 @@ def det(rows):
     out = sign
     for i in range(n):
         out *= m[i][i]
-    return out
+    return simplify(out) if exact else out
 
 
 def simplify(x):
@@ -135,16 +122,25 @@ def simplify(x):
 
 
 def parse_number(text):
-    """Parse "p/q", integer, or float literals (serialization inverse)."""
-    if isinstance(text, (int, float)):
-        return text
-    s = str(text).strip()
-    if "/" in s:
-        return Fraction(s)
-    try:
-        return int(s)
-    except ValueError:
-        return float(s)
+    """Parse "p/q", integer, or float literals (serialization inverse).
+    nan, inf and a zero denominator raise ValueError: no route takes
+    them."""
+    x = text
+    if not isinstance(text, (int, float)):
+        s = str(text).strip()
+        if "/" in s:
+            try:
+                x = Fraction(s)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator: {text!r}") from None
+        else:
+            try:
+                x = int(s)
+            except ValueError:
+                x = float(s)
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ValueError(f"not a finite number: {text!r}")
+    return x
 
 
 def format_number(x):

@@ -26,7 +26,6 @@ command line; explicit flags win over the file.
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 
@@ -35,7 +34,7 @@ from .curves import (GelfondBezierCurve, c1_join, curve_from_json,
                      curve_to_json)
 from .dimelev import (PRESETS, convergence_report, exponent_source,
                       insert_exponent, preset)
-from .gelfond_basis import (basis_values_many, complete_basis_polynomial,
+from .gelfond_basis import (basis_table, complete_basis_polynomial,
                             complete_exponents, elementary_basis_polynomial,
                             elementary_exponents, gelfond_basis_dd,
                             gelfond_basis_schur, hook_basis_polynomial,
@@ -63,27 +62,20 @@ def _fmt6(x):
     return f"{float(x):.6g}"
 
 
-def _number(text):
-    """parse_number, refusing nan and inf at the input boundary."""
-    x = parse_number(text)
-    if isinstance(x, float) and not math.isfinite(x):
-        raise ValueError(f"not a finite number: {text!r}")
-    return x
-
-
 def _parse_numbers(text):
-    return [_number(tok) for tok in str(text).split(",") if str(tok).strip()]
+    return [parse_number(tok) for tok in str(text).split(",") if str(tok).strip()]
 
 
 def _parse_points(spec):
     if isinstance(spec, (list, tuple)):
-        return [tuple(_number(c) for c in p) for p in spec]
+        return [tuple(parse_number(c) for c in p) if isinstance(p, list)
+                else parse_number(p) for p in spec]
     pts = []
     for chunk in str(spec).split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
-        coords = tuple(_number(tok) for tok in chunk.split(","))
+        coords = tuple(parse_number(tok) for tok in chunk.split(","))
         pts.append(coords if len(coords) > 1 else coords[0])
     return pts
 
@@ -222,7 +214,7 @@ def cmd_basis(args):
         table = horner_table(polys, ts).tolist()
     else:
         exps = _exponents_from(args)
-        table = basis_values_many(exps, ts)
+        table = basis_table(exps, ts).tolist()
     n = exps.n
     header = ["t"] + [f"H{k}" for k in range(n + 1)] + ["unity_residual"]
     rows = ([_fmt17(t)] + [_fmt17(v) for v in vals] + [_fmt17(sum(vals) - 1.0)]
@@ -267,7 +259,7 @@ def cmd_decasteljau(args):
     curve = GelfondBezierCurve(exps, _load_points(args), _interval(args))
     if args.t is None:
         raise ValueError("--t required")
-    t = _number(args.t)
+    t = parse_number(args.t)
     levels = curve.de_casteljau_levels(t)
     data = {
         "t": format_number(t),
@@ -322,10 +314,11 @@ def cmd_insert(args):
     points = _load_points(args)
     if args.rho is None:
         raise ValueError("--rho required")
-    rho = _number(args.rho)
-    new_pts, new_exps = insert_exponent(points, exps, rho)
-    curve = GelfondBezierCurve(new_exps, new_pts, _interval(args))
-    _write_text(args.output, curve_to_json(curve) + "\n")
+    rho = parse_number(args.rho)
+    curve = GelfondBezierCurve(exps, points, _interval(args))
+    new_pts, new_exps = insert_exponent(curve.points, curve.exponents, rho)
+    new = GelfondBezierCurve(new_exps, new_pts, curve.interval)
+    _write_text(args.output, curve_to_json(new) + "\n")
     return 0
 
 
@@ -361,7 +354,7 @@ def cmd_oracle(args):
     # the production routes run in batches; the routes they are checked
     # against run point by point
     ts = [i / (samples - 1) for i in range(samples)]
-    table = basis_values_many(exps, ts)
+    table = basis_table(exps, ts).tolist()
     values = curve.evaluate_many(ts)
     for t, vals, v1 in zip(ts, table, values):
         dev_unity = max(dev_unity, abs(sum(vals) - 1.0))

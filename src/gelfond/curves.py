@@ -18,8 +18,7 @@ from .arith import (as_point, exact_div, format_number, is_exact, parse_number,
                     vec_add, vec_scale, vec_sub, vec_zero_like)
 from .blossom import (blossom_value, coefficients_from_control_points,
                       de_casteljau)
-from .gelfond_basis import (basis_polynomial, basis_table, basis_values,
-                            hodograph_data)
+from .gelfond_basis import basis_table, basis_values, hodograph_data
 from .partitions import as_exponents
 
 
@@ -40,7 +39,6 @@ class GelfondBezierCurve:
         self.points = pts
         self.interval = (a, b)
         self._coeffs = None
-        self._polys = None
 
     @property
     def n(self):
@@ -61,25 +59,9 @@ class GelfondBezierCurve:
         # at t = float(b) the rounded quotient can exceed 1, e.g. on [1/3, 1]
         return min(self.local_parameter(t), 1.0)
 
-    def _basis_polys(self):
-        """The cached basis polynomials H_0..H_n of an integer space; empty
-        for real exponents."""
-        if self._polys is None:
-            self._polys = ([basis_polynomial(self.exponents, k)
-                            for k in range(self.n + 1)]
-                           if self.exponents.is_integer() else [])
-        return self._polys
-
     def evaluate(self, t):
-        """Basis-sum evaluation.  Integer exponents at a float parameter
-        evaluate the curve's own basis polynomials, the values
-        `basis_values` returns, without its per-call dispatch."""
-        s = self._unit_parameter(t)
-        polys = self._basis_polys()
-        if polys and isinstance(s, float):
-            weights = [p(s) for p in polys]
-        else:
-            weights = basis_values(self.exponents, s)
+        """Basis-sum evaluation over `basis_values`."""
+        weights = basis_values(self.exponents, self._unit_parameter(t))
         out = vec_scale(weights[0], self.points[0])
         for w, p in zip(weights[1:], self.points[1:]):
             out = vec_add(out, vec_scale(w, p))
@@ -172,10 +154,6 @@ class GelfondBezierCurve:
     def __repr__(self):
         return (f"GelfondBezierCurve(exponents={tuple(self.exponents)}, "
                 f"points={self.points}, interval={self.interval})")
-
-
-def derivative_curve(curve):
-    return curve.derivative()
 
 
 def endpoint_derivatives(curve):

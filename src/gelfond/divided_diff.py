@@ -214,6 +214,9 @@ def _opitz_table(nodes, upper, ts):
         raise ValueError("at least one node required")
     if not all(math.isfinite(v) for v in x):
         raise ValueError(f"nodes must be finite, got {x}")
+    # sigma, the power of two at or above every |x_i|, must be a float
+    if max(map(abs, x)) >= 2.0 ** 1023:
+        raise ValueError(f"nodes must be below 2^1023 in magnitude, got {x}")
     t = np.asarray(ts, dtype=float)
     if t.size and not (t.min() > 0 and t.max() <= 1):
         raise ValueError("t must be in (0, 1]")

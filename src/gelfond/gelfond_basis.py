@@ -10,8 +10,9 @@ Routes:
 
  * integer exponents: H_k is an honest polynomial.  Expanding the divided
    difference into partial fractions gives one rational coefficient per
-   exponent r_k..r_n, so `basis_polynomial` builds H_k exactly in O(n^2)
-   operations, once per (exponents, k), and caches it.  Float parameters
+   exponent r_k..r_n, so H_k is built exactly in O(n^2) operations, once
+   per (exponents, k), and cached; a space's H_0..H_n are looked up
+   together (`basis_polynomial` returns one of them).  Float parameters
    go through Horner's rule, exact ones stay exact.
  * real exponents: one matrix exponential (Opitz) holds every divided
    difference [r_k..r_n] f_t at once, and with the superdiagonal
@@ -20,11 +21,13 @@ Routes:
    whole batch of parameters in one call.  The results are floats, also
    at exact parameters.
 
-`basis_values`, `basis_values_many`, `gelfond_basis` and `basis_table`
-are the production entry points and pick the route by the exponents.  Two
-independent real-exponent routes remain as oracles: the divided difference
-by partial fractions or recursion (`gelfond_basis_dd`) and the
-Schur-quotient form (`gelfond_basis_schur`)
+`basis_values` (one parameter, exact or float) and `basis_table` (a batch
+of float parameters) are the production entry points; each picks the
+route by the exponents once per call, through a lookup cached per space
+(`_exact_basis`).  Two independent real-exponent
+routes remain as oracles: the divided difference by partial fractions or
+recursion (`gelfond_basis_dd`) and the Schur-quotient form
+(`gelfond_basis_schur`)
 
      H_k(t) = [prod_{i>k} r_i/(r_i - r_k)] t^{r_k} (1-t)^{n-k}
               * S_{(lambda_{k+1..n})}(1, t, .., t) / S_{(lambda_{k+2..n})}(t, .., t)
@@ -41,7 +44,8 @@ from math import comb, prod
 
 import numpy as np
 
-from .arith import SingularityError, all_exact, exact_div, is_exact, power, simplify
+from .arith import (SingularityError, all_exact, exact_div, is_exact,
+                    is_integral, power, simplify)
 from .divided_diff import _opitz_table, exponential_dd
 from .partitions import (ExponentSequence, RealPartition, as_exponents,
                          hook_partition_dimension, dimension,
@@ -123,6 +127,17 @@ def _basis_poly_cached(r_tuple, k):
     return Poly(coeffs)
 
 
+@lru_cache(maxsize=None, typed=True)
+def _exact_basis(*exponents):
+    """The exact polynomials H_0..H_n of an integer space, None for real
+    exponents: where the basis routes tell the two kinds apart, once per
+    space.  Typed, because 3.0 equals 3 but makes the space real."""
+    if not all(is_integral(x) for x in exponents):
+        return None
+    key = tuple(int(x) for x in exponents)
+    return tuple(_basis_poly_cached(key, k) for k in range(len(key)))
+
+
 def basis_polynomial(exponents, k):
     """Exact polynomial form of H_k for integer exponents (cached), from
     the partial-fraction form of its divided difference:
@@ -130,11 +145,12 @@ def basis_polynomial(exponents, k):
         H_k = (-1)^{n-k} r_{k+1} .. r_n
               sum_{i=k}^{n} t^{r_i} / prod_{j=k..n, j != i} (r_i - r_j)."""
     r = as_exponents(exponents)
-    if not r.is_integer():
+    polys = _exact_basis(*r.exponents)
+    if polys is None:
         raise ValueError("polynomial form requires integer exponents")
     if not 0 <= k <= r.n:
         raise ValueError(f"basis index {k} outside 0..{r.n}")
-    return _basis_poly_cached(tuple(int(x) for x in r.exponents), k)
+    return polys[k]
 
 
 # Public under both names; the acceptance gate's worked example calls it
@@ -142,71 +158,47 @@ def basis_polynomial(exponents, k):
 basis_polynomial_residues = basis_polynomial
 
 
-def _check_parameter(t):
-    if not 0 <= t <= 1:
-        raise ValueError(f"t must be in [0, 1], got {t}")
-
-
-def gelfond_basis(exponents, k, t):
-    """H^n_k(t) for t in [0, 1]: cached polynomial for integer exponents,
-    the Opitz kernel otherwise."""
-    r = as_exponents(exponents)
-    if not 0 <= k <= r.n:
-        raise ValueError(f"basis index {k} outside 0..{r.n}")
-    _check_parameter(t)
-    if r.is_integer():
-        return basis_polynomial(r, k)(t)
-    return basis_values(r, t)[k]
+def _opitz_basis(r, t):
+    """H_0..H_n of real exponents at the float array t, one row per
+    parameter: the last column of the Opitz kernel with superdiagonal
+    -r_1..-r_n, which is (-1)^{n-k} r_{k+1}..r_n [r_k..r_n] t^x = H_k
+    itself, so a tiny H_k keeps its relative accuracy; H_k(0) =
+    delta_{k0}.  A row does not depend on the batch it is in."""
+    out = _opitz_table(r.exponents, [-r[k] for k in range(1, r.n + 1)],
+                       np.where(t > 0, t, 1.0))
+    if not t.all():
+        out[t == 0] = np.eye(1, r.n + 1)
+    return out
 
 
 def basis_values(exponents, t):
-    """All of H_0(t), ..., H_n(t) for t in [0, 1]."""
+    """All of H_0(t), ..., H_n(t) for t in [0, 1]: the cached basis
+    polynomials for integer exponents, exact at an exact t; floats from
+    the Opitz kernel for real exponents."""
     r = as_exponents(exponents)
-    _check_parameter(t)
-    if r.is_integer():
-        return tuple(basis_polynomial(r, k)(t) for k in range(r.n + 1))
-    return tuple(basis_table(r, [t])[0].tolist())
+    if not 0 <= t <= 1:
+        raise ValueError(f"t must be in [0, 1], got {t}")
+    polys = _exact_basis(*r.exponents)
+    if polys is None:
+        return tuple(_opitz_basis(r, np.array([float(t)]))[0].tolist())
+    return tuple([p(t) for p in polys])
 
 
 def basis_table(exponents, ts):
     """H_0..H_n at every parameter of `ts` as floats, an array of shape
-    (len(ts), n + 1); parameters outside [0, 1] (nan too) raise
-    ValueError.
-
+    (len(ts), n + 1), row for row the values `basis_values` gives at
+    float(t); parameters outside [0, 1] (nan too) raise ValueError.
     Integer exponents: the cached basis polynomials by Horner's rule over
-    all of ts (`horner_table`).  Real exponents: the last column of the
-    Opitz kernel with superdiagonal -r_1..-r_n, which is
-    (-1)^{n-k} r_{k+1}..r_n [r_k..r_n] t^x = H_k itself, so a tiny H_k
-    keeps its relative accuracy; H_k(0) = delta_{k0}.  A row does not
-    depend on the batch it is in."""
+    all of ts (`horner_table`); real exponents: the Opitz kernel."""
     r = as_exponents(exponents)
     t = np.asarray(ts, dtype=float)
     if t.size and not (t.min() >= 0 and t.max() <= 1):
         bad = t[~((t >= 0) & (t <= 1))][0]
         raise ValueError(f"t must be in [0, 1], got {bad}")
-    n = r.n
-    if r.is_integer():
-        return horner_table([basis_polynomial(r, k) for k in range(n + 1)], t)
-    out = _opitz_table(r.exponents, [-r[k] for k in range(1, n + 1)],
-                       np.where(t > 0, t, 1.0))
-    if not t.all():
-        out[t == 0] = np.eye(1, n + 1)
-    return out
-
-
-def basis_values_many(exponents, ts):
-    """[list(basis_values(exponents, t)) for t in ts], value for value.
-
-    Float parameters take one batched pass (`basis_table`); exact
-    parameters of integer spaces run `basis_values` point by point, so
-    they stay exact.  Parameters outside [0, 1] raise ValueError."""
-    r = as_exponents(exponents)
-    ts = list(ts)
-    if not ts:
-        return []
-    if r.is_integer() and not all(isinstance(t, float) for t in ts):
-        return [list(basis_values(r, t)) for t in ts]
-    return basis_table(r, ts).tolist()
+    polys = _exact_basis(*r.exponents)
+    if polys is None:
+        return _opitz_basis(r, t)
+    return horner_table(polys, t)
 
 
 def chebyshev_basis(lam, a, b, k, t):
@@ -366,10 +358,11 @@ def basis_derivative(exponents, k, t):
         return r[n] * power(t, r[n] - 1)
     case, reduced, coeffs = hodograph_data(r)
     first = 0 if case == "unit" else 1      # coeffs[i] is D_{first + i}
+    values = basis_values(reduced, t)
 
     def term(j):
         i = j - first
-        return coeffs[i] * gelfond_basis(reduced, j, t) if 0 <= i < n else 0
+        return coeffs[i] * values[j] if 0 <= i < n else 0
 
     j = k - 1 + first
     return term(j) - term(j + 1)

@@ -86,7 +86,7 @@ def schur_nagelsbach_kostka(lam, points):
     e = _elementary_table(pts, top)
     rows = [[e[conj[i] - i + j] if conj[i] - i + j >= 0 else 0
              for j in range(l)] for i in range(l)]
-    return simplify(det(rows)) if all_exact(pts) else det(rows)
+    return det(rows)
 
 
 def hook_schur(arm, leg, points):
@@ -115,7 +115,7 @@ def schur_giambelli(lam, points):
         return 1
     rows = [[hook_schur(alphas[i], betas[j], pts) for j in range(d)]
             for i in range(d)]
-    return simplify(det(rows)) if all_exact(pts) else det(rows)
+    return det(rows)
 
 
 def _lost_digits(groups, a):
@@ -267,7 +267,7 @@ def skew_schur(lam, mu, points):
     rows = [[h[lam.parts[i] - mu_parts[j] - i + j]
              if 0 <= lam.parts[i] - mu_parts[j] - i + j <= top else 0
              for j in range(l)] for i in range(l)]
-    return simplify(det(rows)) if all_exact(pts) else det(rows)
+    return det(rows)
 
 
 def skew_schur_tableaux(lam, mu, points):

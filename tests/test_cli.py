@@ -273,6 +273,20 @@ def test_points_accept_fractions(capsys):
      "--interval", "0,inf", "--t", "1"],
     ["curve", "--exponents", "0,1", "--points", "0,0;1,1",
      "--interval", "nan,1"],
+    # a zero denominator in every numeric flag
+    ["basis", "--exponents", "0,2/0"],
+    ["curve", "--exponents", "0,1", "--points", "0,0;1/0,1"],
+    ["curve", "--exponents", "0,1", "--points", "0,0;1,1",
+     "--interval", "0,1/0"],
+    ["decasteljau", "--exponents", "0,1", "--points", "0,0;1,1", "--t", "1/0"],
+    ["insert", "--exponents", "0,1", "--points", "0,0;1,1", "--rho", "1/0"],
+    ["elevate", "--exponents", "0,1", "--points", "0,0;1,1", "--extra", "1/0"],
+    # scalar and tuple points mixed
+    ["insert", "--exponents", "0,1", "--points", "1;2,3", "--rho", "3"],
+    # real exponents too large for the kernel's scaling
+    ["basis", "--exponents", "0,1e308"],
+    ["curve", "--exponents", "0,1e308", "--points", "0;1"],
+    ["oracle", "--exponents", "0,1e308"],
 ])
 def test_boundary_inputs_exit_2(argv, tmp_path, capsys):
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
@@ -281,6 +295,43 @@ def test_boundary_inputs_exit_2(argv, tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+LEFT = {"exponents": [0, 1, 3], "interval": [0, 1],
+        "points": [[0, 0], [1, 2], [3, 0]]}
+
+
+@pytest.mark.parametrize("argv, data", [
+    (["curve", "--exponents", "0,1", "--points-file", "{file}"],
+     [["1/0", 0], [1, 1]]),
+    (["curve", "--exponents", "0,1", "--points-file", "{file}"],
+     [["nan", 0], [1, 1]]),
+    (["join", "--left", "{file}", "--exponents", "0,1,2", "--interval", "1,2",
+      "--points", "5,5"], {**LEFT, "points": [[0, 0], ["1/0", 2], [3, 0]]}),
+    (["join", "--left", "{file}", "--exponents", "0,1,2", "--interval", "1,2",
+      "--points", "5,5"], {**LEFT, "points": [[0, 0], ["nan", 2], [3, 0]]}),
+    (["join", "--left", "{file}", "--exponents", "0,1,2", "--interval", "1,2",
+      "--points", "5,5"],
+     {**LEFT, "points": [[0, 0], [float("nan"), 2], [3, 0]]}),
+])
+def test_json_inputs_exit_2(argv, data, tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    assert cli.main([a.replace("{file}", str(path)) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_points_file_takes_scalar_points(tmp_path, capsys):
+    path = tmp_path / "points.json"
+    path.write_text("[0, 1, 3, 2]")
+    code, out = run(capsys, "curve", "--exponents", "0,2,4,14",
+                    "--points-file", str(path), "--samples", "5")
+    assert code == 0
+    assert out == run(capsys, "curve", "--exponents", "0,2,4,14",
+                      "--points", "0;1;3;2", "--samples", "5")[1]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "svg"])
@@ -318,7 +369,7 @@ def test_curve_interval_grid_ends(interval, ends, fmt, capsys):
 def test_samples_ceiling(argv, monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("evaluated above the sample ceiling")
-    for name in ("_parameter_grid", "basis_values_many", "convergence_report"):
+    for name in ("_parameter_grid", "basis_table", "convergence_report"):
         monkeypatch.setattr(cli, name, refuse)
     argv = [a.replace("{ceiling}", str(cli.MAX_SAMPLES + 1)) for a in argv]
     assert cli.main(argv) == 2
@@ -375,8 +426,8 @@ def test_basis_table_matches_pointwise(capsys):
 
 def _pointwise_routes(monkeypatch):
     """Send the batched routes of the CLI back to one parameter at a time."""
-    monkeypatch.setattr(cli, "basis_values_many", lambda exps, ts: [
-        list(basis_values(exps, t)) for t in ts])
+    monkeypatch.setattr(cli, "basis_table", lambda exps, ts: np.array([
+        basis_values(exps, t) for t in ts]))
     monkeypatch.setattr(cli, "horner_table", lambda polys, ts: np.array([
         [p(t) for p in polys] for t in ts]))
     monkeypatch.setattr(GelfondBezierCurve, "evaluate_many", lambda self, ts: [

@@ -5,7 +5,7 @@ import pytest
 
 from gelfond.arith import vec_add, vec_scale
 from gelfond.curves import (GelfondBezierCurve, c1_join, c1_join_head,
-                            curve_from_json, curve_to_json, derivative_curve,
+                            curve_from_json, curve_to_json,
                             endpoint_derivatives, hyperplane_crossings,
                             initial_tangency)
 from gelfond.gelfond_basis import basis_values
@@ -200,8 +200,7 @@ def test_c1_join_continuity_exact():
                     ((4, 1), (5, 0)))
     b = 1
     assert right.evaluate(b) == left.evaluate(b)
-    assert derivative_curve(right).evaluate(b) == \
-        derivative_curve(left).evaluate(b)
+    assert right.derivative().evaluate(b) == left.derivative().evaluate(b)
 
 
 def test_c1_join_validation():

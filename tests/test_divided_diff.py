@@ -13,8 +13,7 @@ from gelfond.divided_diff import (BLOCK_ROWS, MIN_GAP, divided_difference,
                                   exponential_dd_naive,
                                   exponential_dd_recursive,
                                   exponential_dd_shifted, exponential_dd_table)
-from gelfond.gelfond_basis import (basis_table, basis_values,
-                                   basis_values_many, gelfond_basis_schur)
+from gelfond.gelfond_basis import basis_table, basis_values, gelfond_basis_schur
 
 
 def test_generic_divided_difference():
@@ -251,6 +250,16 @@ def test_kernel_repeated_nodes_and_endpoints():
         exponential_dd_table((), [0.5])
     with pytest.raises(ValueError):
         exponential_dd_table((0.0, float("inf")), [0.5])
+    # the scaling power of two of larger nodes is not a float
+    for big in (2.0 ** 1023, 1e308, -1e308):
+        with pytest.raises(ValueError, match="2\\^1023"):
+            exponential_dd_table((0.0, big), [0.5])
+    big = 0.999 * 2.0 ** 1023
+    # [0, big] t^x = (t^big - 1)/big, a subnormal
+    row = exponential_dd_table((0.0, big), [0.5])[0]
+    assert row[0] == pytest.approx(-1 / big, rel=1e-12) and row[1] == 0.0
+    vals = basis_values((0, 1e200, 1e300), 0.5)
+    assert all(math.isfinite(v) for v in vals) and abs(sum(vals) - 1) < 1e-14
 
 
 def test_kernel_handles_what_the_schur_route_could_not():
@@ -294,4 +303,4 @@ def test_rows_do_not_depend_on_the_block():
     table = exponential_dd_table(exps, ts[1:])
     for t, row in zip(ts[1:], table):
         assert row.tolist() == exponential_dd_table(exps, [t])[0].tolist()
-    assert basis_values_many(exps, ts) == [list(basis_values(exps, t)) for t in ts]
+    assert basis_table(exps, ts).tolist() == [list(basis_values(exps, t)) for t in ts]

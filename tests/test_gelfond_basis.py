@@ -9,15 +9,15 @@ from hypothesis import given, settings, strategies as st
 
 from gelfond import gelfond_basis as gelfond_basis_module
 from gelfond.gelfond_basis import (basis_derivative, basis_polynomial,
-                                   basis_polynomial_residues, basis_values,
-                                   basis_values_many,
-                                   chebyshev_basis, complete_basis_polynomial,
+                                   basis_polynomial_residues, basis_table,
+                                   basis_values, chebyshev_basis,
+                                   complete_basis_polynomial,
                                    complete_exponents,
                                    elementary_basis_polynomial,
-                                   elementary_exponents, gelfond_basis,
-                                   gelfond_basis_dd, gelfond_basis_schur,
-                                   hodograph_data, hook_basis_polynomial,
-                                   hook_exponents, vanishing_orders)
+                                   elementary_exponents, gelfond_basis_dd,
+                                   gelfond_basis_schur, hodograph_data,
+                                   hook_basis_polynomial, hook_exponents,
+                                   vanishing_orders)
 from gelfond.partitions import (dimension, interlacing_partitions,
                                 partition_from_exponents)
 from gelfond.polynomials import Poly, horner_table
@@ -86,7 +86,7 @@ def test_three_value_routes_agree_integer():
         p = basis_polynomial(EXPS, k)(t)
         assert gelfond_basis_schur(EXPS, k, t) == p
         assert gelfond_basis_dd(EXPS, k, t) == p
-        assert gelfond_basis(EXPS, k, t) == p
+        assert basis_values(EXPS, t)[k] == p
 
 
 def test_value_routes_agree_real():
@@ -205,7 +205,7 @@ def test_chebyshev_limits_to_unit_interval_basis():
     for a in (1e-1, 1e-2, 1e-3):
         grid = [a + (1 - a) * i / 40 for i in range(41)]
         dev = max(abs(chebyshev_basis(lam, a, 1.0, k, t)
-                      - gelfond_basis(exps, k, t))
+                      - basis_values(exps, t)[k])
                   for k in range(3) for t in grid)
         devs.append(dev)
     assert devs[0] > devs[1] > devs[2]
@@ -214,7 +214,7 @@ def test_chebyshev_limits_to_unit_interval_basis():
 
 def test_index_validation():
     with pytest.raises(ValueError):
-        gelfond_basis((0, 1, 3), 3, Fraction(1, 2))
+        basis_derivative((0, 1, 3), 3, Fraction(1, 2))
     with pytest.raises(ValueError):
         basis_polynomial((0, 1, 3), -1)
     with pytest.raises(ValueError):
@@ -229,7 +229,6 @@ def test_package_attribute_is_the_module():
     assert isinstance(gelfond.gelfond_basis, types.ModuleType)
     assert imported is gelfond_basis_module
     assert "gelfond_basis" not in gelfond.__all__
-    assert imported.gelfond_basis is gelfond_basis
 
 
 # parameters of the batched tables: both ends plus floats from [0, 1]
@@ -254,7 +253,7 @@ CLOSED_FORMS = [
 @settings(max_examples=120, deadline=None)
 @given(integer_spaces(), unit_floats)
 def test_basis_values_many_matches_basis_values(exps, ts):
-    assert basis_values_many(exps, ts) == [list(basis_values(exps, t)) for t in ts]
+    assert basis_table(exps, ts).tolist() == [list(basis_values(exps, t)) for t in ts]
 
 
 @settings(max_examples=40, deadline=None)
@@ -264,29 +263,28 @@ def test_closed_form_tables_match_pointwise(form, ts):
     polys = [poly(k) for k in range(exps.n + 1)]
     want = [[p(t) for p in polys] for t in ts]
     assert horner_table(polys, ts).tolist() == want
-    assert basis_values_many(exps, ts) == want
+    assert basis_table(exps, ts).tolist() == want
 
 
 @pytest.mark.parametrize("exps, ts", [
     ((0, 0.5, 1.7, 3), [0.0, 0.25, 0.6, 1.0]),          # real exponents
-    ((0, 3, 4, 6, 9), [0, Fraction(1, 3), 1]),          # exact parameters
-    ((0, 3, 4, 6, 9), [0.5, Fraction(1, 3)]),           # mixed parameters
 ])
 def test_basis_values_many_loops_otherwise(exps, ts, monkeypatch):
+    # real exponents take the Opitz kernel, never the Horner table
     want = [list(basis_values(exps, t)) for t in ts]
 
     def refuse(polys, ts):
-        raise AssertionError("batched route taken")
+        raise AssertionError("Horner route taken")
     monkeypatch.setattr(gelfond_basis_module, "horner_table", refuse)
-    assert basis_values_many(exps, ts) == want
-    assert basis_values_many(exps, []) == []
+    assert basis_table(exps, ts).tolist() == want
+    assert basis_table(exps, []).tolist() == []
 
 
 @pytest.mark.parametrize("exps", [(0, 3, 4, 6, 9), (0, 0.5, 1.7, 3)])
 @pytest.mark.parametrize("bad", [1.5, -0.25, float("nan"), Fraction(4, 3)])
 def test_basis_values_many_range(exps, bad):
     with pytest.raises(ValueError):
-        basis_values_many(exps, [0.5, bad])
+        basis_table(exps, [0.5, bad])
 
 
 @pytest.mark.parametrize("exps", [(0, 2, 3), (0, 0.5, 1.7, 3)])
@@ -295,8 +293,6 @@ def test_scalar_routes_refuse_parameters_outside_unit_interval(exps, bad):
     # integer exponents used to return the polynomial's extrapolation
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         basis_values(exps, bad)
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        gelfond_basis(exps, 1, bad)
     assert len(basis_values(exps, Fraction(1, 2))) == len(exps)
 
 
@@ -308,8 +304,7 @@ def test_real_exponents_take_the_kernel(monkeypatch):
         raise AssertionError("Schur route taken")
     monkeypatch.setattr(gelfond_basis_module, "schur", refuse)
     assert basis_values(exps, 0.3) == want
-    assert gelfond_basis(exps, 2, 0.3) == want[2]
-    assert basis_values_many(exps, [0.3, Fraction(3, 10)]) == [list(want)] * 2
+    assert basis_table(exps, [0.3, Fraction(3, 10)]).tolist() == [list(want)] * 2
     assert basis_values(exps, 0) == (1.0, 0.0, 0.0, 0.0)
     assert basis_values(exps, 1) == (0.0, 0.0, 0.0, 1.0)
     slope = (0, 1.5, 2.7, 4)

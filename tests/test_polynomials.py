@@ -65,6 +65,11 @@ def test_det_exact_and_float():
     assert det(rows) == Fraction(1, 2)
     assert det([[1.0, 2.0], [2.0, 4.0]]) == pytest.approx(0.0)
     assert det([[0, 1], [1, 0]]) == -1   # needs a row swap
+    # exact results come back as ints where integral, on every exit
+    assert type(det([[1, 2], [3, 4]])) is int
+    assert type(det([[0, 1], [0, 2]])) is int
+    assert type(det([[Fraction(1, 2), 0], [0, 4]])) is int
+    assert type(det([[0.0, 1.0], [0.0, 2.0]])) is float
 
 
 def test_small_helpers():
@@ -76,5 +81,9 @@ def test_small_helpers():
     assert parse_number("2/3") == Fraction(2, 3)
     assert parse_number("7") == 7
     assert parse_number("0.5") == 0.5
+    assert parse_number("1e308") == 1e308
+    for bad in ("2/0", "nan", "-inf", "1e400", float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            parse_number(bad)
     assert format_number(Fraction(2, 3)) == "2/3"
     assert format_number(Fraction(4, 2)) == 2
