@@ -1,9 +1,11 @@
-"""Shared arithmetic helpers: exact/float dispatch, powers, determinants.
+"""Shared arithmetic helpers: exact/float predicates, division, determinants.
 
 Every routine in this package follows one rule: if all inputs are ints or
 Fractions the result is exact, otherwise the computation silently falls
-back to floats.  The predicates and wrappers here implement that rule in
-one place.
+back to floats.  Python's number types carry the rule, except that
+int / int and an int to a negative power give floats: `exact_div` covers
+the first, and routes that may meet the second make exact bases
+Fractions at their entry.
 """
 
 import math
@@ -30,29 +32,6 @@ def is_integral(x):
     if isinstance(x, Fraction):
         return x.denominator == 1
     return False
-
-
-def power(base, exponent):
-    """base ** exponent, exact when the exponent is integral and base is exact.
-
-    Non-integral exponents force the float route; base must be positive
-    there (the bases in this package are curve parameters and evaluation
-    points, all constrained to positive values before reaching here).
-    """
-    if is_exact(base) and is_integral(exponent):
-        e = int(exponent)
-        if base == 0 and e < 0:
-            raise ZeroDivisionError("0 raised to a negative power")
-        return Fraction(base) ** e if isinstance(base, Fraction) or e < 0 else base ** e
-    b = float(base)
-    e = float(exponent)
-    if b < 0.0:
-        raise ValueError("negative base with non-integer exponent")
-    if b == 0.0:
-        if e < 0.0:
-            raise ZeroDivisionError("0.0 raised to a negative power")
-        return 1.0 if e == 0.0 else 0.0
-    return b ** e
 
 
 def exact_div(x, y):

@@ -24,8 +24,8 @@ it falls outside (also under `python -O`), and never clamps.
 
 from fractions import Fraction
 
-from .arith import (SingularityError, exact_div, is_exact, lerp, power,
-                    simplify, vec_add, vec_scale, vec_sub)
+from .arith import (SingularityError, exact_div, is_exact, lerp, simplify,
+                    vec_add, vec_scale, vec_sub)
 from .partitions import (as_exponents, dimension, muntz_tableau,
                          partition_from_exponents)
 from .schur import schur
@@ -184,7 +184,8 @@ def de_casteljau(points, exponents, t):
     p_i^r = f_P(0^{n-r-i}, 1^i, t, .., t) with r copies of t.  The nodes
     share their Schur values: S_{lam[:m]}(1^{i+1}, t^{m-i-1}), for one,
     serves both node (r, i) and node (r-1, i+1), so a pyramid evaluates
-    at most n(n+3) Schur values, not 4 per node."""
+    at most n(n+3) Schur values, not 4 per node.  Real exponents give the
+    pyramid at float(t)."""
     r = as_exponents(exponents)
     n = r.n
     points = tuple(points)
@@ -192,6 +193,10 @@ def de_casteljau(points, exponents, t):
         raise ValueError(f"expected {n + 1} control points, got {len(points)}")
     if not 0 <= t <= 1:
         raise ValueError(f"t={t} outside [0, 1]")
+    if not r.is_integer():
+        # at an exact t only the integral shapes would be exact, and the
+        # levels would differ from those at float(t) in the last bits
+        t = float(t)
     levels = [points]
     prev = points
     schur_values = {}

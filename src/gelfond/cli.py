@@ -130,6 +130,8 @@ def _svg_text(polylines, markers=()):
     lo_x, hi_x = min(xs), max(xs)
     lo_y, hi_y = min(ys), max(ys)
     span = max(hi_x - lo_x, hi_y - lo_y) or 1.0
+    if span == float("inf"):
+        raise ValueError("coordinates too large to draw: span overflows")
     pad = 0.05 * span
     lo_x, lo_y = lo_x - pad, lo_y - pad
     span += 2 * pad

@@ -59,6 +59,8 @@ skipped the kernel costs the dense pass plus the bound pass.  The second
 direction starts from the first's maximum.
 """
 
+import math
+
 import numpy as np
 
 from .arith import as_point, exact_div, is_exact, lerp
@@ -349,12 +351,20 @@ def convergence_report(points, exponents, source, iterations=100, samples=512,
     Returns rows of (iteration, polygon_size, hausdorff, sup_param).  If
     `frame` is given, it is called as frame(iteration, polygon, curve) with
     each float control polygon and the curve samples it was measured
-    against, both (m, d) arrays."""
+    against, both (m, d) arrays.  Points whose squared distances could
+    overflow floats raise ValueError."""
     if samples < 2:
         raise ValueError("need at least 2 samples per side")
     if target is None:
         target = GelfondBezierCurve(exponents,
                                     [as_point(p) for p in points])
+    # every sample lies in the box |x_k| <= extent of the control points,
+    # so no squared distance exceeds d (2 extent)^2
+    box = _point_array(points)
+    extent = float(np.abs(box).max())
+    if not math.isfinite(box.shape[1] * 4 * extent * extent):
+        raise ValueError(f"coordinates as large as {extent:g}: squared "
+                         "distances would overflow floats")
     curve_pts = sample_curve(target, samples)
     rows = []
     for j, polygon in _float_corner_cutting(points, exponents, source,

@@ -30,10 +30,11 @@ from their own residue form.
 
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from .arith import exact_div, power, simplify
+from .arith import exact_div, is_exact, simplify
 
 MIN_GAP = 1e-3
 
@@ -65,14 +66,16 @@ def divided_difference(nodes, f):
 
 
 def _check_t(t):
+    """t, made a Fraction when it is exact: an int raised to a negative
+    node would give a float."""
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
-    return t
+    return Fraction(t) if is_exact(t) else t
 
 
 def exponential_dd_naive(nodes, t):
     """Partial-fraction form; nodes must be pairwise distinct."""
-    _check_t(t)
+    t = _check_t(t)
     xs = tuple(nodes)
     if not xs:
         raise ValueError("at least one node required")
@@ -84,7 +87,7 @@ def exponential_dd_naive(nodes, t):
         for j, xj in enumerate(xs):
             if j != i:
                 den = den * (xi - xj)
-        out = out + exact_div(power(t, xi), den)
+        out = out + exact_div(t ** xi, den)
     return simplify(out)
 
 
@@ -94,7 +97,7 @@ def exponential_dd_recursive(nodes, t):
     Nodes are sorted so repeats are adjacent; a block of m+1 equal nodes x
     contributes f^{(m)}(x)/m! = t^x ln(t)^m / m!.  Repeats therefore force
     the float route (ln), while distinct exact inputs stay exact."""
-    _check_t(t)
+    t = _check_t(t)
     xs = tuple(sorted(nodes))
     if not xs:
         raise ValueError("at least one node required")
@@ -106,9 +109,9 @@ def exponential_dd_recursive(nodes, t):
         if xs[i] == xs[j]:
             m = j - i
             if m == 0:
-                val = power(t, xs[i])
+                val = t ** xs[i]
             else:
-                val = (float(power(t, xs[i])) * math.log(float(t)) ** m
+                val = (float(t ** xs[i]) * math.log(float(t)) ** m
                        / math.factorial(m))
         else:
             val = exact_div(dd(i + 1, j) - dd(i, j - 1), xs[j] - xs[i])
@@ -139,7 +142,7 @@ def exponential_dd_shifted(nodes, t):
     if not xs:
         raise ValueError("at least one node required")
     x0 = xs[0]
-    return power(_check_t(t), x0) * exponential_dd([x - x0 for x in xs], t)
+    return _check_t(t) ** x0 * exponential_dd([x - x0 for x in xs], t)
 
 
 def exponential_dd_derivative(nodes, t):

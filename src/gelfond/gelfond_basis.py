@@ -45,7 +45,7 @@ from math import comb, prod
 import numpy as np
 
 from .arith import (SingularityError, all_exact, exact_div, is_exact,
-                    is_integral, power, simplify)
+                    is_integral, simplify)
 from .divided_diff import _opitz_table, exponential_dd
 from .partitions import (ExponentSequence, RealPartition, as_exponents,
                          hook_partition_dimension, dimension,
@@ -65,16 +65,16 @@ def _prefactor(r, k):
 
 
 def _oracle_shortcut(r, k, t):
-    """The index check of both oracles, then H_k where it needs no divided
-    difference: 1 for n = 0, t^{r_n} for k = n, delta_{k0} at t = 0.
-    None everywhere else."""
+    """The index and range checks of both oracles, then H_k where it needs
+    no divided difference: t^{r_n} for k = n (1 for n = 0), delta_{k0} at
+    t = 0.  None everywhere else."""
     n = r.n
     if not 0 <= k <= n:
         raise ValueError(f"basis index {k} outside 0..{n}")
-    if n == 0:
-        return 1 if is_exact(t) else 1.0
+    if not 0 <= t <= 1:
+        raise ValueError(f"t must be in [0, 1], got {t}")
     if k == n:
-        return power(t, r[n])
+        return t ** r[n]
     if t == 0:
         one = 1 if is_exact(t) else 1.0
         return one if k == 0 else 0 * one
@@ -89,15 +89,13 @@ def gelfond_basis_schur(exponents, k, t):
     value = _oracle_shortcut(r, k, t)
     if value is not None:
         return value
-    if not t > 0:
-        raise ValueError(f"t must be in [0, 1], got {t}")
     lam = partition_from_exponents(r).parts
     m = r.n - k
     num = schur(lam[k:], (1,) + (t,) * m)
     den = schur(lam[k + 1:], (t,) * m)
     if den == 0:
         raise SingularityError(f"Schur denominator vanished at t={t}")
-    return (_prefactor(r, k) * power(t, r[k]) * power(1 - t, m)
+    return (_prefactor(r, k) * t ** r[k] * (1 - t) ** m
             * exact_div(num, den))
 
 
@@ -221,13 +219,15 @@ def chebyshev_basis(lam, a, b, k, t):
         raise ValueError(f"t={t} outside [{a}, {b}]")
     if n == 0:
         return 1 if all_exact((a, b, t)) else 1.0
+    if is_exact(t):
+        t = Fraction(t)     # t^{lambda_1} stays exact for lambda_1 < 0
     parts = lam.parts
     lam0 = parts[1:]
     head = exact_div(dimension(parts, n + 1), dimension(lam0, n))
     bern = comb(n, k) * exact_div(
-        power(t - a, k) * power(b - t, n - k), power(b - a, n))
+        (t - a) ** k * (b - t) ** (n - k), (b - a) ** n)
     num = (schur(lam0, (a,) * (n - k) + (b,) * k)
-           * power(t, parts[0])
+           * t ** parts[0]
            * schur(parts, (a,) * (n - k) + (b,) * k + (exact_div(a * b, t),)))
     den = (schur(parts, (a,) * (n + 1 - k) + (b,) * k)
            * schur(parts, (a,) * (n - k) + (b,) * (k + 1)))
@@ -352,10 +352,12 @@ def basis_derivative(exponents, k, t):
     n = r.n
     if not 0 <= k <= n:
         raise ValueError(f"basis index {k} outside 0..{n}")
+    if not 0 <= t <= 1:
+        raise ValueError(f"t must be in [0, 1], got {t}")
     if n == 0:
         return 0 if is_exact(t) else 0.0
     if k == n:
-        return r[n] * power(t, r[n] - 1)
+        return r[n] * t ** (r[n] - 1)
     case, reduced, coeffs = hodograph_data(r)
     first = 0 if case == "unit" else 1      # coeffs[i] is D_{first + i}
     values = basis_values(reduced, t)

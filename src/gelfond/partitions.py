@@ -9,7 +9,9 @@ Two partition flavors appear throughout:
        lambda_1 > lambda_2 - 1 > ... > lambda_n - (n-1) > -n,
 
    equivalently: the shifted parts lambda_i - (i-1) strictly decrease and
-   every part exceeds -1.  Appending zeros never breaks the chain, and two
+   the last part exceeds -1.  Earlier parts are bounded only by
+   lambda_i > -(n-i+1), so they may be -1 or below: (0, 1/2, 1) has the
+   partition (-1, -1/2).  Appending zeros never breaks the chain, and two
    real partitions are equal when they agree up to trailing zeros.
 
 Exponent sequences 0 = r_0 < r_1 < ... < r_n and real partitions are two

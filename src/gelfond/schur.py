@@ -1,9 +1,10 @@
 """Schur function evaluation by several independent routes.
 
-Production dispatch (`schur`): Jacobi-Trudi for integer partitions, the
-bialternant quotient for real partitions (with confluent derivative rows
-when evaluation points repeat).  The remaining routes exist so the test
-suite can cross-check them against each other:
+Production dispatch (`schur`): Jacobi-Trudi for integer partitions at
+exact points, the bialternant quotient for everything else (with
+confluent derivative rows when evaluation points repeat), in Fractions,
+floats or Decimals.  The remaining routes exist so the test suite can
+cross-check them against each other:
 
  * Nagelsbach-Kostka: elementary-symmetric determinant on the conjugate.
  * Giambelli: determinant of hook Schur values over the Frobenius form.
@@ -24,7 +25,7 @@ import math
 from fractions import Fraction
 from math import factorial
 
-from .arith import all_exact, det, falling_factorial, is_integral, power, simplify
+from .arith import all_exact, det, falling_factorial, is_integral, simplify
 from .partitions import (IntegerPartition, RealPartition, _strip_zeros,
                          interlacing_partitions, partition_parts)
 
@@ -137,33 +138,41 @@ def _lost_digits(groups, a):
     return lost
 
 
+def _confluent_quotient(groups, a, sign):
+    """sign * det(confluent rows) / closed-form denominator, all in the
+    number type of the group values: Fractions, floats, or Decimals under
+    the caller's context.  An entry whose falling-factorial coefficient is
+    0 is a positive zero and its power is never formed: v^(a_j - q) can
+    overflow where the entry is 0."""
+    kind = type(groups[0][0])
+    rows = []
+    for v, m in groups:
+        for q in range(m):
+            row = []
+            for aj in a:
+                c = falling_factorial(aj, q)
+                row.append(c * v ** (aj - q) if c != 0 else kind(0))
+            rows.append(row)
+    num = det(rows)
+    den = kind(1)
+    for i, (vi, mi) in enumerate(groups):
+        for vj, mj in groups[i + 1:]:
+            den *= (vi - vj) ** (mi * mj)
+        for q in range(mi):
+            den *= factorial(q)
+    return simplify(sign * num / den)
+
+
 def _bialternant_decimal(groups, a, sign):
-    """The confluent quotient again, in decimal floating point with enough
+    """The float quotient again, in decimal floating point with enough
     extra digits to absorb the predicted cancellation."""
-    digits = 28 + int(_lost_digits(groups, a)) + 8
     with decimal.localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = 28 + int(_lost_digits(groups, a)) + 8
         D = decimal.Decimal
-        av = [D(x) if isinstance(x, int) else D(float(x)) for x in a]
-        rows = []
-        for v, m in groups:
-            dv = D(float(v))
-            for q in range(m):
-                row = []
-                for aj in av:
-                    c = falling_factorial(aj, q)
-                    row.append(c * dv ** (aj - q) if c != 0 else D(0))
-                rows.append(row)
-        num = det(rows)
-        if num == 0:
-            return 0.0
-        den = D(1)
-        for i, (vi, mi) in enumerate(groups):
-            for vj, mj in groups[i + 1:]:
-                den *= (D(float(vi)) - D(float(vj))) ** (mi * mj)
-            for q in range(mi):
-                den *= factorial(q)
-        return float(sign * num / den)
+        value = _confluent_quotient(
+            [(D(v), m) for v, m in groups],
+            [D(x) if isinstance(x, int) else D(float(x)) for x in a], sign)
+    return float(value) if value else 0.0
 
 
 def schur_bialternant(lam, points):
@@ -179,8 +188,9 @@ def schur_bialternant(lam, points):
                                prod_i prod_{q<m_i} q!
 
     which is the confluent Vandermonde determinant under the same row and
-    column ordering.  Exact when the partition is integer and all points
-    are rational; float otherwise."""
+    column ordering.  Exact (Fractions) when the points are exact and the
+    ladder a_j = lambda_j + n - j is integral; otherwise the points become
+    floats, and Decimals take over past 4 predicted lost digits."""
     pts = _check_points(points)
     parts = _strip_zeros(partition_parts(lam))
     n = len(pts)
@@ -198,6 +208,8 @@ def schur_bialternant(lam, points):
         if not x > y - slack:
             raise ValueError(f"Schur exponent ladder must decrease: {parts}")
     exact = all_exact(pts) and all(is_integral(x) for x in a)
+    kind = Fraction if exact else float
+    pts = [kind(u) for u in pts]
 
     groups = []
     for v in sorted(pts, reverse=True):
@@ -209,36 +221,18 @@ def schur_bialternant(lam, points):
     sign = -1 if sum(m * (m - 1) // 2 for _, m in groups) % 2 else 1
     if not exact and _lost_digits(groups, a) > 4:
         return _bialternant_decimal(groups, a, sign)
-
-    rows = []
-    for v, m in groups:
-        for q in range(m):
-            row = []
-            for aj in a:
-                c = falling_factorial(aj, q)
-                x = c * power(v, aj - q) if c != 0 else 0
-                row.append(x if exact else float(x))
-            rows.append(row)
-    num = det(rows)
-    den = Fraction(1) if exact else 1.0
-    for i in range(len(groups)):
-        vi, mi = groups[i]
-        for j in range(i + 1, len(groups)):
-            vj, mj = groups[j]
-            den = den * power(vi - vj, mi * mj)
-        for q in range(mi):
-            den = den * factorial(q)
-    value = sign * num / den
-    return simplify(value) if exact else value
+    return _confluent_quotient(groups, a, sign)
 
 
 def schur(lam, points):
-    """S_lambda(points).  Integer partitions at exact points: Jacobi-Trudi,
-    exactly.  Everything else: the bialternant, whose cancellation guard
-    (float determinants of O(1) terms collapsing to a tiny Schur value)
-    also covers integer shapes at float points near 0 or near coincidence."""
+    """S_lambda(points).  Integer partitions (nonnegative integral parts)
+    at exact points: Jacobi-Trudi, exactly.  Everything else: the
+    bialternant, whose cancellation guard (float determinants of O(1)
+    terms collapsing to a tiny Schur value) also covers integer shapes at
+    float points near 0 or near coincidence."""
     parts = _strip_zeros(partition_parts(lam))
-    if all(is_integral(p) for p in parts) and all_exact(tuple(points)):
+    integer = all(is_integral(p) and p >= 0 for p in parts)
+    if integer and all_exact(tuple(points)):
         return schur_jacobi_trudi(parts, points)
     return schur_bialternant(parts, points)
 
@@ -316,7 +310,7 @@ def branch_last_variable(lam, points, last):
     w = lam.weight()
     out = 0
     for eta in interlacing_partitions(lam):
-        out = out + schur(eta, points) * power(last, w - eta.weight())
+        out = out + schur(eta, points) * last ** (w - eta.weight())
     return out
 
 
@@ -328,7 +322,7 @@ def branch_last_variable_skew(lam, points, last):
     top = lam.parts[0] if lam.length else 0
     out = 0
     for j in range(top + 1):
-        out = out + skew_schur(lam, (j,), points) * power(last, j)
+        out = out + skew_schur(lam, (j,), points) * last ** j
     return out
 
 

@@ -15,6 +15,7 @@ from gelfond.blossom import (blossom_value, coefficients_from_control_points,
                              monomial_blossom, monomial_control_points,
                              pseudo_affinity)
 from gelfond.gelfond_basis import basis_polynomial, basis_values, elementary_exponents
+from gelfond.partitions import partition_from_exponents
 from gelfond.polynomials import Poly
 from gelfond.schur import schur
 
@@ -201,6 +202,33 @@ def test_shared_schur_values_leave_the_pyramid_unchanged(exps, t):
     pts = tuple((rng.uniform(-1, 1), rng.randint(-5, 5)) for _ in exps)
     _, levels = de_casteljau(pts, exps, t)
     assert levels == _pyramid_node_by_node(pts, exps, t)
+
+
+@pytest.mark.parametrize("exps", [
+    REAL7, (0, 0.7, 1.9, 3.2, 4.05), (0, Fraction(1, 2), Fraction(5, 2)),
+    (0, 2.5, 2.5000001, 6), (0, Fraction(1, 2), 1),
+    (0, 0.5, 1.5, 2)])
+def test_exact_and_float_parameters_give_the_same_real_pyramid(exps):
+    rng = random.Random(len(exps))
+    pts = tuple((rng.randint(-5, 5), rng.randint(-5, 5)) for _ in exps)
+    for t in (Fraction(1, 3), Fraction(37, 100), Fraction(1, 2),
+              Fraction(9, 10)):
+        assert (de_casteljau(pts, exps, t)[1]
+                == de_casteljau(pts, exps, float(t))[1]), t
+
+
+@pytest.mark.parametrize("exps", [(0, Fraction(1, 2), 1), (0, 0.5, 1),
+                                  (0, 0.5, 1.5, 2)])
+def test_pyramid_of_a_space_with_a_negative_integral_part(exps):
+    # lambda_1 = r_n - n = -1: the shape (-1,) is integral but is no
+    # integer partition
+    assert partition_from_exponents(exps).parts[0] == -1
+    pts = ((0, 0), (1, 2), (3, 0), (4, 3))[:len(exps)]
+    for t in (Fraction(1, 2), 0.5, Fraction(1, 7), 0.93):
+        value, _ = de_casteljau(pts, exps, t)
+        direct = [sum(w * p[d] for w, p in zip(basis_values(exps, t), pts))
+                  for d in range(2)]
+        assert max(abs(a - b) for a, b in zip(value, direct)) < 1e-14
 
 
 def test_pyramid_computes_each_schur_value_once(monkeypatch):

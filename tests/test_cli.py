@@ -287,6 +287,13 @@ def test_points_accept_fractions(capsys):
     ["basis", "--exponents", "0,1e308"],
     ["curve", "--exponents", "0,1e308", "--points", "0;1"],
     ["oracle", "--exponents", "0,1e308"],
+    # finite coordinates whose squared distances or drawing span overflow
+    ["elevate", "--preset", "cubic-linear", "--points",
+     "1e308,0;-1e308,1;1e308,0;0,0"],
+    ["elevate", "--preset", "cubic-linear", "--points",
+     "1e200,0;-1e200,1;1e200,0;0,0", "--iterations", "2"],
+    ["curve", "--exponents", "0,1,3,4", "--points",
+     "1e308,0;-1e308,1;1e308,0;0,0", "--format", "svg"],
 ])
 def test_boundary_inputs_exit_2(argv, tmp_path, capsys):
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]

@@ -4,14 +4,17 @@ boundary must refuse.
 
 Every call ends with exit code 0, 2 or 3 and no traceback; an input the
 program itself rejects (not argparse) is reported on exactly one stderr
-line.  No call is timed: the sizes are kept small instead (samples <= 65,
-iterations <= 5, integer exponents <= 1000), because a dense basis
-polynomial of degree near 10^5 takes seconds.
+line.  No call raises a numpy RuntimeWarning, and one that exits 0
+prints no nan or inf.  No call is timed: the sizes are kept small instead
+(samples <= 65, iterations <= 5, integer exponents <= 1000), because a
+dense basis polynomial of degree near 10^5 takes seconds.
 """
 
 import contextlib
 import io
 import json
+import re
+import warnings
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -87,6 +90,9 @@ FLAGS = {
     "oracle": {**COMMON, "--seed": ["0", "4", "x"]},
 }
 FILE_FLAGS = {"--points-file", "--left", "--config", "--output"}
+# a number token that is not finite, as the CSV, JSON and SVG writers
+# would print it
+NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 
 
 @pytest.fixture(scope="module")
@@ -119,7 +125,9 @@ def test_cli_ends_in_a_known_exit_code(command, files, data):
     argv = [str(files / a) if flag in FILE_FLAGS else a
             for flag, a in zip([None] + argv, argv)]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          warnings.catch_warnings(record=True) as caught):
+        warnings.simplefilter("always")
         try:
             code = cli.main(argv)
             parsed = True
@@ -130,3 +138,7 @@ def test_cli_ends_in_a_known_exit_code(command, files, data):
     if parsed and code:
         assert len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())
         assert out.getvalue() == "", argv
+    assert not [w for w in caught
+                if issubclass(w.category, RuntimeWarning)], argv
+    if code == 0:
+        assert not NON_FINITE.search(out.getvalue()), argv

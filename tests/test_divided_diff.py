@@ -90,6 +90,15 @@ def test_dispatch_routes_near_coincident_nodes():
         exponential_dd_naive((0.0, 1.0, 1.0), t)
 
 
+def test_negative_nodes_stay_exact():
+    # 1 ** -1 and 2 ** -1 are floats in Python; the routes keep Fractions
+    for t, want in ((1, 0), (2, Fraction(1, 3))):
+        for route in (exponential_dd_naive, exponential_dd_recursive,
+                      exponential_dd_shifted):
+            value = route((-1, 0, 2), t)
+            assert value == want and not isinstance(value, float), route
+
+
 def test_shift_identity():
     t = Fraction(3, 4)
     for nodes in [(2, 5, 7), (1, 3), (4,)]:

@@ -293,6 +293,12 @@ def test_scalar_routes_refuse_parameters_outside_unit_interval(exps, bad):
     # integer exponents used to return the polynomial's extrapolation
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         basis_values(exps, bad)
+    # k = 0 and k = n: both branches of the derivative, and the oracles'
+    # shortcut and divided-difference cases
+    for k in (0, len(exps) - 1):
+        for route in (basis_derivative, gelfond_basis_dd, gelfond_basis_schur):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                route(exps, k, bad)
     assert len(basis_values(exps, Fraction(1, 2))) == len(exps)
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from gelfond.arith import (SingularityError, det, exact_div,
                            falling_factorial, format_number, lerp,
-                           parse_number, power)
+                           parse_number)
 from gelfond.polynomials import Poly
 
 
@@ -39,15 +39,6 @@ def test_float_evaluation_is_horner_over_float_coefficients():
             want = want * t + float(c)
         assert p(t) == want and p(t) == want  # second call: cached floats
     assert Poly()(0.5) == 0.0 and Poly()(Fraction(1, 2)) == 0
-
-
-def test_power_exact_and_float():
-    assert power(Fraction(2, 3), 2) == Fraction(4, 9)
-    assert power(2, -1) == Fraction(1, 2)
-    assert power(0, 0) == 1
-    assert power(4.0, 0.5) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        power(-2.0, 0.5)
 
 
 def test_exact_div_keeps_fractions():

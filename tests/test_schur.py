@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gelfond.partitions import IntegerPartition, RealPartition
+from gelfond.partitions import (IntegerPartition, RealPartition,
+                                pairwise_dimension)
 from gelfond.schur import (branch_last_variable, branch_last_variable_skew,
                            complete_homogeneous, elementary, hook_schur,
                            schur, schur_bialternant, schur_giambelli,
@@ -101,6 +102,25 @@ def test_real_partition_bialternant():
     expect = (u1 ** (x + 1) - u2 ** (x + 1)) / (u1 - u2)
     assert schur_bialternant((x, 0), (u1, u2)) == pytest.approx(expect)
     assert schur(RealPartition((x, 0)), (u1, u2)) == pytest.approx(expect)
+
+
+def test_negative_integral_shape_takes_the_bialternant():
+    # S_(-1)(u) = 1/u; Jacobi-Trudi has no meaning for a negative part
+    for u in (1, Fraction(1, 3), 4):
+        assert schur((-1,), (u,)) == schur_bialternant((-1,), (u,)) == \
+            Fraction(1) / u
+    assert schur((-1, -0.5), (1, Fraction(1, 2))) == \
+        schur((-1, -0.5), (1.0, 0.5))
+
+
+def test_confluent_rows_skip_zero_coefficients():
+    # the third row's last column has coefficient 0 * (0 - 1); its power
+    # (1e-200)^(-2) would overflow
+    u = 1e-200
+    parts = (0.5, 0.2, 0)
+    value = schur_bialternant(parts, (u,) * 3)
+    assert value == pytest.approx(pairwise_dimension(parts, 3) * u ** 0.7,
+                                  rel=1e-12)
 
 
 def test_hook_schur_matches_hook_shape():
