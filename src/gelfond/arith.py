@@ -102,8 +102,10 @@ def simplify(x):
 
 def parse_number(text):
     """Parse "p/q", integer, or float literals (serialization inverse).
-    nan, inf and a zero denominator raise ValueError: no route takes
-    them."""
+    nan, inf, a zero denominator and booleans (JSON true/false, ints to
+    Python) raise ValueError: no route takes them."""
+    if isinstance(text, bool):
+        raise ValueError(f"not a number: {text!r}")
     x = text
     if not isinstance(text, (int, float)):
         s = str(text).strip()

@@ -2,7 +2,8 @@
 
 Commands
 --------
-basis        CSV table of t, H_0..H_n and a unity-residual column
+basis        CSV table of t, H_0..H_n and a unity-residual column, for
+             --exponents or for a family's exponents (--closed-form)
 curve        sample a curve to CSV/JSON or draw it (with its control
              polygon) to SVG
 decasteljau  full corner-cutting pyramid at one parameter, as JSON
@@ -34,13 +35,10 @@ from .curves import (GelfondBezierCurve, c1_join, curve_from_json,
                      curve_to_json)
 from .dimelev import (PRESETS, convergence_report, exponent_source,
                       insert_exponent, preset)
-from .gelfond_basis import (basis_table, complete_basis_polynomial,
-                            complete_exponents, elementary_basis_polynomial,
+from .gelfond_basis import (basis_table, complete_exponents,
                             elementary_exponents, gelfond_basis_dd,
-                            gelfond_basis_schur, hook_basis_polynomial,
-                            hook_exponents)
+                            gelfond_basis_schur, hook_exponents)
 from .partitions import ExponentSequence
-from .polynomials import horner_table
 
 # --samples above this is refused before any grid is built: tables hold
 # samples x (n + 1) floats and their text in memory.
@@ -158,10 +156,11 @@ def _svg_text(polylines, markers=()):
     return "\n".join(parts) + "\n"
 
 
-def _parameter_grid(curve, samples):
-    """`samples` uniform float parameters across the curve's interval; the
-    rounded step can overshoot float(b), so the grid is capped there."""
-    a, b = (float(x) for x in curve.interval)
+def _parameter_grid(a, b, samples):
+    """`samples` uniform float parameters across [a, b]; the rounded step
+    can overshoot float(b), so the grid is capped there.  On [0, 1] these
+    are the correctly rounded i / (samples - 1)."""
+    a, b = float(a), float(b)
     return [min(a + (b - a) * i / (samples - 1), b) for i in range(samples)]
 
 
@@ -194,29 +193,22 @@ def _samples(args, default=101):
 
 def cmd_basis(args):
     samples = _samples(args)
-    ts = [i / (samples - 1) for i in range(samples)]
+    ts = _parameter_grid(0, 1, samples)
     if getattr(args, "closed_form", None):
         family = args.closed_form
         flags = ("l", "m", "n") if family == "hook" else ("l", "n")
         missing = [f"--{f}" for f in flags if getattr(args, f) is None]
         if missing:
             raise ValueError(f"--closed-form {family} needs {', '.join(missing)}")
-        l, m, n = args.l, args.m, args.n
-        if family == "elementary":
-            exps = elementary_exponents(l, n)
-            polys = [elementary_basis_polynomial(l, n, k) for k in range(n + 1)]
+        if family == "hook":
+            exps = hook_exponents(args.l, args.m, args.n)
         elif family == "complete":
-            exps = complete_exponents(l, n)
-            polys = [complete_basis_polynomial(l, n, k) for k in range(n + 1)]
-        elif family == "hook":
-            exps = hook_exponents(l, m, n)
-            polys = [hook_basis_polynomial(l, m, n, k) for k in range(n + 1)]
+            exps = complete_exponents(args.l, args.n)
         else:
-            raise ValueError(f"unknown closed form {family!r}")
-        table = horner_table(polys, ts).tolist()
+            exps = elementary_exponents(args.l, args.n)
     else:
         exps = _exponents_from(args)
-        table = basis_table(exps, ts).tolist()
+    table = basis_table(exps, ts).tolist()
     n = exps.n
     header = ["t"] + [f"H{k}" for k in range(n + 1)] + ["unity_residual"]
     rows = ([_fmt17(t)] + [_fmt17(v) for v in vals] + [_fmt17(sum(vals) - 1.0)]
@@ -234,7 +226,7 @@ def cmd_curve(args):
         raise ValueError(f"unknown format {fmt!r}")
     if fmt == "svg" and len(_coords(curve.points[0])) != 2:
         raise ValueError("SVG output needs 2-dimensional control points")
-    ts = _parameter_grid(curve, samples)
+    ts = _parameter_grid(*curve.interval, samples)
     # one `evaluate` call per sample: perfbench/test_perfbench.py counts
     # them.  `evaluate_many` gives the same points in one batch: for 257
     # points on one Xeon core, 0.5 ms against 5.2 ms on (0, 2, 4, 14) and
@@ -355,7 +347,7 @@ def cmd_oracle(args):
     dev_dc = 0.0
     # the production routes run in batches; the routes they are checked
     # against run point by point
-    ts = [i / (samples - 1) for i in range(samples)]
+    ts = _parameter_grid(0, 1, samples)
     table = basis_table(exps, ts).tolist()
     values = curve.evaluate_many(ts)
     for t, vals, v1 in zip(ts, table, values):

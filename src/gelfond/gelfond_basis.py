@@ -10,10 +10,13 @@ Routes:
 
  * integer exponents: H_k is an honest polynomial.  Expanding the divided
    difference into partial fractions gives one rational coefficient per
-   exponent r_k..r_n, so H_k is built exactly in O(n^2) operations, once
-   per (exponents, k), and cached; a space's H_0..H_n are looked up
-   together (`basis_polynomial` returns one of them).  Float parameters
-   go through Horner's rule, exact ones stay exact.
+   exponent r_k..r_n, so H_k is built exactly in O(n^2) operations.  A
+   space's H_0..H_n are built together and cached per space
+   (`_exact_basis`; `basis_polynomial` returns one of them).  The cache
+   keeps the 64 spaces used last: a curve or a table reuses its one
+   space and `elevate` two, while a process that meets a new space per
+   call would otherwise keep every basis it ever built.  Float
+   parameters go through Horner's rule, exact ones stay exact.
  * real exponents: one matrix exponential (Opitz) holds every divided
    difference [r_k..r_n] f_t at once, and with the superdiagonal
    -r_1..-r_n its last column is H_0(t)..H_n(t) itself, so `basis_table`
@@ -23,11 +26,10 @@ Routes:
 
 `basis_values` (one parameter, exact or float) and `basis_table` (a batch
 of float parameters) are the production entry points; each picks the
-route by the exponents once per call, through a lookup cached per space
-(`_exact_basis`).  Two independent real-exponent
-routes remain as oracles: the divided difference by partial fractions or
-recursion (`gelfond_basis_dd`) and the Schur-quotient form
-(`gelfond_basis_schur`)
+route by the exponents once per call, through that cache.  Two
+independent real-exponent routes remain as oracles: the divided
+difference by partial fractions or recursion (`gelfond_basis_dd`) and
+the Schur-quotient form (`gelfond_basis_schur`)
 
      H_k(t) = [prod_{i>k} r_i/(r_i - r_k)] t^{r_k} (1-t)^{n-k}
               * S_{(lambda_{k+1..n})}(1, t, .., t) / S_{(lambda_{k+2..n})}(t, .., t)
@@ -113,8 +115,8 @@ def gelfond_basis_dd(exponents, k, t):
     return -value if (r.n - k) % 2 else value
 
 
-@lru_cache(maxsize=None)
 def _basis_poly_cached(r_tuple, k):
+    """H_k of the integer space r_tuple; `_exact_basis` caches it."""
     tail = r_tuple[k:]
     top = prod(tail[1:])
     if len(tail) % 2 == 0:
@@ -125,7 +127,7 @@ def _basis_poly_cached(r_tuple, k):
     return Poly(coeffs)
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=64, typed=True)
 def _exact_basis(*exponents):
     """The exact polynomials H_0..H_n of an integer space, None for real
     exponents: where the basis routes tell the two kinds apart, once per

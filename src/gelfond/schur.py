@@ -26,8 +26,8 @@ from fractions import Fraction
 from math import factorial
 
 from .arith import all_exact, det, falling_factorial, is_integral, simplify
-from .partitions import (IntegerPartition, RealPartition, _strip_zeros,
-                         interlacing_partitions, partition_parts)
+from .partitions import (FLOAT_SLACK, IntegerPartition, RealPartition,
+                         _strip_zeros, interlacing_partitions, partition_parts)
 
 
 def _check_points(points):
@@ -203,7 +203,7 @@ def schur_bialternant(lam, points):
     a = [parts[j] + n - 1 - j for j in range(n)]
     # only the strict ladder is needed for the determinant quotient; blossom
     # windows may break the real-partition bound on the final part
-    slack = 0 if all_exact(parts) else 1e-12
+    slack = 0 if all_exact(parts) else FLOAT_SLACK
     for x, y in zip(a, a[1:]):
         if not x > y - slack:
             raise ValueError(f"Schur exponent ladder must decrease: {parts}")

@@ -11,7 +11,8 @@ from gelfond.arith import SingularityError
 from gelfond.curves import GelfondBezierCurve, curve_from_json
 from gelfond.dimelev import (PRESETS, corner_cutting, insert_exponent,
                              preset, sample_curve)
-from gelfond.gelfond_basis import basis_values
+from gelfond.gelfond_basis import (basis_values, complete_exponents,
+                                   elementary_exponents, hook_exponents)
 
 
 def run(capsys, *argv):
@@ -37,11 +38,19 @@ def test_basis_table(capsys):
 
 
 def test_basis_closed_form_matches_generic(capsys):
-    _, direct = run(capsys, "basis", "--exponents", "0,1,3,4",
-                    "--samples", "21")
-    _, closed = run(capsys, "basis", "--closed-form", "elementary",
-                    "--l", "2", "--n", "3", "--samples", "21")
-    assert closed == direct
+    # each family names its exponents; the table is the same bytes
+    cases = ([("elementary", ["--l", l, "--n", n], elementary_exponents(l, n))
+              for n in (1, 3, 5) for l in range(1, n + 1)]
+             + [("complete", ["--l", l, "--n", n], complete_exponents(l, n))
+                for l in (1, 2, 4) for n in (1, 3, 5)]
+             + [("hook", ["--l", l, "--m", m, "--n", n], hook_exponents(l, m, n))
+                for l in (1, 3) for n in (2, 4) for m in range(1, n)])
+    for family, flags, exps in cases:
+        _, direct = run(capsys, "basis", "--exponents",
+                        ",".join(map(str, exps.exponents)), "--samples", "21")
+        code, closed = run(capsys, "basis", "--closed-form", family,
+                           *map(str, flags), "--samples", "21")
+        assert (code, closed) == (0, direct), (family, flags)
 
 
 def test_byte_determinism(tmp_path, capsys):
@@ -320,6 +329,11 @@ LEFT = {"exponents": [0, 1, 3], "interval": [0, 1],
     (["join", "--left", "{file}", "--exponents", "0,1,2", "--interval", "1,2",
       "--points", "5,5"],
      {**LEFT, "points": [[0, 0], [float("nan"), 2], [3, 0]]}),
+    # JSON true/false are ints to Python; they are not read as 1 and 0
+    (["curve", "--exponents", "0,1,2", "--points-file", "{file}",
+      "--format", "json"], [[0, 0], [True, 1], [2, False]]),
+    (["join", "--left", "{file}", "--exponents", "0,1,2", "--interval", "1,2",
+      "--points", "5,5"], {**LEFT, "exponents": [0, True, 2]}),
 ])
 def test_json_inputs_exit_2(argv, data, tmp_path, capsys):
     path = tmp_path / "in.json"
@@ -435,8 +449,6 @@ def _pointwise_routes(monkeypatch):
     """Send the batched routes of the CLI back to one parameter at a time."""
     monkeypatch.setattr(cli, "basis_table", lambda exps, ts: np.array([
         basis_values(exps, t) for t in ts]))
-    monkeypatch.setattr(cli, "horner_table", lambda polys, ts: np.array([
-        [p(t) for p in polys] for t in ts]))
     monkeypatch.setattr(GelfondBezierCurve, "evaluate_many", lambda self, ts: [
         self.evaluate(t) for t in ts])
 

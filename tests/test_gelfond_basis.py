@@ -266,6 +266,22 @@ def test_closed_form_tables_match_pointwise(form, ts):
     assert basis_table(exps, ts).tolist() == want
 
 
+def test_exact_basis_cache_is_bounded():
+    # more new spaces than the cache holds: it stays within its bound, and
+    # the evicted first space is built again to the same table
+    cache = gelfond_basis_module._exact_basis
+    bound = cache.cache_info().maxsize
+    ts = [0.0, 0.3, 0.7, 1.0]
+    first = (0, 1, 2, 3, 97)
+    want = basis_table(first, ts).tolist()
+    for j in range(bound):
+        basis_table((0, 1, 2 + j), ts)
+    assert cache.cache_info().currsize <= bound
+    misses = cache.cache_info().misses
+    assert basis_table(first, ts).tolist() == want
+    assert cache.cache_info().misses == misses + 1
+
+
 @pytest.mark.parametrize("exps, ts", [
     ((0, 0.5, 1.7, 3), [0.0, 0.25, 0.6, 1.0]),          # real exponents
 ])
