@@ -3,7 +3,11 @@
 Production dispatch (`schur`): Jacobi-Trudi for integer partitions at
 exact points, the bialternant quotient for everything else (with
 confluent derivative rows when evaluation points repeat), in Fractions,
-floats or Decimals.  The remaining routes exist so the test suite can
+floats or Decimals.  Decimals take over from floats where the quotient
+would cancel more than 4 digits; their non-integral powers are
+exp(x ln v) from one logarithm per point, carried with guard digits so
+that each rounds to the correctly rounded Decimal power v ** x, at a
+fraction of its cost.  The remaining routes exist so the test suite can
 cross-check them against each other:
 
  * Nagelsbach-Kostka: elementary-symmetric determinant on the conjugate.
@@ -23,6 +27,7 @@ formulas close over edge cases without special-casing callers.
 import decimal
 import math
 from fractions import Fraction
+from functools import partial
 from math import factorial
 
 from .arith import all_exact, det, falling_factorial, is_integral, simplify
@@ -138,20 +143,52 @@ def _lost_digits(groups, a):
     return lost
 
 
+def _decimal_power(v, a):
+    """x -> v ** x for Decimals, rounded to the caller's context, for every
+    exponent x of the quotient's rows (|x| below max |a_j| + len(a)).
+
+    A non-integral Decimal power is correctly rounded, and pays for that
+    in every call (about 6x an exp at 45 digits).  Here ln v is formed
+    once, with `guard` digits beyond the context: 10 plus the digits of
+    the largest |x ln v|.  The product x ln v then carries an absolute
+    error near 10^-(prec + 9), and so does the relative error of
+    exp(x ln v), formed at as many digits.  Rounded back by unary plus,
+    that is the correctly
+    rounded v ** x unless v ** x lies within about 1e-9 units in the last
+    place of a rounding boundary.  Integral x keep the Decimal power, and
+    v = 1 gives exactly 1."""
+    if v == 1:
+        return lambda x: v
+    top = float(max(abs(x) for x in a)) + len(a)
+    guard = 10 + max(0, math.ceil(math.log10(top * abs(math.log(v)))))
+    hi = decimal.getcontext().copy()
+    hi.prec += guard
+    ln = v.ln(hi)
+
+    def power(x):
+        if x == x.to_integral_value():
+            return v ** x
+        return +hi.exp(hi.multiply(ln, x))
+    return power
+
+
 def _confluent_quotient(groups, a, sign):
     """sign * det(confluent rows) / closed-form denominator, all in the
     number type of the group values: Fractions, floats, or Decimals under
-    the caller's context.  An entry whose falling-factorial coefficient is
-    0 is a positive zero and its power is never formed: v^(a_j - q) can
-    overflow where the entry is 0."""
+    the caller's context.  Each group forms its powers by one power
+    function of v (`_decimal_power` for Decimals).  An entry whose
+    falling-factorial coefficient is 0 is a positive zero and its power is
+    never formed: v^(a_j - q) can overflow where the entry is 0."""
     kind = type(groups[0][0])
     rows = []
     for v, m in groups:
+        power = (_decimal_power(v, a) if kind is decimal.Decimal
+                 else partial(pow, v))
         for q in range(m):
             row = []
             for aj in a:
                 c = falling_factorial(aj, q)
-                row.append(c * v ** (aj - q) if c != 0 else kind(0))
+                row.append(c * power(aj - q) if c != 0 else kind(0))
             rows.append(row)
     num = det(rows)
     den = kind(1)
@@ -163,15 +200,19 @@ def _confluent_quotient(groups, a, sign):
     return simplify(sign * num / den)
 
 
-def _bialternant_decimal(groups, a, sign):
+def _bialternant_decimal(groups, a, sign, lost):
     """The float quotient again, in decimal floating point with enough
-    extra digits to absorb the predicted cancellation."""
+    extra digits to absorb the `lost` digits of predicted cancellation.
+    Float and int exponents convert exactly; a Fraction exponent is its
+    quotient under the raised context, so the gap between two nearly
+    equal Fraction exponents survives."""
     with decimal.localcontext() as ctx:
-        ctx.prec = 28 + int(_lost_digits(groups, a)) + 8
+        ctx.prec = 28 + int(lost) + 8
         D = decimal.Decimal
         value = _confluent_quotient(
             [(D(v), m) for v, m in groups],
-            [D(x) if isinstance(x, int) else D(float(x)) for x in a], sign)
+            [D(x.numerator) / D(x.denominator) if isinstance(x, Fraction)
+             else D(x) for x in a], sign)
     return float(value) if value else 0.0
 
 
@@ -190,7 +231,10 @@ def schur_bialternant(lam, points):
     which is the confluent Vandermonde determinant under the same row and
     column ordering.  Exact (Fractions) when the points are exact and the
     ladder a_j = lambda_j + n - j is integral; otherwise the points become
-    floats, and Decimals take over past 4 predicted lost digits."""
+    floats, and Decimals take over past 4 predicted lost digits.  The
+    Decimal route forms each non-integral power as exp(x ln v) from one
+    logarithm per point value, with guard digits that make it round to
+    the correctly rounded v ** x (`_decimal_power`)."""
     pts = _check_points(points)
     parts = _strip_zeros(partition_parts(lam))
     n = len(pts)
@@ -219,8 +263,10 @@ def schur_bialternant(lam, points):
             groups.append([v, 1])
 
     sign = -1 if sum(m * (m - 1) // 2 for _, m in groups) % 2 else 1
-    if not exact and _lost_digits(groups, a) > 4:
-        return _bialternant_decimal(groups, a, sign)
+    if not exact:
+        lost = _lost_digits(groups, a)
+        if lost > 4:
+            return _bialternant_decimal(groups, a, sign, lost)
     return _confluent_quotient(groups, a, sign)
 
 

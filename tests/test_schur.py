@@ -1,5 +1,9 @@
+import decimal
+import importlib
+import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -121,6 +125,46 @@ def test_confluent_rows_skip_zero_coefficients():
     value = schur_bialternant(parts, (u,) * 3)
     assert value == pytest.approx(pairwise_dimension(parts, 3) * u ** 0.7,
                                   rel=1e-12)
+
+
+def test_decimal_power_is_the_correctly_rounded_power():
+    # one logarithm per point and exp(x ln v) must round to what the
+    # Decimal power itself gives, at every working precision
+    decimal_power = importlib.import_module("gelfond.schur")._decimal_power
+    D = decimal.Decimal
+    rng = random.Random(12)
+    cases = [(D(1), [D(0), D(3), D("2.5"), D(-7)]),
+             (D("0.01"), [D(900), D("900.5"), D("-899.25"), D(2)]),
+             (D(0.9), [D(40), D(-3), D("1e-9")])]
+    for _ in range(60):
+        v = D(rng.choice((rng.uniform(1e-3, 1), 10 ** rng.uniform(-300, 0),
+                          1 - 10 ** rng.uniform(-15, -1))))
+        cases.append((v, [D(rng.uniform(-5, 400)) for _ in range(4)]))
+    for prec in (30, 45, 80):
+        with decimal.localcontext() as ctx:
+            ctx.prec = prec
+            for v, xs in cases:
+                power = decimal_power(v, xs)
+                for x in xs:
+                    assert power(x) == v ** x, (prec, v, x)
+
+
+def test_decimal_fallback_keeps_fraction_exponent_gaps():
+    # exponents 7/2 and 7/2 - g: the bialternant cancels about 1/g, and
+    # rounding the ladder through float would lose the gap's own digits
+    pts = (0.9, 0.7, 0.4)
+    for g in (Fraction(1, 10 ** 5), Fraction(1, 10 ** 7), Fraction(1, 10 ** 9)):
+        parts = (Fraction(3, 2), Fraction(5, 2) - g, Fraction(1, 3))
+        a = [p + 2 - j for j, p in enumerate(parts)]
+        with mpmath.workdps(80):
+            u = [mpmath.mpf(x) for x in pts]
+            num = mpmath.det(mpmath.matrix(
+                [[ui ** (mpmath.mpf(x.numerator) / x.denominator) for x in a]
+                 for ui in u]))
+            den = mpmath.det(mpmath.matrix(
+                [[ui ** (2 - j) for j in range(3)] for ui in u]))
+            ref = float(num / den)
+        assert abs(schur_bialternant(parts, pts) - ref) <= 1e-14 * abs(ref), g
 
 
 def test_hook_schur_matches_hook_shape():
