@@ -114,9 +114,9 @@ class GelfondBezierCurve:
                 self.points, self.exponents)
         return self._coeffs
 
-    def blossom(self, args, zeros=0):
+    def blossom(self, args):
         """Unit-domain blossom; args live in (0, 1] local coordinates."""
-        return blossom_value(self.coefficients(), self.exponents, args, zeros)
+        return blossom_value(self.coefficients(), self.exponents, args)
 
     def derivative(self):
         """The hodograph, as a curve over the reduced exponent space.
@@ -140,16 +140,6 @@ class GelfondBezierCurve:
             pts = [vec_zero_like(self.points[0])]
             pts += [vec_scale(c * inv, d) for c, d in zip(coeffs, deltas)]
         return GelfondBezierCurve(reduced, pts, self.interval)
-
-    def left_segment(self, x):
-        """Restriction to the left part [a, a + (b-a) x] of the domain, in
-        the same space: control points q_k = f_P(0^{n-k}, x^k)."""
-        if not 0 < x <= 1:
-            raise ValueError(f"left fraction x={x} outside (0, 1]")
-        n = self.n
-        pts = [self.blossom((x,) * k, zeros=n - k) for k in range(n + 1)]
-        a, b = self.interval
-        return GelfondBezierCurve(self.exponents, pts, (a, a + (b - a) * x))
 
     def __repr__(self):
         return (f"GelfondBezierCurve(exponents={tuple(self.exponents)}, "
@@ -187,34 +177,6 @@ def initial_tangency(curve):
         c = c * exact_div(r[j], r[j] - r[1])
     scale = factorial(r1) * c * exact_div(1, b - a) ** r1
     return r1, vec_scale(scale, vec_sub(curve.points[1], curve.points[0]))
-
-
-def hyperplane_crossings(curve, normal, offset, samples=401):
-    """Variation diminishing diagnostic: sign changes of <normal, x> - offset
-    along the sampled curve and along the control polygon.
-
-    Exact zeros are jittered by 1e-12 before counting, so tangencies count
-    as either 0 or 2 crossings, never as an ill-defined sign."""
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
-    a, b = curve.interval
-    normal = as_point(normal)
-
-    def height(p):
-        if isinstance(p, tuple):
-            return sum(float(w) * float(c) for w, c in zip(normal, p, strict=True)) - float(offset)
-        return float(normal) * float(p) - float(offset)
-
-    def count(vals):
-        vals = [v if v != 0.0 else 1e-12 for v in vals]
-        return sum(1 for u, v in zip(vals, vals[1:]) if u * v < 0)
-
-    # capped at b: with float endpoints the rounded last step overshoots,
-    # e.g. 0.3 + (0.9 - 0.3) > 0.9
-    ts = [min(a + (b - a) * i / (samples - 1), b) for i in range(samples)]
-    curve_vals = [height(p) for p in curve.evaluate_many(ts)]
-    poly_vals = [height(p) for p in curve.points]
-    return count(curve_vals), count(poly_vals)
 
 
 def c1_join_head(left, right_exponents, right_interval):

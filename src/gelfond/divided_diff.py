@@ -2,8 +2,8 @@
 
 Routes:
 
- * `exponential_dd_table`, the float kernel (Opitz): for J = diag(x_0..x_n)
-   plus a superdiagonal of ones,
+ * `exponential_dd_table`, the float kernel (Opitz) and the production
+   route: for J = diag(x_0..x_n) plus a superdiagonal of ones,
 
        exp(ln(t) J)_{ij} = [x_i..x_j] f_t,
 
@@ -23,9 +23,12 @@ Routes:
 `exponential_dd` evaluates one divided difference by the last two: the
 naive sum unless nodes repeat or the smallest gap drops below MIN_GAP
 (the sum's cancellation blows up roughly like 1/gap, the recursion
-degrades much more gently).  It serves only the divided-difference oracle
+degrades much more gently).  These two routes stay here because the
+`oracle` command runs them, through the divided-difference form
 `gelfond_basis.gelfond_basis_dd`; integer basis polynomials are built
-from their own residue form.
+from their own residue form.  The generic recursion on any callable and
+the shift and derivative identities, which only tests use, live in
+`tests/oracles.py`.
 """
 
 import functools
@@ -48,21 +51,6 @@ TAYLOR_EXTRA = 18
 # Parameters per block: bounds the (rows, terms/2, n+1, n+1) array of the
 # first Estrin step.
 BLOCK_ROWS = 64
-
-
-def divided_difference(nodes, f):
-    """Recursive divided difference of an arbitrary callable on distinct
-    nodes."""
-    xs = tuple(nodes)
-    if not xs:
-        raise ValueError("at least one node required")
-    if len(set(xs)) != len(xs):
-        raise ValueError("repeated nodes are only supported for f_t(x) = t**x")
-    table = [f(x) for x in xs]
-    for level in range(1, len(xs)):
-        table = [exact_div(table[i + 1] - table[i], xs[i + level] - xs[i])
-                 for i in range(len(table) - 1)]
-    return table[0]
 
 
 def _check_t(t):
@@ -132,32 +120,6 @@ def exponential_dd(nodes, t):
     if any(g == 0 for g in gaps) or any(g < MIN_GAP for g in gaps):
         return exponential_dd_recursive(xs, t)
     return exponential_dd_naive(xs, t)
-
-
-def exponential_dd_shifted(nodes, t):
-    """Shift identity: [x_0..x_s] f_t = t^{x_0} [0, x_1-x_0, ..] f_t.
-
-    Nodes are sorted first so x_0 is the minimum."""
-    xs = tuple(sorted(nodes))
-    if not xs:
-        raise ValueError("at least one node required")
-    x0 = xs[0]
-    return _check_t(t) ** x0 * exponential_dd([x - x0 for x in xs], t)
-
-
-def exponential_dd_derivative(nodes, t):
-    """d/dt [x_0..x_s] f_t = x_0 [x_0-1, .., x_s-1] f_t + [x_1-1, .., x_s-1] f_t.
-
-    Nodes are sorted ascending before applying the identity."""
-    xs = tuple(sorted(nodes))
-    if not xs:
-        raise ValueError("at least one node required")
-    _check_t(t)
-    first = exponential_dd([x - 1 for x in xs], t)
-    if len(xs) == 1:
-        return xs[0] * first
-    second = exponential_dd([x - 1 for x in xs[1:]], t)
-    return xs[0] * first + second
 
 
 @functools.lru_cache(maxsize=16)

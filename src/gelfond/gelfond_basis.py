@@ -27,9 +27,9 @@ Routes:
 `basis_values` (one parameter, exact or float) and `basis_table` (a batch
 of float parameters) are the production entry points; each picks the
 route by the exponents once per call, through that cache.  Two
-independent real-exponent routes remain as oracles: the divided
-difference by partial fractions or recursion (`gelfond_basis_dd`) and
-the Schur-quotient form (`gelfond_basis_schur`)
+independent real-exponent routes stay here because the `oracle` command
+runs them: the divided difference by partial fractions or recursion
+(`gelfond_basis_dd`) and the Schur-quotient form (`gelfond_basis_schur`)
 
      H_k(t) = [prod_{i>k} r_i/(r_i - r_k)] t^{r_k} (1-t)^{n-k}
               * S_{(lambda_{k+1..n})}(1, t, .., t) / S_{(lambda_{k+2..n})}(t, .., t)
@@ -38,6 +38,10 @@ with n-k copies of t, which is also exact for integer exponents at
 rational t.  H_k(0) and H_k(1) are delta values; the Schur route
 short-circuits t = 0 because its quotient there is a 0/0 limit (resolved
 by the splitting limit, which is exactly what the short-circuit encodes).
+
+The exponents of the elementary, complete and hook families feed
+`basis --closed-form`; their closed-form polynomials and the vanishing
+orders of H_k, which only tests use, live in `tests/oracles.py`.
 """
 
 from fractions import Fraction
@@ -50,8 +54,7 @@ from .arith import (SingularityError, all_exact, exact_div, is_exact,
                     is_integral, simplify)
 from .divided_diff import _opitz_table, exponential_dd
 from .partitions import (ExponentSequence, RealPartition, as_exponents,
-                         hook_partition_dimension, dimension,
-                         partition_from_exponents, partition_parts)
+                         dimension, partition_from_exponents, partition_parts)
 from .polynomials import Poly, horner_table
 from .schur import schur
 
@@ -151,11 +154,6 @@ def basis_polynomial(exponents, k):
     if not 0 <= k <= r.n:
         raise ValueError(f"basis index {k} outside 0..{r.n}")
     return polys[k]
-
-
-# Public under both names; the acceptance gate's worked example calls it
-# by this one.
-basis_polynomial_residues = basis_polynomial
 
 
 def _opitz_basis(r, t):
@@ -263,53 +261,6 @@ def hook_exponents(l, m, n):
         [0] + [l + j for j in range(1, m + 1)] + [l + j + 1 for j in range(m + 1, n + 1)])
 
 
-def _bernstein_poly(n, k):
-    return comb(n, k) * Poly.monomial(1, k) * Poly([1, -1]) ** (n - k)
-
-
-def elementary_basis_polynomial(l, n, k):
-    """Closed form for the (1^l) space: low indices carry a linear bracket,
-    high indices collapse to classical Bernstein polynomials of degree n+1."""
-    elementary_exponents(l, n)
-    if not 0 <= k <= n:
-        raise ValueError(f"basis index {k} outside 0..{n}")
-    if k >= l:
-        return _bernstein_poly(n + 1, k + 1)
-    c = Fraction(l - k, l) * comb(n + 1, k)
-    bracket = Poly([1, Fraction(n - l + 1, l - k)])
-    return c * Poly.monomial(1, k) * Poly([1, -1]) ** (n - k) * bracket
-
-
-def complete_basis_polynomial(l, n, k):
-    """Closed form for the single-row space (l)."""
-    complete_exponents(l, n)
-    if not 0 <= k <= n:
-        raise ValueError(f"basis index {k} outside 0..{n}")
-    if k >= 1:
-        return _bernstein_poly(n + l, k + l)
-    tail = Poly([comb(n + j - 1, n - 1) for j in range(l + 1)])
-    return Poly([1, -1]) ** n * tail
-
-
-def hook_basis_polynomial(l, m, n, k):
-    """Closed form for the hook space (l | m)."""
-    hook_exponents(l, m, n)
-    if not 0 <= k <= n:
-        raise ValueError(f"basis index {k} outside 0..{n}")
-    if k > m:
-        return _bernstein_poly(l + n + 1, l + k + 1)
-    if k == 0:
-        # sum_{j=1}^{l+1} f_{(l+1-j)}(n) t^{l+1-j} + t^{l+1} f_{(l|m)}(n)/f_{(1^m)}(n)
-        coeffs = [Fraction(0)] * (l + 2)
-        for j in range(1, l + 2):
-            coeffs[l + 1 - j] = Fraction(comb(n + l - j, l + 1 - j))
-        coeffs[l + 1] = Fraction(hook_partition_dimension(l, m, n), comb(n, m))
-        return Poly([1, -1]) ** n * Poly(coeffs)
-    c = Fraction(m + 1 - k, m + 1 + l) * comb(l + n + 1, l + k)
-    bracket = Poly([1, Fraction(n - m, m - k + 1)])
-    return c * Poly.monomial(1, l + k) * Poly([1, -1]) ** (n - k) * bracket
-
-
 def hodograph_data(exponents):
     """Ingredients of the derivative expansion P'(t) = sum D_k H_k' Delta P.
 
@@ -349,7 +300,8 @@ def basis_derivative(exponents, k, t):
     """d/dt H^n_k(t), the coefficient of p_k in the hodograph: with G the
     reduced basis of `hodograph_data`, D_{k-1} G_{k-1} - D_k G_k when
     r_1 = 1 and D_k G_k - D_{k+1} G_{k+1} when r_1 > 1, where a term
-    without a coefficient D is zero."""
+    without a coefficient D is zero.  H_n = t^{r_n} has an unbounded
+    derivative at t = 0 when r_n < 1, which raises SingularityError."""
     r = as_exponents(exponents)
     n = r.n
     if not 0 <= k <= n:
@@ -359,6 +311,9 @@ def basis_derivative(exponents, k, t):
     if n == 0:
         return 0 if is_exact(t) else 0.0
     if k == n:
+        if t == 0 and r[n] < 1:
+            raise SingularityError(
+                f"d/dt t^{r[n]} is unbounded at t = 0 (exponent below 1)")
         return r[n] * t ** (r[n] - 1)
     case, reduced, coeffs = hodograph_data(r)
     first = 0 if case == "unit" else 1      # coeffs[i] is D_{first + i}
@@ -370,22 +325,3 @@ def basis_derivative(exponents, k, t):
 
     j = k - 1 + first
     return term(j) - term(j + 1)
-
-
-def vanishing_orders(exponents, k):
-    """For integer exponents: the exact multiplicity of the roots of H_k at
-    t = 0 and t = 1, read off the polynomial (expected: r_k and n - k)."""
-    r = as_exponents(exponents)
-    if not r.is_integer():
-        raise ValueError("vanishing orders are defined for integer exponents")
-    n = r.n
-    p = basis_polynomial(r, k)
-    at0 = 0
-    while p.coefficient(at0) == 0:
-        at0 += 1
-    at1 = 0
-    q = p
-    while q(1) == 0:
-        at1 += 1
-        q = q.derivative()
-    return at0, at1

@@ -3,7 +3,7 @@
 Two partition flavors appear throughout:
 
  * IntegerPartition: weakly decreasing nonnegative integers, the usual
-   combinatorial object (conjugates, hooks, contents, Frobenius form).
+   combinatorial object.
  * RealPartition: real parts subject to the strict chain
 
        lambda_1 > lambda_2 - 1 > ... > lambda_n - (n-1) > -n,
@@ -19,10 +19,16 @@ coordinates for the same data:
 
     lambda_k = r_n - r_{k-1} - (n-k+1),      k = 1..n,
     r_k      = lambda_1 - lambda_{k+1} + k,  k = 0..n-1,   r_n = lambda_1 + n.
+
+The dimension f_lambda(n) has one route, the pairwise (Weyl) product of
+`dimension`, for integer and real partitions alike.
+`interlacing_partitions` indexes the one-variable branching of
+`schur.branch_last_variable`.  The cross-checks (conjugates, hook
+lengths, contents, the Frobenius form and the hook-content product for
+the dimension) live with the tests, in `tests/oracles.py`.
 """
 
 from fractions import Fraction
-from math import comb
 
 from .arith import all_exact, is_integral, simplify
 
@@ -120,65 +126,6 @@ class IntegerPartition:
 
     def weight(self):
         return sum(self.parts)
-
-    def conjugate(self):
-        if not self.parts:
-            return IntegerPartition(())
-        cols = self.parts[0]
-        return IntegerPartition(
-            sum(1 for p in self.parts if p > j) for j in range(cols))
-
-    def contains(self, other):
-        mu = tuple(int(p) for p in other)
-        for i, m in enumerate(mu):
-            p = self.parts[i] if i < len(self.parts) else 0
-            if m > p:
-                return False
-        return True
-
-    def hooks(self):
-        """Hook lengths h(i,j) = lambda_i + lambda'_j - i - j - 1 (0-based),
-        returned as rows matching the diagram."""
-        conj = self.conjugate().parts
-        return tuple(
-            tuple(p + conj[j] - i - j - 1 for j in range(p))
-            for i, p in enumerate(self.parts))
-
-    def contents(self):
-        """Contents c(i,j) = j - i (0-based), as diagram rows."""
-        return tuple(
-            tuple(j - i for j in range(p)) for i, p in enumerate(self.parts))
-
-    def frobenius(self):
-        """Arm/leg coordinates (alpha | beta) along the main diagonal."""
-        conj = self.conjugate().parts
-        d = sum(1 for i, p in enumerate(self.parts) if p > i)
-        alphas = tuple(self.parts[i] - i - 1 for i in range(d))
-        betas = tuple(conj[i] - i - 1 for i in range(d))
-        return alphas, betas
-
-    @classmethod
-    def from_frobenius(cls, alphas, betas):
-        alphas = tuple(int(a) for a in alphas)
-        betas = tuple(int(b) for b in betas)
-        if len(alphas) != len(betas):
-            raise ValueError("Frobenius coordinates need equal lengths")
-        d = len(alphas)
-        if any(a < 0 for a in alphas + betas):
-            raise ValueError("Frobenius coordinates must be nonnegative")
-        if any(x <= y for x, y in zip(alphas, alphas[1:])):
-            raise ValueError("alpha coordinates must strictly decrease")
-        if any(x <= y for x, y in zip(betas, betas[1:])):
-            raise ValueError("beta coordinates must strictly decrease")
-        rows = [alphas[i] + i + 1 for i in range(d)]
-        # leg lengths fix the column heights below the diagonal
-        col = [betas[j] + j + 1 for j in range(d)]
-        length = col[0] if d else 0
-        parts = rows + [0] * (length - d)
-        for j in range(d):
-            for i in range(d, col[j]):
-                parts[i] += 1
-        return cls(parts)
 
     def as_real(self, n=None):
         n = len(self.parts) if n is None else n
@@ -333,32 +280,20 @@ def interlacing_partitions(mu):
     yield from rec(0, [])
 
 
-def hook_dimension(lam, n):
-    """Number of semistandard tableaux with entries <= n: the product of
-    (n + content)/(hook length) over the diagram.  Zero when the diagram
-    has more than n rows."""
-    lam = lam if isinstance(lam, IntegerPartition) else IntegerPartition(partition_parts(lam))
-    if lam.length > n:
-        return 0
-    num = 1
-    den = 1
-    for hrow, crow in zip(lam.hooks(), lam.contents()):
-        for h, c in zip(hrow, crow):
-            num *= n + c
-            den *= h
-    out = Fraction(num, den)
-    assert out.denominator == 1
-    return int(out)
+def dimension(lam, n):
+    """f_lambda(n) = S_lambda(1, ..., 1) with n ones: the product over
+    1 <= i < j <= n of (lambda_i - lambda_j + j - i)/(j - i), with lambda
+    zero-padded to n.  Exact parts give an exact result, an int for an
+    integer partition.
 
-
-def pairwise_dimension(lam, n):
-    """f_lambda(n) as the product over 1 <= i < j <= n of
-    (lambda_i - lambda_j + j - i)/(j - i), with lambda zero-padded to n.
-
-    Valid for real partitions; more parts than variables is rejected here
-    because the vanishing convention only exists on the integer side."""
+    More parts than variables gives 0 for an integer partition (no
+    semistandard tableau has more than n rows) and is rejected for any
+    other partition, where that convention does not exist."""
     parts = _strip_zeros(partition_parts(lam))
     if len(parts) > n:
+        if all(is_integral(p) and p >= 0 for p in parts) and all(
+                a >= b for a, b in zip(parts, parts[1:])):
+            return 0
         raise ValueError(
             f"real partition with {len(parts)} parts in {n} variables")
     parts = parts + (0,) * (n - len(parts))
@@ -370,26 +305,3 @@ def pairwise_dimension(lam, n):
             num = num * (parts[i] - parts[j] + j - i)
             den *= j - i
     return simplify(num / den) if exact else num / den
-
-
-def dimension(lam, n):
-    """f_lambda(n) = S_lambda(1, ..., 1) with n ones.
-
-    Integer partitions go through the hook product (exact int, zero when
-    too long); real partitions through the pairwise product."""
-    parts = partition_parts(lam)
-    if all(is_integral(p) and p >= 0 for p in parts) and all(
-            a >= b for a, b in zip(parts, parts[1:])):
-        return hook_dimension(IntegerPartition(parts), n)
-    return pairwise_dimension(lam, n)
-
-
-def hook_partition_dimension(arm, leg, n):
-    """f for the hook (arm | leg): (n/(arm+leg+1)) C(n+arm, arm) C(n-1, leg)."""
-    if arm < 0 or leg < 0:
-        return 0
-    if leg + 1 > n:
-        return 0
-    out = Fraction(n, arm + leg + 1) * comb(n + arm, arm) * comb(n - 1, leg)
-    assert out.denominator == 1
-    return int(out)

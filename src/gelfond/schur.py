@@ -1,27 +1,22 @@
-"""Schur function evaluation by several independent routes.
+"""Schur function evaluation.
 
-Production dispatch (`schur`): Jacobi-Trudi for integer partitions at
-exact points, the bialternant quotient for everything else (with
-confluent derivative rows when evaluation points repeat), in Fractions,
-floats or Decimals.  Decimals take over from floats where the quotient
-would cancel more than 4 digits; their non-integral powers are
-exp(x ln v) from one logarithm per point, carried with guard digits so
-that each rounds to the correctly rounded Decimal power v ** x, at a
-fraction of its cost.  The remaining routes exist so the test suite can
-cross-check them against each other:
+Production route (`schur`): Jacobi-Trudi, det(h_{lambda_i - i + j}), for
+integer partitions at exact points; the bialternant quotient for
+everything else (with confluent derivative rows when evaluation points
+repeat), in Fractions, floats or Decimals.  Decimals take over from
+floats where the quotient would cancel more than 4 digits; their
+non-integral powers are exp(x ln v) from one logarithm per point,
+carried with guard digits so that each rounds to the correctly rounded
+Decimal power v ** x, at a fraction of its cost.
 
- * Nagelsbach-Kostka: elementary-symmetric determinant on the conjugate.
- * Giambelli: determinant of hook Schur values over the Frobenius form.
- * semistandard tableau sums (straight and skew), brute force.
- * one-variable branching, as an interlacing sum and as a skew sum.
+`branch_last_variable`, the one-variable branching over interlacing
+partitions, is kept here because the two-point Schur values of the de
+Casteljau pyramid are to be built on it.  The cross-check routes
+(Nagelsbach-Kostka, Giambelli, tableau sums, skew shapes, the splitting
+limit) live with the tests, in `tests/oracles.py`.
 
-Evaluation points must be positive.  Zeros never enter by substitution;
-the splitting limit (`splitting_limit`) is the only sanctioned way to
-send points to zero.
-
-Hard conventions: h_m = e_m = 0 for m < 0, and hook Schur values with a
-negative arm or leg are 0.  These make the determinant and branching
-formulas close over edge cases without special-casing callers.
+Evaluation points must be positive; zeros never enter by substitution.
+h_m = 0 for m < 0, which closes the determinant over short rows.
 """
 
 import decimal
@@ -31,8 +26,8 @@ from functools import partial
 from math import factorial
 
 from .arith import all_exact, det, falling_factorial, is_integral, simplify
-from .partitions import (FLOAT_SLACK, IntegerPartition, RealPartition,
-                         _strip_zeros, interlacing_partitions, partition_parts)
+from .partitions import (FLOAT_SLACK, IntegerPartition, _strip_zeros,
+                         interlacing_partitions, partition_parts)
 
 
 def _check_points(points):
@@ -41,21 +36,6 @@ def _check_points(points):
         if not u > 0:
             raise ValueError(f"evaluation points must be positive, got {u}")
     return pts
-
-
-def complete_homogeneous(r, points):
-    """h_r(points): sum of all monomials of degree r.  h_0 = 1, h_{<0} = 0."""
-    if r < 0:
-        return 0
-    return _complete_table(_check_points(points), r)[r]
-
-
-def elementary(r, points):
-    """e_r(points): sum of squarefree monomials of degree r.  e_0 = 1,
-    e_{<0} = 0."""
-    if r < 0:
-        return 0
-    return _elementary_table(_check_points(points), r)[r]
 
 
 def _complete_table(pts, max_degree):
@@ -67,60 +47,17 @@ def _complete_table(pts, max_degree):
     return h
 
 
-def _elementary_table(pts, max_degree):
-    e = [1] + [0] * max_degree
-    for u in pts:
-        for m in range(min(max_degree, len(pts)), 0, -1):
-            e[m] = e[m] + u * e[m - 1]
-    return e
-
-
 def schur_jacobi_trudi(lam, points):
-    """det(h_{lambda_i - i + j}) over i, j = 1..l(lambda): the skew
-    determinant with mu empty."""
-    return skew_schur(lam, (), points)
-
-
-def schur_nagelsbach_kostka(lam, points):
-    """det(e_{lambda'_i - i + j}) over the conjugate partition."""
-    conj = IntegerPartition(partition_parts(lam)).conjugate().parts
+    """det(h_{lambda_i - i + j}) over i, j = 1..l(lambda), with h_m the
+    complete homogeneous values of the points and h_{<0} = 0."""
+    parts = IntegerPartition(partition_parts(lam)).parts
     pts = _check_points(points)
-    l = len(conj)
+    l = len(parts)
     if l == 0:
         return 1
-    top = conj[0] + l - 1
-    e = _elementary_table(pts, top)
-    rows = [[e[conj[i] - i + j] if conj[i] - i + j >= 0 else 0
+    h = _complete_table(pts, parts[0] + l - 1)
+    rows = [[h[parts[i] - i + j] if parts[i] - i + j >= 0 else 0
              for j in range(l)] for i in range(l)]
-    return det(rows)
-
-
-def hook_schur(arm, leg, points):
-    """S at the hook (arm | leg): sum_{j=0}^{leg} (-1)^j h_{arm+1+j} e_{leg-j}.
-
-    Negative arm or leg gives 0 by convention."""
-    if arm < 0 or leg < 0:
-        return 0
-    pts = _check_points(points)
-    h = _complete_table(pts, arm + 1 + leg)
-    e = _elementary_table(pts, leg)
-    out = 0
-    for j in range(leg + 1):
-        term = h[arm + 1 + j] * e[leg - j]
-        out = out + term if j % 2 == 0 else out - term
-    return out
-
-
-def schur_giambelli(lam, points):
-    """det(S_{(alpha_i | beta_j)}) over the Frobenius coordinates."""
-    lam = IntegerPartition(partition_parts(lam))
-    pts = _check_points(points)
-    alphas, betas = lam.frobenius()
-    d = len(alphas)
-    if d == 0:
-        return 1
-    rows = [[hook_schur(alphas[i], betas[j], pts) for j in range(d)]
-            for i in range(d)]
     return det(rows)
 
 
@@ -283,70 +220,6 @@ def schur(lam, points):
     return schur_bialternant(parts, points)
 
 
-def schur_tableaux(lam, points):
-    """Brute-force sum over semistandard tableaux of shape lambda with
-    entries in 1..len(points): the skew sum with mu empty.  Oracle only;
-    exponential in the weight."""
-    return skew_schur_tableaux(lam, (), points)
-
-
-def skew_schur(lam, mu, points):
-    """S_{lambda/mu} via det(h_{lambda_i - mu_j - i + j}); zero when mu is
-    not contained in lambda."""
-    lam = IntegerPartition(partition_parts(lam))
-    mu = IntegerPartition(partition_parts(mu))
-    pts = _check_points(points)
-    l = lam.length
-    if l == 0:
-        return 1 if mu.length == 0 else 0
-    if not lam.contains(mu):
-        return 0
-    mu_parts = mu.parts + (0,) * (l - mu.length)
-    top = lam.parts[0] + l - 1
-    h = _complete_table(pts, top)
-    rows = [[h[lam.parts[i] - mu_parts[j] - i + j]
-             if 0 <= lam.parts[i] - mu_parts[j] - i + j <= top else 0
-             for j in range(l)] for i in range(l)]
-    return det(rows)
-
-
-def skew_schur_tableaux(lam, mu, points):
-    """Brute-force skew tableau sum, the oracle for skew_schur."""
-    lam = IntegerPartition(partition_parts(lam))
-    mu = IntegerPartition(partition_parts(mu))
-    pts = _check_points(points)
-    if not lam.contains(mu):
-        return 0
-    m = len(pts)
-    mu_parts = mu.parts + (0,) * (lam.length - mu.length)
-    cells = [(i, j) for i, p in enumerate(lam.parts)
-             for j in range(mu_parts[i], p)]
-    tab = {}
-    total = 0
-
-    def rec(idx):
-        nonlocal total
-        if idx == len(cells):
-            w = 1
-            for cell in cells:
-                w = w * pts[tab[cell] - 1]
-            total = total + w
-            return
-        i, j = cells[idx]
-        lo = 1
-        if (i, j - 1) in tab:
-            lo = tab[(i, j - 1)]
-        if (i - 1, j) in tab:
-            lo = max(lo, tab[(i - 1, j)] + 1)
-        for v in range(lo, m + 1):
-            tab[(i, j)] = v
-            rec(idx + 1)
-        tab.pop((i, j), None)
-
-    rec(0)
-    return total
-
-
 def branch_last_variable(lam, points, last):
     """S_lambda(points, last) = sum over interlacing eta of
     S_eta(points) last^{|lambda| - |eta|}."""
@@ -358,36 +231,3 @@ def branch_last_variable(lam, points, last):
     for eta in interlacing_partitions(lam):
         out = out + schur(eta, points) * last ** (w - eta.weight())
     return out
-
-
-def branch_last_variable_skew(lam, points, last):
-    """Same branching written with skew shapes: sum_j S_{lambda/(j)} last^j."""
-    lam = IntegerPartition(partition_parts(lam))
-    if not last > 0:
-        raise ValueError("the split-off variable must be positive")
-    top = lam.parts[0] if lam.length else 0
-    out = 0
-    for j in range(top + 1):
-        out = out + skew_schur(lam, (j,), points) * last ** j
-    return out
-
-
-def split_partition(eta, k, h):
-    """Split eta (padded to k+h parts) into its first k and last h parts;
-    both blocks inherit the real-partition chain."""
-    parts = partition_parts(eta)
-    if len(parts) > k + h:
-        raise ValueError(f"partition has more than {k + h} parts")
-    parts = parts + (0,) * (k + h - len(parts))
-    return RealPartition(parts[:k]), RealPartition(parts[k:])
-
-
-def splitting_limit(eta, z, y):
-    """lim_{eps -> 0} S_eta(z, eps y) / eps^{|mu|} = S_lambda(z) S_mu(y),
-    where lambda is the first |z| parts of eta and mu the remaining |y|.
-
-    This is the only sanctioned way to push evaluation points to zero."""
-    z = _check_points(z)
-    y = _check_points(y)
-    lam, mu = split_partition(eta, len(z), len(y))
-    return schur(lam, z) * schur(mu, y)

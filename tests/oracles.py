@@ -1,0 +1,442 @@
+"""Cross-check routes that only the test suite runs.
+
+Each function here computes a quantity that `gelfond` computes by one
+production route, but by an independent formula, so that tests can hold
+the two against each other:
+
+ * partition combinatorics: conjugates, hook lengths, contents,
+   containment and the Frobenius form, and the hook-content product for
+   the dimension f_lambda(n) (`partitions.dimension` uses the pairwise
+   product);
+ * symmetric functions: h_r and e_r, Nagelsbach-Kostka, Giambelli over
+   hook Schur values, skew Jacobi-Trudi, semistandard tableau sums
+   (straight and skew), branching written with skew shapes and the
+   splitting limit;
+ * divided differences: the generic recursion on any callable, and the
+   shift and derivative identities of [x_0..x_s] t^x;
+ * the closed-form basis polynomials of the elementary, complete and hook
+   families, and the vanishing orders of H_k at 0 and 1;
+ * the variation-diminishing count of hyperplane crossings.
+
+Conventions: h_m = e_m = 0 for m < 0, and hook Schur values with a
+negative arm or leg are 0, so the determinant and branching formulas
+close over edge cases without special-casing callers.  Evaluation points
+must be positive; the splitting limit is the only way these routes send
+points to zero.
+
+Tests import this module as `oracles` (pytest puts `tests/` on
+`sys.path`); nothing under `src/` imports it.
+"""
+
+from fractions import Fraction
+from math import comb
+
+from gelfond.arith import as_point, det, exact_div
+from gelfond.divided_diff import _check_t, exponential_dd
+from gelfond.gelfond_basis import (basis_polynomial, complete_exponents,
+                                   elementary_exponents, hook_exponents)
+from gelfond.partitions import (IntegerPartition, RealPartition, as_exponents,
+                                partition_parts)
+from gelfond.polynomials import Poly
+from gelfond.schur import _check_points, _complete_table, schur
+
+
+# -- partitions ------------------------------------------------------------
+
+def conjugate(lam):
+    """The conjugate of an IntegerPartition: column lengths of its diagram."""
+    if not lam.parts:
+        return IntegerPartition(())
+    return IntegerPartition(
+        sum(1 for p in lam.parts if p > j) for j in range(lam.parts[0]))
+
+
+def contains(lam, other):
+    """True when the diagram of `other` lies inside that of `lam`."""
+    mu = tuple(int(p) for p in other)
+    for i, m in enumerate(mu):
+        p = lam.parts[i] if i < len(lam.parts) else 0
+        if m > p:
+            return False
+    return True
+
+
+def hooks(lam):
+    """Hook lengths h(i,j) = lambda_i + lambda'_j - i - j - 1 (0-based),
+    returned as rows matching the diagram."""
+    conj = conjugate(lam).parts
+    return tuple(
+        tuple(p + conj[j] - i - j - 1 for j in range(p))
+        for i, p in enumerate(lam.parts))
+
+
+def contents(lam):
+    """Contents c(i,j) = j - i (0-based), as diagram rows."""
+    return tuple(
+        tuple(j - i for j in range(p)) for i, p in enumerate(lam.parts))
+
+
+def frobenius(lam):
+    """Arm/leg coordinates (alpha | beta) along the main diagonal."""
+    conj = conjugate(lam).parts
+    d = sum(1 for i, p in enumerate(lam.parts) if p > i)
+    alphas = tuple(lam.parts[i] - i - 1 for i in range(d))
+    betas = tuple(conj[i] - i - 1 for i in range(d))
+    return alphas, betas
+
+
+def from_frobenius(alphas, betas):
+    """The IntegerPartition with Frobenius coordinates (alphas | betas)."""
+    alphas = tuple(int(a) for a in alphas)
+    betas = tuple(int(b) for b in betas)
+    if len(alphas) != len(betas):
+        raise ValueError("Frobenius coordinates need equal lengths")
+    d = len(alphas)
+    if any(a < 0 for a in alphas + betas):
+        raise ValueError("Frobenius coordinates must be nonnegative")
+    if any(x <= y for x, y in zip(alphas, alphas[1:])):
+        raise ValueError("alpha coordinates must strictly decrease")
+    if any(x <= y for x, y in zip(betas, betas[1:])):
+        raise ValueError("beta coordinates must strictly decrease")
+    rows = [alphas[i] + i + 1 for i in range(d)]
+    # leg lengths fix the column heights below the diagonal
+    col = [betas[j] + j + 1 for j in range(d)]
+    length = col[0] if d else 0
+    parts = rows + [0] * (length - d)
+    for j in range(d):
+        for i in range(d, col[j]):
+            parts[i] += 1
+    return IntegerPartition(parts)
+
+
+def hook_dimension(lam, n):
+    """Number of semistandard tableaux with entries <= n: the product of
+    (n + content)/(hook length) over the diagram.  Zero when the diagram
+    has more than n rows."""
+    lam = lam if isinstance(lam, IntegerPartition) else IntegerPartition(partition_parts(lam))
+    if len(lam) > n:
+        return 0
+    num = 1
+    den = 1
+    for hrow, crow in zip(hooks(lam), contents(lam)):
+        for h, c in zip(hrow, crow):
+            num *= n + c
+            den *= h
+    out = Fraction(num, den)
+    assert out.denominator == 1
+    return int(out)
+
+
+def hook_partition_dimension(arm, leg, n):
+    """f for the hook (arm | leg): (n/(arm+leg+1)) C(n+arm, arm) C(n-1, leg)."""
+    if arm < 0 or leg < 0:
+        return 0
+    if leg + 1 > n:
+        return 0
+    out = Fraction(n, arm + leg + 1) * comb(n + arm, arm) * comb(n - 1, leg)
+    assert out.denominator == 1
+    return int(out)
+
+
+# -- Schur functions ---------------------------------------------------------
+
+def complete_homogeneous(r, points):
+    """h_r(points): sum of all monomials of degree r.  h_0 = 1, h_{<0} = 0."""
+    if r < 0:
+        return 0
+    return _complete_table(_check_points(points), r)[r]
+
+
+def elementary(r, points):
+    """e_r(points): sum of squarefree monomials of degree r.  e_0 = 1,
+    e_{<0} = 0."""
+    if r < 0:
+        return 0
+    return _elementary_table(_check_points(points), r)[r]
+
+
+def _elementary_table(pts, max_degree):
+    e = [1] + [0] * max_degree
+    for u in pts:
+        for m in range(min(max_degree, len(pts)), 0, -1):
+            e[m] = e[m] + u * e[m - 1]
+    return e
+
+
+def schur_nagelsbach_kostka(lam, points):
+    """det(e_{lambda'_i - i + j}) over the conjugate partition."""
+    conj = conjugate(IntegerPartition(partition_parts(lam))).parts
+    pts = _check_points(points)
+    l = len(conj)
+    if l == 0:
+        return 1
+    top = conj[0] + l - 1
+    e = _elementary_table(pts, top)
+    rows = [[e[conj[i] - i + j] if conj[i] - i + j >= 0 else 0
+             for j in range(l)] for i in range(l)]
+    return det(rows)
+
+
+def hook_schur(arm, leg, points):
+    """S at the hook (arm | leg): sum_{j=0}^{leg} (-1)^j h_{arm+1+j} e_{leg-j}.
+
+    Negative arm or leg gives 0 by convention."""
+    if arm < 0 or leg < 0:
+        return 0
+    pts = _check_points(points)
+    h = _complete_table(pts, arm + 1 + leg)
+    e = _elementary_table(pts, leg)
+    out = 0
+    for j in range(leg + 1):
+        term = h[arm + 1 + j] * e[leg - j]
+        out = out + term if j % 2 == 0 else out - term
+    return out
+
+
+def schur_giambelli(lam, points):
+    """det(S_{(alpha_i | beta_j)}) over the Frobenius coordinates."""
+    lam = IntegerPartition(partition_parts(lam))
+    pts = _check_points(points)
+    alphas, betas = frobenius(lam)
+    d = len(alphas)
+    if d == 0:
+        return 1
+    rows = [[hook_schur(alphas[i], betas[j], pts) for j in range(d)]
+            for i in range(d)]
+    return det(rows)
+
+
+def schur_tableaux(lam, points):
+    """Brute-force sum over semistandard tableaux of shape lambda with
+    entries in 1..len(points): the skew sum with mu empty.  Exponential
+    in the weight."""
+    return skew_schur_tableaux(lam, (), points)
+
+
+def skew_schur(lam, mu, points):
+    """S_{lambda/mu} via det(h_{lambda_i - mu_j - i + j}); zero when mu is
+    not contained in lambda."""
+    lam = IntegerPartition(partition_parts(lam))
+    mu = IntegerPartition(partition_parts(mu))
+    pts = _check_points(points)
+    l = len(lam)
+    if l == 0:
+        return 1 if len(mu) == 0 else 0
+    if not contains(lam, mu):
+        return 0
+    mu_parts = mu.parts + (0,) * (l - len(mu))
+    top = lam.parts[0] + l - 1
+    h = _complete_table(pts, top)
+    rows = [[h[lam.parts[i] - mu_parts[j] - i + j]
+             if 0 <= lam.parts[i] - mu_parts[j] - i + j <= top else 0
+             for j in range(l)] for i in range(l)]
+    return det(rows)
+
+
+def skew_schur_tableaux(lam, mu, points):
+    """Brute-force skew tableau sum, the oracle for skew_schur."""
+    lam = IntegerPartition(partition_parts(lam))
+    mu = IntegerPartition(partition_parts(mu))
+    pts = _check_points(points)
+    if not contains(lam, mu):
+        return 0
+    m = len(pts)
+    mu_parts = mu.parts + (0,) * (len(lam) - len(mu))
+    cells = [(i, j) for i, p in enumerate(lam.parts)
+             for j in range(mu_parts[i], p)]
+    tab = {}
+    total = 0
+
+    def rec(idx):
+        nonlocal total
+        if idx == len(cells):
+            w = 1
+            for cell in cells:
+                w = w * pts[tab[cell] - 1]
+            total = total + w
+            return
+        i, j = cells[idx]
+        lo = 1
+        if (i, j - 1) in tab:
+            lo = tab[(i, j - 1)]
+        if (i - 1, j) in tab:
+            lo = max(lo, tab[(i - 1, j)] + 1)
+        for v in range(lo, m + 1):
+            tab[(i, j)] = v
+            rec(idx + 1)
+        tab.pop((i, j), None)
+
+    rec(0)
+    return total
+
+
+def branch_last_variable_skew(lam, points, last):
+    """One-variable branching written with skew shapes:
+    S_lambda(points, last) = sum_j S_{lambda/(j)}(points) last^j."""
+    lam = IntegerPartition(partition_parts(lam))
+    if not last > 0:
+        raise ValueError("the split-off variable must be positive")
+    top = lam.parts[0] if len(lam) else 0
+    out = 0
+    for j in range(top + 1):
+        out = out + skew_schur(lam, (j,), points) * last ** j
+    return out
+
+
+def split_partition(eta, k, h):
+    """Split eta (padded to k+h parts) into its first k and last h parts;
+    both blocks inherit the real-partition chain."""
+    parts = partition_parts(eta)
+    if len(parts) > k + h:
+        raise ValueError(f"partition has more than {k + h} parts")
+    parts = parts + (0,) * (k + h - len(parts))
+    return RealPartition(parts[:k]), RealPartition(parts[k:])
+
+
+def splitting_limit(eta, z, y):
+    """lim_{eps -> 0} S_eta(z, eps y) / eps^{|mu|} = S_lambda(z) S_mu(y),
+    where lambda is the first |z| parts of eta and mu the remaining |y|."""
+    z = _check_points(z)
+    y = _check_points(y)
+    lam, mu = split_partition(eta, len(z), len(y))
+    return schur(lam, z) * schur(mu, y)
+
+
+# -- divided differences -----------------------------------------------------
+
+def divided_difference(nodes, f):
+    """Recursive divided difference of an arbitrary callable on distinct
+    nodes."""
+    xs = tuple(nodes)
+    if not xs:
+        raise ValueError("at least one node required")
+    if len(set(xs)) != len(xs):
+        raise ValueError("repeated nodes are only supported for f_t(x) = t**x")
+    table = [f(x) for x in xs]
+    for level in range(1, len(xs)):
+        table = [exact_div(table[i + 1] - table[i], xs[i + level] - xs[i])
+                 for i in range(len(table) - 1)]
+    return table[0]
+
+
+def exponential_dd_shifted(nodes, t):
+    """Shift identity: [x_0..x_s] f_t = t^{x_0} [0, x_1-x_0, ..] f_t.
+
+    Nodes are sorted first so x_0 is the minimum."""
+    xs = tuple(sorted(nodes))
+    if not xs:
+        raise ValueError("at least one node required")
+    x0 = xs[0]
+    return _check_t(t) ** x0 * exponential_dd([x - x0 for x in xs], t)
+
+
+def exponential_dd_derivative(nodes, t):
+    """d/dt [x_0..x_s] f_t = x_0 [x_0-1, .., x_s-1] f_t + [x_1-1, .., x_s-1] f_t.
+
+    Nodes are sorted ascending before applying the identity."""
+    xs = tuple(sorted(nodes))
+    if not xs:
+        raise ValueError("at least one node required")
+    _check_t(t)
+    first = exponential_dd([x - 1 for x in xs], t)
+    if len(xs) == 1:
+        return xs[0] * first
+    second = exponential_dd([x - 1 for x in xs[1:]], t)
+    return xs[0] * first + second
+
+
+# -- basis polynomials -------------------------------------------------------
+
+def _bernstein_poly(n, k):
+    return comb(n, k) * Poly.monomial(1, k) * Poly([1, -1]) ** (n - k)
+
+
+def elementary_basis_polynomial(l, n, k):
+    """Closed form for the (1^l) space: low indices carry a linear bracket,
+    high indices collapse to classical Bernstein polynomials of degree n+1."""
+    elementary_exponents(l, n)
+    if not 0 <= k <= n:
+        raise ValueError(f"basis index {k} outside 0..{n}")
+    if k >= l:
+        return _bernstein_poly(n + 1, k + 1)
+    c = Fraction(l - k, l) * comb(n + 1, k)
+    bracket = Poly([1, Fraction(n - l + 1, l - k)])
+    return c * Poly.monomial(1, k) * Poly([1, -1]) ** (n - k) * bracket
+
+
+def complete_basis_polynomial(l, n, k):
+    """Closed form for the single-row space (l)."""
+    complete_exponents(l, n)
+    if not 0 <= k <= n:
+        raise ValueError(f"basis index {k} outside 0..{n}")
+    if k >= 1:
+        return _bernstein_poly(n + l, k + l)
+    tail = Poly([comb(n + j - 1, n - 1) for j in range(l + 1)])
+    return Poly([1, -1]) ** n * tail
+
+
+def hook_basis_polynomial(l, m, n, k):
+    """Closed form for the hook space (l | m)."""
+    hook_exponents(l, m, n)
+    if not 0 <= k <= n:
+        raise ValueError(f"basis index {k} outside 0..{n}")
+    if k > m:
+        return _bernstein_poly(l + n + 1, l + k + 1)
+    if k == 0:
+        # sum_{j=1}^{l+1} f_{(l+1-j)}(n) t^{l+1-j} + t^{l+1} f_{(l|m)}(n)/f_{(1^m)}(n)
+        coeffs = [Fraction(0)] * (l + 2)
+        for j in range(1, l + 2):
+            coeffs[l + 1 - j] = Fraction(comb(n + l - j, l + 1 - j))
+        coeffs[l + 1] = Fraction(hook_partition_dimension(l, m, n), comb(n, m))
+        return Poly([1, -1]) ** n * Poly(coeffs)
+    c = Fraction(m + 1 - k, m + 1 + l) * comb(l + n + 1, l + k)
+    bracket = Poly([1, Fraction(n - m, m - k + 1)])
+    return c * Poly.monomial(1, l + k) * Poly([1, -1]) ** (n - k) * bracket
+
+
+def vanishing_orders(exponents, k):
+    """For integer exponents: the exact multiplicity of the roots of H_k at
+    t = 0 and t = 1, read off the polynomial (expected: r_k and n - k)."""
+    r = as_exponents(exponents)
+    if not r.is_integer():
+        raise ValueError("vanishing orders are defined for integer exponents")
+    p = basis_polynomial(r, k)
+    at0 = 0
+    while p.coefficient(at0) == 0:
+        at0 += 1
+    at1 = 0
+    q = p
+    while q(1) == 0:
+        at1 += 1
+        q = q.derivative()
+    return at0, at1
+
+
+# -- curves ------------------------------------------------------------------
+
+def hyperplane_crossings(curve, normal, offset, samples=401):
+    """Variation diminishing diagnostic: sign changes of <normal, x> - offset
+    along the sampled curve and along the control polygon.
+
+    Exact zeros are jittered by 1e-12 before counting, so tangencies count
+    as either 0 or 2 crossings, never as an ill-defined sign."""
+    if samples < 2:
+        raise ValueError("need at least 2 samples")
+    a, b = curve.interval
+    normal = as_point(normal)
+
+    def height(p):
+        if isinstance(p, tuple):
+            return sum(float(w) * float(c) for w, c in zip(normal, p, strict=True)) - float(offset)
+        return float(normal) * float(p) - float(offset)
+
+    def count(vals):
+        vals = [v if v != 0.0 else 1e-12 for v in vals]
+        return sum(1 for u, v in zip(vals, vals[1:]) if u * v < 0)
+
+    # capped at b: with float endpoints the rounded last step overshoots,
+    # e.g. 0.3 + (0.9 - 0.3) > 0.9
+    ts = [min(a + (b - a) * i / (samples - 1), b) for i in range(samples)]
+    curve_vals = [height(p) for p in curve.evaluate_many(ts)]
+    poly_vals = [height(p) for p in curve.points]
+    return count(curve_vals), count(poly_vals)

@@ -6,10 +6,10 @@ import pytest
 from gelfond.arith import vec_add, vec_scale
 from gelfond.curves import (GelfondBezierCurve, c1_join, c1_join_head,
                             curve_from_json, curve_to_json,
-                            endpoint_derivatives, hyperplane_crossings,
-                            initial_tangency)
+                            endpoint_derivatives, initial_tangency)
 from gelfond.gelfond_basis import basis_values
 from gelfond.polynomials import Poly
+from oracles import hyperplane_crossings
 
 
 def unit_poly(curve, dim):
@@ -149,16 +149,6 @@ def test_initial_tangency_constant():
     dpp = unit_poly(curve, 0).derivative().derivative()
     assert value == dpp(0) * Fraction(1, 4)
     assert value == 2 * Fraction(3, 3 - 2) * (4 - 1) * Fraction(1, 4)
-
-
-def test_left_segment_matches():
-    curve = GelfondBezierCurve((0, 3, 4, 6, 9),
-                               ((0, 0), (1, 4), (3, 4), (4, 1), (5, 0)))
-    x = Fraction(2, 3)
-    left = curve.left_segment(x)
-    assert left.interval == (0, x)
-    for t in (0, Fraction(1, 4), Fraction(7, 12), x):
-        assert left.evaluate(t) == curve.evaluate(t)
 
 
 def test_blossom_diagonal_matches_evaluate():

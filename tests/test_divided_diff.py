@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gelfond.arith import SingularityError
-from gelfond.divided_diff import (BLOCK_ROWS, MIN_GAP, divided_difference,
-                                  exponential_dd, exponential_dd_derivative,
+from gelfond.divided_diff import (BLOCK_ROWS, MIN_GAP, exponential_dd,
                                   exponential_dd_naive,
                                   exponential_dd_recursive,
-                                  exponential_dd_shifted, exponential_dd_table)
+                                  exponential_dd_table)
 from gelfond.gelfond_basis import basis_table, basis_values, gelfond_basis_schur
+from oracles import (divided_difference, exponential_dd_derivative,
+                     exponential_dd_shifted)
 
 
 def test_generic_divided_difference():

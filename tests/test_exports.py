@@ -1,6 +1,9 @@
-import gelfond
+import importlib
 
-# cross-check routes that stay importable from their submodules only
+import gelfond
+import oracles
+
+# cross-check routes, importable from their submodules or tests/oracles.py only
 ORACLE_NAMES = {
     "divided_difference", "exponential_dd", "exponential_dd_naive",
     "exponential_dd_recursive", "gelfond_basis_dd", "gelfond_basis_schur",
@@ -17,3 +20,46 @@ def test_every_exported_name_resolves():
 
 def test_oracles_are_not_exported():
     assert not ORACLE_NAMES & set(gelfond.__all__)
+
+
+# routes only tests use, now in tests/oracles.py, and names deleted with
+# no caller left, by the module (or class) that used to hold them
+MOVED_OR_DELETED = {
+    "gelfond.schur": (
+        "complete_homogeneous", "elementary", "_elementary_table",
+        "schur_nagelsbach_kostka", "hook_schur", "schur_giambelli",
+        "schur_tableaux", "skew_schur", "skew_schur_tableaux",
+        "branch_last_variable_skew", "split_partition", "splitting_limit"),
+    "gelfond.divided_diff": (
+        "divided_difference", "exponential_dd_shifted",
+        "exponential_dd_derivative"),
+    "gelfond.gelfond_basis": (
+        "elementary_basis_polynomial", "complete_basis_polynomial",
+        "hook_basis_polynomial", "_bernstein_poly", "vanishing_orders",
+        "basis_polynomial_residues"),
+    "gelfond.partitions": (
+        "hook_dimension", "hook_partition_dimension", "pairwise_dimension"),
+    "gelfond.curves": ("hyperplane_crossings",),
+}
+MOVED_METHODS = {
+    "IntegerPartition": ("conjugate", "hooks", "contents", "contains",
+                         "frobenius", "from_frobenius"),
+    "GelfondBezierCurve": ("left_segment",),
+}
+
+
+def test_test_only_routes_left_the_package():
+    for module, names in MOVED_OR_DELETED.items():
+        mod = importlib.import_module(module)
+        for name in names:
+            assert not hasattr(mod, name), (module, name)
+    for cls, names in MOVED_METHODS.items():
+        for name in names:
+            assert not hasattr(getattr(gelfond, cls), name), (cls, name)
+
+
+def test_test_oracles_are_not_exported():
+    defined = {name for name, obj in vars(oracles).items()
+               if getattr(obj, "__module__", None) == oracles.__name__}
+    assert "schur_giambelli" in defined
+    assert not defined & set(gelfond.__all__)

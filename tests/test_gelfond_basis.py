@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -8,19 +9,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gelfond import gelfond_basis as gelfond_basis_module
+from gelfond.arith import SingularityError
 from gelfond.gelfond_basis import (basis_derivative, basis_polynomial,
-                                   basis_polynomial_residues, basis_table,
-                                   basis_values, chebyshev_basis,
-                                   complete_basis_polynomial,
-                                   complete_exponents,
-                                   elementary_basis_polynomial,
-                                   elementary_exponents, gelfond_basis_dd,
-                                   gelfond_basis_schur, hodograph_data,
-                                   hook_basis_polynomial, hook_exponents,
-                                   vanishing_orders)
+                                   basis_table, basis_values, chebyshev_basis,
+                                   complete_exponents, elementary_exponents,
+                                   gelfond_basis_dd, gelfond_basis_schur,
+                                   hodograph_data, hook_exponents)
+from gelfond.gelfond_basis import basis_polynomial as basis_polynomial_residues
 from gelfond.partitions import (dimension, interlacing_partitions,
                                 partition_from_exponents)
 from gelfond.polynomials import Poly, horner_table
+from oracles import (complete_basis_polynomial, elementary_basis_polynomial,
+                     hook_basis_polynomial, vanishing_orders)
 
 EXPS = (0, 3, 4, 6, 9)
 
@@ -174,6 +174,18 @@ def test_basis_derivative_last_index_for_every_space():
         basis_derivative((0, 0.5, 2), 1, 0.3)
 
 
+def test_basis_derivative_pole_at_zero():
+    # H_n = t^{r_n} with r_n < 1 has an unbounded derivative at 0: the
+    # package's pole signal, not a bare ZeroDivisionError
+    for exps in [(0, 0.5), (0, Fraction(1, 3)), (0, 0.25, 0.75)]:
+        n = len(exps) - 1
+        for t in (0, 0.0):
+            with pytest.raises(SingularityError):
+                basis_derivative(exps, n, t)
+    assert basis_derivative((0, 0.5), 1, 0.25) == 1.0
+    assert basis_derivative((0, 1), 1, 0) == 1
+
+
 def test_derivative_sums_to_zero():
     # d/dt sum H_k = 0: partition of unity differentiated
     exps = (0, 2, 3, 5)
@@ -210,6 +222,28 @@ def test_chebyshev_limits_to_unit_interval_basis():
         devs.append(dev)
     assert devs[0] > devs[1] > devs[2]
     assert devs[-1] < 1e-2
+
+
+def test_limit_rate_is_the_smallest_gap():
+    # The Chebyshev-Bernstein basis on [a, 1] tends to H_k as a -> 0.  In
+    # exact arithmetic, sup_{k,t} |B^{[a,1]}_k(t) - H_k(t)| falls like
+    # a^g on these integer spaces, g the smallest exponent gap: the test
+    # pins this observed rate (slopes 0.99997 to 2.00000 per decade of
+    # a), not a proved one.
+    ts = (Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), Fraction(4, 5))
+    for exps in [(0, 2, 3), (0, 1, 3), (0, 2, 4), (0, 2, 4, 14),
+                 (0, 3, 4, 6, 9), (0, 3, 5, 6, 7)]:
+        lam = partition_from_exponents(exps)
+        g = min(b - a for a, b in zip(exps, exps[1:]))
+        h = {t: basis_values(exps, t) for t in ts}
+        logs = []
+        for e in (4, 5, 6):
+            a = Fraction(1, 10 ** e)
+            logs.append(math.log10(max(
+                abs(chebyshev_basis(lam, a, 1, k, t) - h[t][k])
+                for t in ts for k in range(len(exps)))))
+        for slope in (logs[0] - logs[1], logs[1] - logs[2]):
+            assert abs(slope - g) < 1e-3, (exps, slope)
 
 
 def test_index_validation():

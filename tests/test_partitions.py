@@ -5,11 +5,11 @@ from hypothesis import given, strategies as st
 
 from gelfond.partitions import (ExponentSequence, IntegerPartition,
                                 RealPartition, as_exponents, dimension,
-                                exponents_from_partition, hook_dimension,
-                                hook_partition_dimension,
+                                exponents_from_partition,
                                 interlacing_partitions, muntz_tableau,
-                                pairwise_dimension, partition_from_exponents,
-                                partition_parts)
+                                partition_from_exponents, partition_parts)
+from oracles import (conjugate, contents, from_frobenius, frobenius,
+                     hook_dimension, hook_partition_dimension, hooks)
 
 
 @st.composite
@@ -90,7 +90,7 @@ def test_dimension_formulas_agree():
         for n in range(1, 6):
             hd = hook_dimension(lam, n)
             if len(parts) <= n:
-                assert hd == pairwise_dimension(lam.as_real(), n)
+                assert hd == dimension(lam.as_real(), n)
                 assert hd == dimension(lam, n)
             else:
                 assert hd == 0
@@ -99,7 +99,7 @@ def test_dimension_formulas_agree():
 @given(integer_partitions(), st.integers(1, 5))
 def test_dimension_routes_cross(lam, n):
     if lam.length <= n:
-        assert hook_dimension(lam, n) == pairwise_dimension(lam.as_real(), n)
+        assert hook_dimension(lam, n) == dimension(lam.as_real(), n)
 
 
 def test_hook_dimension_matches_frobenius_hooks():
@@ -113,32 +113,42 @@ def test_hook_dimension_matches_frobenius_hooks():
 
 def test_pairwise_dimension_real():
     lam = RealPartition((2.5, 0.5))
-    d = pairwise_dimension(lam, 3)
+    d = dimension(lam, 3)
     # prod over pairs (lam_i - lam_j + j - i)/(j - i) with one zero pad
     assert d == pytest.approx((2.5 - 0.5 + 1) / 1 * (2.5 + 2) / 2 * (0.5 + 1) / 1)
     with pytest.raises(ValueError):
-        pairwise_dimension(RealPartition((1.5, 0.5, 0.25)), 2)
+        dimension(RealPartition((1.5, 0.5, 0.25)), 2)
+
+
+def test_dimension_of_a_partition_longer_than_n():
+    # no semistandard tableau has more rows than entries: 0 for an integer
+    # partition; a real partition has no such convention and is refused
+    assert dimension(IntegerPartition((2, 1, 1)), 2) == 0
+    assert dimension((1, 1, 1, 0), 2) == 0
+    assert type(dimension((2, 1), 3)) is int
+    with pytest.raises(ValueError):
+        dimension((Fraction(3, 2), Fraction(1, 2), Fraction(1, 4)), 2)
 
 
 def test_frobenius_roundtrip():
     lam = IntegerPartition((5, 4, 4, 2, 1))
-    arms, legs = lam.frobenius()
+    arms, legs = frobenius(lam)
     assert arms == (4, 2, 1) and legs == (4, 2, 0)
-    assert IntegerPartition.from_frobenius(arms, legs) == lam
+    assert from_frobenius(arms, legs) == lam
 
 
 @given(integer_partitions())
 def test_frobenius_roundtrip_random(lam):
-    arms, legs = lam.frobenius()
-    assert IntegerPartition.from_frobenius(arms, legs) == lam
+    arms, legs = frobenius(lam)
+    assert from_frobenius(arms, legs) == lam
 
 
 def test_conjugate_hooks_contents():
     lam = IntegerPartition((3, 2))
-    assert lam.conjugate().parts == (2, 2, 1)
-    assert lam.hooks() == ((4, 3, 1), (2, 1))
-    assert lam.contents() == ((0, 1, 2), (-1, 0))
-    assert sorted(h for row in lam.hooks() for h in row) == [1, 1, 2, 3, 4]
+    assert conjugate(lam).parts == (2, 2, 1)
+    assert hooks(lam) == ((4, 3, 1), (2, 1))
+    assert contents(lam) == ((0, 1, 2), (-1, 0))
+    assert sorted(h for row in hooks(lam) for h in row) == [1, 1, 2, 3, 4]
 
 
 def test_interlacing():

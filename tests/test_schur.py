@@ -7,14 +7,13 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gelfond.partitions import (IntegerPartition, RealPartition,
-                                pairwise_dimension)
-from gelfond.schur import (branch_last_variable, branch_last_variable_skew,
-                           complete_homogeneous, elementary, hook_schur,
-                           schur, schur_bialternant, schur_giambelli,
-                           schur_jacobi_trudi, schur_nagelsbach_kostka,
-                           schur_tableaux, skew_schur, skew_schur_tableaux,
-                           split_partition, splitting_limit)
+from gelfond.partitions import IntegerPartition, RealPartition, dimension
+from gelfond.schur import (branch_last_variable, schur, schur_bialternant,
+                           schur_jacobi_trudi)
+from oracles import (branch_last_variable_skew, complete_homogeneous,
+                     elementary, hook_schur, schur_giambelli,
+                     schur_nagelsbach_kostka, schur_tableaux, skew_schur,
+                     skew_schur_tableaux, split_partition, splitting_limit)
 
 ROUTES = (schur_jacobi_trudi, schur_nagelsbach_kostka, schur_giambelli,
           schur_bialternant, schur_tableaux)
@@ -123,7 +122,7 @@ def test_confluent_rows_skip_zero_coefficients():
     u = 1e-200
     parts = (0.5, 0.2, 0)
     value = schur_bialternant(parts, (u,) * 3)
-    assert value == pytest.approx(pairwise_dimension(parts, 3) * u ** 0.7,
+    assert value == pytest.approx(dimension(parts, 3) * u ** 0.7,
                                   rel=1e-12)
 
 
