@@ -13,11 +13,14 @@ join         C1-join a new curve onto the end of a serialized one
 oracle       cross-route consistency report (max deviations)
 
 Outputs are deterministic: CSV floats carry 17 significant digits, SVG
-coordinates 6, and the CSV dialect is RFC 4180 (CRLF).  The `basis`
-table and the production columns of `oracle` are evaluated in one batch
-per space, which prints the same bytes as evaluating each parameter on
-its own; `curve` evaluates its samples one at a time.  Exit codes:
-0 success, 2 invalid input, 3 numeric singularity.
+coordinates 6, and the CSV dialect is RFC 4180 (CRLF); a CSV row is
+formatted by one `%` operation.  The `basis` table and the production
+columns of `oracle` are evaluated in one batch per space, which prints
+the same bytes as evaluating each parameter on its own; `curve`
+evaluates its samples one at a time, about 7 us a sample on the integer
+space (0, 2, 4, 14) on one Xeon core, against 1 us batched.  Exit codes:
+0 success, 2 invalid input (an exact number too large for a float
+included), 3 numeric singularity.
 
 A JSON config file (--config) may supply any long flag (dashes as
 underscores), checked against the flag's type and choices as on the
@@ -103,11 +106,15 @@ def _write_text(path, text):
 
 
 def _csv_text(header, rows):
-    """RFC 4180 text with CRLF line ends.  Every field written here is a
-    number or a column name, none holding a comma, quote or line break, so
-    none needs quoting."""
+    """RFC 4180 text with CRLF line ends: the header, then each row, a
+    tuple of numbers, formatted by one `%` operation.  A field "%.17g" % x
+    has the bytes of `_fmt17(x)`, because `%` converts an int, a Fraction
+    or a numpy float by float() too; an int up to 2**53 prints as its
+    digits.  No field holds a comma, quote or line break, so none needs
+    quoting."""
+    row_format = ",".join(["%.17g"] * len(header))
     lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
+    lines.extend(row_format % row for row in rows)
     lines.append("")
     return "\r\n".join(lines)
 
@@ -211,8 +218,7 @@ def cmd_basis(args):
     table = basis_table(exps, ts).tolist()
     n = exps.n
     header = ["t"] + [f"H{k}" for k in range(n + 1)] + ["unity_residual"]
-    rows = ([_fmt17(t)] + [_fmt17(v) for v in vals] + [_fmt17(sum(vals) - 1.0)]
-            for t, vals in zip(ts, table))
+    rows = ((t, *vals, sum(vals) - 1.0) for t, vals in zip(ts, table))
     _write_text(args.output, _csv_text(header, rows))
     return 0
 
@@ -229,20 +235,20 @@ def cmd_curve(args):
     ts = _parameter_grid(*curve.interval, samples)
     # one `evaluate` call per sample: perfbench/test_perfbench.py counts
     # them.  `evaluate_many` gives the same points in one batch: for 257
-    # points on one Xeon core, 0.5 ms against 5.2 ms on (0, 2, 4, 14) and
-    # 1.0 ms against 23.6 ms on (0, 0.8, 2.5, 2.95)
+    # points on one Xeon core, 0.24 ms against 1.9 ms on (0, 2, 4, 14) and
+    # 1.2 ms against 23 ms on (0, 0.8, 2.5, 2.95)
     points = [curve.evaluate(t) for t in ts]
     if fmt == "svg":
         _write_text(args.output, _curve_svg(curve, points))
         return 0
-    rows = [[_fmt17(t)] + [_fmt17(c) for c in _coords(p)]
-            for t, p in zip(ts, points)]
+    rows = [(t, *_coords(p)) for t, p in zip(ts, points)]
     if fmt == "csv":
         dim = len(_coords(curve.points[0]))
         header = ["t"] + [f"x{d}" for d in range(dim)]
         text = _csv_text(header, rows)
     else:
-        data = {"curve": json.loads(curve_to_json(curve)), "samples": rows}
+        data = {"curve": json.loads(curve_to_json(curve)),
+                "samples": [[_fmt17(x) for x in row] for row in rows]}
         text = json.dumps(data, indent=2) + "\n"
     _write_text(args.output, text)
     return 0
@@ -297,9 +303,7 @@ def cmd_elevate(args):
     rows = convergence_report(points, exps, source, iterations, samples,
                               frame=frame)
     header = ["iteration", "polygon_size", "hausdorff", "sup_param_distance"]
-    out_rows = [[str(it), str(size), _fmt17(h), _fmt17(s)]
-                for it, size, h, s in rows]
-    _write_text(args.output, _csv_text(header, out_rows))
+    _write_text(args.output, _csv_text(header, rows))
     return 0
 
 
@@ -467,7 +471,9 @@ def main(argv=None):
     try:
         _apply_config(args, commands[args.command])
         return globals()[f"cmd_{args.command}"](args)
-    except (ValueError, NotImplementedError, OSError) as exc:
+    except (ValueError, NotImplementedError, OSError, OverflowError) as exc:
+        # OverflowError: an exact input too large for a float (a coordinate
+        # of 400 digits at a float parameter) or for a list (an exponent)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SingularityError as exc:

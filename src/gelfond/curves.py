@@ -10,6 +10,7 @@ exact for int/Fraction data and falls back to floats otherwise.
 """
 
 import json
+from functools import cached_property
 from math import factorial
 
 import numpy as np
@@ -30,7 +31,7 @@ class GelfondBezierCurve:
         n = self.exponents.n
         if len(pts) != n + 1:
             raise ValueError(f"expected {n + 1} control points, got {len(pts)}")
-        dims = {len(p) if isinstance(p, tuple) else 0 for p in pts}
+        dims = {len(p) if isinstance(p, tuple) else None for p in pts}
         if len(dims) > 1:
             raise ValueError("control points of mixed dimensions")
         a, b = interval
@@ -39,10 +40,22 @@ class GelfondBezierCurve:
         self.points = pts
         self.interval = (a, b)
         self._coeffs = None
+        # the point layout, settled once for `evaluate`: tuple or scalar
+        # points, and the coordinates as columns (one for scalars)
+        self._tuples = dims != {None}
+        self._columns = tuple(zip(*(p if self._tuples else (p,) for p in pts)))
 
     @property
     def n(self):
         return self.exponents.n
+
+    @cached_property
+    def _float_interval(self):
+        """float(a), float(b) and float(b - a), formed on the first float
+        parameter: a float t - a is t - float(a), and dividing a float by
+        b - a divides it by float(b - a)."""
+        a, b = self.interval
+        return float(a), float(b), float(b - a)
 
     def local_parameter(self, t):
         """s = (t - a)/(b - a).  A float t is checked against the
@@ -50,22 +63,30 @@ class GelfondBezierCurve:
         float(b) stays valid when an endpoint such as 1/3 rounds to just
         outside [a, b]."""
         a, b = self.interval
-        lo, hi = (a, b) if is_exact(t) else (float(a), float(b))
+        if is_exact(t):
+            lo, hi, width = a, b, b - a
+        else:
+            lo, hi, width = self._float_interval
+            t = float(t)
         if not lo <= t <= hi:
             raise ValueError(f"t={t} outside [{a}, {b}]")
-        return exact_div(t - a, b - a)
+        return exact_div(t - lo, width)
 
     def _unit_parameter(self, t):
         # at t = float(b) the rounded quotient can exceed 1, e.g. on [1/3, 1]
         return min(self.local_parameter(t), 1.0)
 
     def evaluate(self, t):
-        """Basis-sum evaluation over `basis_values`."""
-        weights = basis_values(self.exponents, self._unit_parameter(t))
-        out = vec_scale(weights[0], self.points[0])
-        for w, p in zip(weights[1:], self.points[1:]):
-            out = vec_add(out, vec_scale(w, p))
-        return out
+        """Basis-sum evaluation over `basis_values`: each coordinate is
+        w_0 c_0 + w_1 c_1 + .. + w_n c_n, summed left to right."""
+        w = basis_values(self.exponents, self._unit_parameter(t))
+        out = []
+        for c in self._columns:
+            acc = w[0] * c[0]
+            for k in range(1, len(w)):
+                acc = acc + w[k] * c[k]
+            out.append(acc)
+        return tuple(out) if self._tuples else out[0]
 
     __call__ = evaluate
 
@@ -82,18 +103,19 @@ class GelfondBezierCurve:
         if not (ts and all(isinstance(t, float) for t in ts)):
             return [self.evaluate(t) for t in ts]
         a, b = self.interval
+        lo, hi, width = self._float_interval
         t = np.asarray(ts, dtype=float)
         for end in (float(t.min()), float(t.max())):
-            if not float(a) <= end <= float(b):
+            if not lo <= end <= hi:
                 raise ValueError(f"t={end} outside [{a}, {b}]")
-        s = np.minimum((t - float(a)) / float(b - a), 1.0)
+        s = np.minimum((t - lo) / width, 1.0)
         weights = basis_table(self.exponents, s)
         points = np.array(self.points, dtype=float).reshape(len(self.points), -1)
         out = None
         for w, p in zip(weights.T, points):
             term = w[:, None] * p
             out = term if out is None else out + term
-        if isinstance(self.points[0], tuple):
+        if self._tuples:
             return [tuple(row) for row in out.tolist()]
         return out[:, 0].tolist()
 

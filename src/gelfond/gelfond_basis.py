@@ -55,7 +55,7 @@ from .arith import (SingularityError, all_exact, exact_div, is_exact,
 from .divided_diff import _opitz_table, exponential_dd
 from .partitions import (ExponentSequence, RealPartition, as_exponents,
                          dimension, partition_from_exponents, partition_parts)
-from .polynomials import Poly, horner_table
+from .polynomials import Poly, _horner, horner_table
 from .schur import schur
 
 
@@ -171,15 +171,19 @@ def _opitz_basis(r, t):
 
 def basis_values(exponents, t):
     """All of H_0(t), ..., H_n(t) for t in [0, 1]: the cached basis
-    polynomials for integer exponents, exact at an exact t; floats from
-    the Opitz kernel for real exponents."""
+    polynomials for integer exponents, exact at an exact t and by
+    Horner's rule over their float coefficients at a float t (decided
+    once per call); floats from the Opitz kernel for real exponents."""
     r = as_exponents(exponents)
     if not 0 <= t <= 1:
         raise ValueError(f"t must be in [0, 1], got {t}")
     polys = _exact_basis(*r.exponents)
     if polys is None:
         return tuple(_opitz_basis(r, np.array([float(t)]))[0].tolist())
-    return tuple([p(t) for p in polys])
+    if is_exact(t):
+        return tuple([p(t) for p in polys])
+    t = float(t)
+    return tuple([_horner(p, t) for p in polys])
 
 
 def basis_table(exponents, ts):

@@ -111,16 +111,10 @@ class Poly:
 
     def __call__(self, t):
         """Horner evaluation; exact for int/Fraction t, float otherwise."""
-        if not self.coeffs:
-            return Fraction(0) if is_exact(t) else 0.0
-        if is_exact(t):
-            acc = Fraction(0)
-            for c in reversed(self.coeffs):
-                acc = acc * t + c
-            return acc
-        acc = 0.0
-        t = float(t)
-        for c in self._float_horner():
+        if not is_exact(t):
+            return _horner(self, float(t))
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
             acc = acc * t + c
         return acc
 
@@ -135,6 +129,16 @@ class Poly:
             if c:
                 terms.append(f"{c}*t^{i}" if i else f"{c}")
         return "Poly(" + " + ".join(terms) + ")"
+
+
+def _horner(p, t):
+    """p(t) for a float t by Horner's rule from 0.0 over float(c) of each
+    coefficient: the one-point twin of `horner_table`, performing the same
+    float operations."""
+    acc = 0.0
+    for c in p._float_horner():
+        acc = acc * t + c
+    return acc
 
 
 def horner_table(polys, ts):

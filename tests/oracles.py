@@ -16,7 +16,11 @@ the two against each other:
    shift and derivative identities of [x_0..x_s] t^x;
  * the closed-form basis polynomials of the elementary, complete and hook
    families, and the vanishing orders of H_k at 0 and 1;
- * the variation-diminishing count of hyperplane crossings.
+ * the variation-diminishing count of hyperplane crossings;
+ * the CSV tables of `basis` and `curve` by the per-field route: basis
+   values one parameter at a time, the curve as the basis sum over
+   `basis_values` by `vec_scale` and `vec_add`, and each field formatted
+   by `cli._fmt17` and joined.
 
 Conventions: h_m = e_m = 0 for m < 0, and hook Schur values with a
 negative arm or leg are 0, so the determinant and branching formulas
@@ -31,10 +35,12 @@ Tests import this module as `oracles` (pytest puts `tests/` on
 from fractions import Fraction
 from math import comb
 
-from gelfond.arith import as_point, det, exact_div
+from gelfond.arith import as_point, det, exact_div, vec_add, vec_scale
+from gelfond.cli import _fmt17, _parameter_grid
 from gelfond.divided_diff import _check_t, exponential_dd
-from gelfond.gelfond_basis import (basis_polynomial, complete_exponents,
-                                   elementary_exponents, hook_exponents)
+from gelfond.gelfond_basis import (basis_polynomial, basis_values,
+                                   complete_exponents, elementary_exponents,
+                                   hook_exponents)
 from gelfond.partitions import (IntegerPartition, RealPartition, as_exponents,
                                 partition_parts)
 from gelfond.polynomials import Poly
@@ -440,3 +446,40 @@ def hyperplane_crossings(curve, normal, offset, samples=401):
     curve_vals = [height(p) for p in curve.evaluate_many(ts)]
     poly_vals = [height(p) for p in curve.points]
     return count(curve_vals), count(poly_vals)
+
+
+# -- command-line tables -----------------------------------------------------
+
+def _csv_lines(header, rows):
+    lines = [",".join(header)]
+    lines.extend(",".join(_fmt17(x) for x in row) for row in rows)
+    return "\r\n".join(lines + [""])
+
+
+def basis_csv(exponents, samples):
+    """The text of `basis --exponents .. --samples ..`, one parameter at a
+    time through `basis_values`."""
+    n = len(exponents) - 1
+    rows = []
+    for t in _parameter_grid(0, 1, samples):
+        vals = basis_values(exponents, t)
+        rows.append((t, *vals, sum(vals) - 1.0))
+    header = ["t"] + [f"H{k}" for k in range(n + 1)] + ["unity_residual"]
+    return _csv_lines(header, rows)
+
+
+def curve_csv(exponents, points, interval, samples):
+    """The text of `curve --format csv` for these parsed points (scalars or
+    tuples) and endpoints: at each grid parameter t the local parameter
+    min((t - a)/(b - a), 1.0), then w_0 p_0 + .. + w_n p_n by `vec_scale`
+    and `vec_add` over the weights of `basis_values`."""
+    a, b = interval
+    rows = []
+    for t in _parameter_grid(a, b, samples):
+        weights = basis_values(exponents, min(exact_div(t - a, b - a), 1.0))
+        out = vec_scale(weights[0], points[0])
+        for w, p in zip(weights[1:], points[1:]):
+            out = vec_add(out, vec_scale(w, p))
+        rows.append((t, *(out if isinstance(out, tuple) else (out,))))
+    dim = len(points[0]) if isinstance(points[0], tuple) else 1
+    return _csv_lines(["t"] + [f"x{d}" for d in range(dim)], rows)

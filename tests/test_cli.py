@@ -1,10 +1,13 @@
+import contextlib
 import csv
 import io
 import json
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from gelfond import cli
 from gelfond.arith import SingularityError
@@ -13,6 +16,7 @@ from gelfond.dimelev import (PRESETS, corner_cutting, insert_exponent,
                              preset, sample_curve)
 from gelfond.gelfond_basis import (basis_values, complete_exponents,
                                    elementary_exponents, hook_exponents)
+from oracles import basis_csv, curve_csv
 
 
 def run(capsys, *argv):
@@ -262,12 +266,25 @@ def test_singularity_exit_code(monkeypatch, capsys):
     assert run(capsys, "basis", "--exponents", "0,1")[0] == 3
 
 
+@pytest.mark.parametrize("interval", [
+    f"0,1/{10 ** 400}",                                  # b - a underflows
+    "3333333333333333/10000000000000000,0.3333333333333333",   # float(a) == b
+])
+def test_interval_below_float_resolution_exits_3(interval, capsys):
+    # the float parameters all coincide, and (t - a)/(b - a) is 0/0
+    assert run(capsys, "curve", "--exponents", "0,1", "--points", "0;1",
+               "--interval", interval, "--samples", "3")[0] == 3
+
+
 def test_points_accept_fractions(capsys):
     code, out = run(capsys, "decasteljau", "--exponents", "0,1",
                     "--points", "1/3,0;2/3,1", "--t", "1/4")
     assert code == 0
     data = json.loads(out)
     assert data["levels"][0][0] == ["1/3", 0]
+
+
+HUGE = 10 ** 400
 
 
 @pytest.mark.parametrize("argv", [
@@ -303,6 +320,16 @@ def test_points_accept_fractions(capsys):
      "1e200,0;-1e200,1;1e200,0;0,0", "--iterations", "2"],
     ["curve", "--exponents", "0,1,3,4", "--points",
      "1e308,0;-1e308,1;1e308,0;0,0", "--format", "svg"],
+    # exact numbers too large for a float where a float route meets them
+    ["curve", "--exponents", "0,1", "--points", f"{HUGE},0;0,0"],
+    ["decasteljau", "--exponents", "0,1", "--points", f"{HUGE},0;0,0",
+     "--t", "0.5"],
+    ["elevate", "--preset", "cubic-linear", "--points",
+     f"{HUGE},0;1,4;3,4;4,0"],
+    ["curve", "--exponents", "0,1", "--points", f"{HUGE}/3,0;0,0",
+     "--format", "svg"],
+    ["basis", "--exponents", f"0,{HUGE}"],
+    ["oracle", "--exponents", f"0,{HUGE}"],
 ])
 def test_boundary_inputs_exit_2(argv, tmp_path, capsys):
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
@@ -311,6 +338,16 @@ def test_boundary_inputs_exit_2(argv, tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["decasteljau", "--t", "1/2"],
+    ["insert", "--rho", "2"],
+])
+def test_huge_exact_coordinates_stay_exact(argv, capsys):
+    code, out = run(capsys, *argv, "--exponents", "0,1",
+                    "--points", f"{HUGE},0;0,0")
+    assert code == 0 and str(HUGE) in out
 
 
 LEFT = {"exponents": [0, 1, 3], "interval": [0, 1],
@@ -334,6 +371,8 @@ LEFT = {"exponents": [0, 1, 3], "interval": [0, 1],
       "--format", "json"], [[0, 0], [True, 1], [2, False]]),
     (["join", "--left", "{file}", "--exponents", "0,1,2", "--interval", "1,2",
       "--points", "5,5"], {**LEFT, "exponents": [0, True, 2]}),
+    # a scalar and an empty point are of mixed dimensions
+    (["curve", "--exponents", "0,1", "--points-file", "{file}"], [0, []]),
 ])
 def test_json_inputs_exit_2(argv, data, tmp_path, capsys):
     path = tmp_path / "in.json"
@@ -478,12 +517,72 @@ def test_batched_output_matches_pointwise(argv, monkeypatch, capsys):
 
 def test_csv_reads_back():
     header = ["t", "x0", "x1"]
-    rows = [[cli._fmt17(x) for x in (t, -t / 3, 1e-300 * t)]
-            for t in (0.0, 1 / 3, 1.0, 12345.678)]
-    rows.append([cli._fmt17(x) for x in (float("inf"), -0.0, 2 ** 70)])
+    rows = [(t, -t / 3, 1e-300 * t) for t in (0.0, 1 / 3, 1.0, 12345.678)]
+    rows.append((float("inf"), -0.0, 2 ** 70))
     text = cli._csv_text(header, rows)
     assert text.endswith("\r\n") and text.count("\r\n") == len(rows) + 1
-    assert list(csv.reader(io.StringIO(text, newline=""))) == [header] + rows
+    assert list(csv.reader(io.StringIO(text, newline=""))) == [header] + [
+        [cli._fmt17(x) for x in row] for row in rows]
+
+
+def test_csv_row_format_is_fmt17_per_field():
+    row = (-0.0, 5e-324, 2 ** 53 + 1, 1e16, 1e308, Fraction(1, 3),
+           np.float64(0.1), 7, -1 / 3)
+    header = [f"c{i}" for i in range(len(row))]
+    assert cli._csv_text(header, [row]).split("\r\n")[1] == ",".join(
+        cli._fmt17(x) for x in row)
+
+
+COORDINATES = (st.integers(-9, 9) | st.fractions(-9, 9, max_denominator=12)
+               | st.floats(-9, 9, allow_nan=False))
+
+
+@st.composite
+def spaces(draw):
+    """Integer spaces, or real ones from float gaps (3.0 is a real exponent)."""
+    gap = draw(st.sampled_from([st.integers(1, 4),
+                                st.sampled_from([0.5, 0.75, 1.5, 2.0, 2.25])]))
+    n = draw(st.integers(1, 5))
+    return (0,) + tuple(accumulate(draw(st.lists(gap, min_size=n, max_size=n))))
+
+
+def _json_number(x):
+    return f"{x.numerator}/{x.denominator}" if isinstance(x, Fraction) else x
+
+
+@pytest.fixture(scope="module")
+def points_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("points")
+
+
+@seed(20261019)
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_csv_tables_match_the_per_field_route(points_dir, data):
+    # `curve` and `basis` CSV, byte for byte, against the sum over
+    # `basis_values` by vec_scale/vec_add with each field through _fmt17
+    exps = data.draw(spaces())
+    dim = data.draw(st.sampled_from([None, 1, 2, 3]))     # None: scalars
+    point = COORDINATES if dim is None else st.tuples(*[COORDINATES] * dim)
+    points = data.draw(st.lists(point, min_size=len(exps), max_size=len(exps)))
+    interval = data.draw(st.sampled_from(
+        [((0, 1), "0,1"), ((Fraction(1, 3), 1), "1/3,1"), ((0.3, 0.9), "0.3,0.9")]))
+    samples = data.draw(st.integers(2, 65))
+    path = points_dir / "points.json"
+    path.write_text(json.dumps([
+        _json_number(p) if dim is None else [_json_number(c) for c in p]
+        for p in points]))
+    exps_text = ",".join(map(str, exps))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["curve", "--exponents", exps_text, "--points-file",
+                         str(path), "--interval", interval[1],
+                         "--samples", str(samples)]) == 0
+        assert cli.main(["basis", "--exponents", exps_text,
+                         "--samples", str(samples)]) == 0
+    want = (curve_csv(exps, points, interval[0], samples)
+            + basis_csv(exps, samples))
+    assert out.getvalue() == want
 
 
 def test_parser_is_built_once(monkeypatch, capsys):

@@ -1,6 +1,7 @@
 """Seeded fuzz test of the command line: generated argv for every
 subcommand, drawn from pools that mix valid values with the inputs the
-boundary must refuse.
+boundary must refuse, among them exact coordinates (10^400 and
+10^400/3) too large for the float routes.
 
 Every call ends with exit code 0, 2 or 3 and no traceback; an input the
 program itself rejects (not argparse) is reported on exactly one stderr
@@ -27,7 +28,8 @@ EXPONENTS = ["0,1,3", "0,2,4,14", "0,3,4,6,9", "0,1,2,4", "0,1.5,3",
              "0,1e308", "0,,2", "zero,1"]
 POINTS = ["0,0;1,4;3,4;4,0", "0,0;1,2;3,0", "0,0;1,1", "0;1;3;2", "1;2,3",
           "0,0,0;1,2,3;3,0,1", "1/2,0;1,1;2,0", "1/0,0;1,1", "nan,0;1,1",
-          "0,inf;1,1", "1e308,0;-1e308,1;1e308,0;0,0", "0,0;1", "a,b"]
+          "0,inf;1,1", "1e308,0;-1e308,1;1e308,0;0,0", "0,0;1", "a,b",
+          f"{10 ** 400},0;1,2;3,0", f"0,0;1,4;3,{10 ** 400}/3;4,0"]
 INTERVALS = ["0,1", "1/3,2", "0.3,0.9", "1,0", "1,1", "0,1/0", "nan,1",
              "0,inf", "1", "0,1,2", "-1e308,1e308"]
 PARAMETERS = ["1/2", "1/3", "0.4", "0", "1", "2", "-1", "nan", "inf", "1/0",

@@ -246,6 +246,27 @@ def test_limit_rate_is_the_smallest_gap():
             assert abs(slope - g) < 1e-3, (exps, slope)
 
 
+def test_limit_rate_is_the_smallest_gap_on_real_spaces():
+    # The same observed rate in floats on real spaces, g = 1.5 and g = 0.5
+    # (slopes 1.500, 1.500 and 0.504, 0.501 per decade of a): each slope
+    # within 0.01 of g, and the two decades within 0.01 of each other, so
+    # the rate is already asymptotic at these a.
+    ts = [i / 40 for i in range(1, 40)]
+    for exps in [(0, 1.5, 3), (0, 3, 3.5, 7)]:
+        lam = partition_from_exponents(exps)
+        g = min(b - a for a, b in zip(exps, exps[1:]))
+        h = {t: basis_values(exps, t) for t in ts}
+        logs = []
+        for e in (4, 5, 6):
+            a = 10.0 ** -e
+            logs.append(math.log10(max(
+                abs(chebyshev_basis(lam, a, 1.0, k, t) - h[t][k])
+                for t in ts for k in range(len(exps)))))
+        slopes = (logs[0] - logs[1], logs[1] - logs[2])
+        assert all(abs(slope - g) < 0.01 for slope in slopes), (exps, slopes)
+        assert abs(slopes[0] - slopes[1]) < 0.01, (exps, slopes)
+
+
 def test_index_validation():
     with pytest.raises(ValueError):
         basis_derivative((0, 1, 3), 3, Fraction(1, 2))
