@@ -28,9 +28,12 @@ def all_exact(xs):
 
 
 def is_integral(x):
-    """True for ints and Fractions with denominator 1."""
+    """True for ints and Fractions with denominator 1.  A float is ruled
+    out before the Fraction test, as in `is_exact`."""
     if isinstance(x, int):
         return True
+    if isinstance(x, float):
+        return False
     if isinstance(x, Fraction):
         return x.denominator == 1
     return False
@@ -57,38 +60,50 @@ def falling_factorial(a, q):
 def det(rows):
     """Determinant of a square matrix given as a list of row lists.
 
-    All-exact entries: fraction arithmetic with the first nonzero pivot,
-    giving an exact result, an int where it is integral.  Otherwise
-    partial pivoting on magnitude in the entries' own arithmetic (floats,
-    or Decimals under the caller's context); a zero pivot column gives a
-    zero of that type.  The empty matrix has determinant 1.
+    One scan of the entries decides the arithmetic.  All exact (ints and
+    Fractions): fraction arithmetic with the first nonzero pivot, giving
+    an exact result, an int where it is integral.  Otherwise partial
+    pivoting in the entries' own arithmetic (floats, or Decimals under the
+    caller's context): the pivot is the first row of largest magnitude in
+    the column, and a zero pivot column gives a zero of that type.  Each
+    step subtracts factor * pivot row from every row below with a nonzero
+    entry in the column, from the pivot column on.  The empty matrix has
+    determinant 1.
     """
     n = len(rows)
     if n == 0:
         return 1
-    m = [list(r) for r in rows]
-    if any(len(r) != n for r in m):
+    if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
-    exact = all(all_exact(r) for r in m)
+    exact = all(is_exact(x) for r in rows for x in r)
     if exact:
-        m = [[Fraction(x) for x in r] for r in m]
+        m = [[Fraction(x) for x in r] for r in rows]
+    else:
+        m = [list(r) for r in rows]
     sign = 1
     for col in range(n):
         if exact:
             pivot_row = next((r for r in range(col, n) if m[r][col] != 0), col)
         else:
-            pivot_row = max(range(col, n), key=lambda r: abs(m[r][col]))
+            pivot_row, largest = col, abs(m[col][col])
+            for r in range(col + 1, n):
+                size = abs(m[r][col])
+                if size > largest:
+                    pivot_row, largest = r, size
         if m[pivot_row][col] == 0:
             return 0 if exact else abs(m[pivot_row][col])
         if pivot_row != col:
             m[col], m[pivot_row] = m[pivot_row], m[col]
             sign = -sign
-        pivot = m[col][col]
+        top = m[col]
+        pivot = top[col]
+        cols = range(col, n)
         for r in range(col + 1, n):
-            if m[r][col]:
-                factor = m[r][col] / pivot
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
+            row = m[r]
+            if row[col]:
+                factor = row[col] / pivot
+                for c in cols:
+                    row[c] -= factor * top[c]
     out = sign
     for i in range(n):
         out *= m[i][i]

@@ -134,7 +134,8 @@ def blossom_value(coeffs, exponents, args, zeros=0):
     return out
 
 
-def pseudo_affinity(exponents, zeros, args, t, schur_values=None):
+def pseudo_affinity(exponents, zeros, args, t, schur_values=None,
+                    parts=None):
     """alpha(0^zeros, args; 0, 1, t): the de Casteljau weight on [0, 1].
 
     With lam the space's partition padded by one zero, mu its first
@@ -145,7 +146,9 @@ def pseudo_affinity(exponents, zeros, args, t, schur_values=None):
     `schur_values`, a dict that the nodes of one de Casteljau pyramid
     share, keeps each Schur value under its shape and its points as a
     multiset; Schur functions are symmetric, so a value needed by two
-    nodes is computed once and is the same value either way.
+    nodes is computed once and is the same value either way.  `parts`,
+    the padded parts of lam, lets a pyramid form the partition once for
+    all its nodes.
     """
     r = as_exponents(exponents)
     n = r.n
@@ -157,7 +160,8 @@ def pseudo_affinity(exponents, zeros, args, t, schur_values=None):
         return 0 if is_exact(t) else 0.0
     if not 0 < t <= 1:
         raise ValueError(f"t={t} outside [0, 1]")
-    parts = partition_from_exponents(r).parts + (0,)
+    if parts is None:
+        parts = partition_from_exponents(r).parts + (0,)
     mu = parts[:n - j]
     eta = parts[1:n - j + 1]
 
@@ -184,8 +188,9 @@ def de_casteljau(points, exponents, t):
     p_i^r = f_P(0^{n-r-i}, 1^i, t, .., t) with r copies of t.  The nodes
     share their Schur values: S_{lam[:m]}(1^{i+1}, t^{m-i-1}), for one,
     serves both node (r, i) and node (r-1, i+1), so a pyramid evaluates
-    at most n(n+3) Schur values, not 4 per node.  Real exponents give the
-    pyramid at float(t)."""
+    at most n(n+3) Schur values, not 4 per node, and the space's partition
+    is formed once per pyramid.  Real exponents give the pyramid at
+    float(t)."""
     r = as_exponents(exponents)
     n = r.n
     points = tuple(points)
@@ -200,11 +205,13 @@ def de_casteljau(points, exponents, t):
     levels = [points]
     prev = points
     schur_values = {}
+    parts = partition_from_exponents(r).parts + (0,)
     for level in range(1, n + 1):
         row = []
         for i in range(n - level + 1):
             args = (1,) * i + (t,) * (level - 1)
-            alpha = pseudo_affinity(r, n - level - i, args, t, schur_values)
+            alpha = pseudo_affinity(r, n - level - i, args, t, schur_values,
+                                    parts)
             if not -ALPHA_SLACK <= alpha <= 1 + ALPHA_SLACK:
                 raise SingularityError(
                     f"pseudo-affinity {alpha} outside [0,1] at level {level}, node {i}")

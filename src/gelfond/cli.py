@@ -49,10 +49,14 @@ MAX_SAMPLES = 10 ** 6
 
 # `elevate` above this work is refused before any sampling.  Each of its
 # iterations + 1 rows compares two samplings (up to samples^2 squared
-# distances) and inserts into and resamples a polygon that grows from
-# n + 1 points by one per iteration; the README example and the benchmark
-# (100 iterations, 512 samples) do 2.6e7.
+# distances), inserts into and resamples a polygon that grows from n + 1
+# points by one per iteration, and pays a fixed cost, ELEVATE_ROW_WORK,
+# for numpy calls on small arrays (about 0.46 ms a row, which at 512
+# samples is the time of some 1.6e5 squared distances).  The README
+# example and the benchmark (100 iterations, 512 samples) do 3.2e7;
+# `--samples 2` stops near 1900 iterations, about a second of rows.
 MAX_ELEVATE_WORK = 10 ** 8
+ELEVATE_ROW_WORK = 5 * 10 ** 4
 
 
 def _fmt17(x):
@@ -283,11 +287,13 @@ def cmd_elevate(args):
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     samples = _samples(args, default=512)
-    work = (iterations + 1) * (samples ** 2 + exps.n + iterations)
+    work = (iterations + 1) * (samples ** 2 + exps.n + iterations
+                               + ELEVATE_ROW_WORK)
     if work > MAX_ELEVATE_WORK:
         raise ValueError(
-            f"(iterations + 1) x (samples^2 + n + iterations) = {work} is above "
-            f"the ceiling {MAX_ELEVATE_WORK}; lower --iterations or --samples")
+            f"(iterations + 1) x (samples^2 + n + iterations + "
+            f"{ELEVATE_ROW_WORK}) = {work} is above the ceiling "
+            f"{MAX_ELEVATE_WORK}; lower --iterations or --samples")
     frame = None
     if args.frames_dir:
         if any(len(_coords(as_point(p))) != 2 for p in points):

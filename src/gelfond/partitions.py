@@ -38,10 +38,12 @@ FLOAT_SLACK = 1e-12
 def _coerce_parts(parts):
     out = []
     for p in parts:
-        if isinstance(p, Fraction):
-            out.append(simplify(p))
-        elif isinstance(p, (int, float)):
+        # ints and floats first: the Fraction test goes through the
+        # abstract-class machinery of `numbers`
+        if isinstance(p, (int, float)):
             out.append(p)
+        elif isinstance(p, Fraction):
+            out.append(simplify(p))
         else:
             raise TypeError(f"partition part of unsupported type {type(p).__name__}")
     return tuple(out)

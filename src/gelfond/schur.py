@@ -9,6 +9,17 @@ non-integral powers are exp(x ln v) from one logarithm per point,
 carried with guard digits so that each rounds to the correctly rounded
 Decimal power v ** x, at a fraction of its cost.
 
+What a bialternant needs of its shape and its number of points n alone is
+formed once per (shape, n) and cached (`_ladder`, the 64 used last): the
+exponent ladder a_j and its decrease check, whether it is integral, the
+logarithms of its gaps below 1 that `_lost_digits` subtracts, and the
+table of falling factorials a_j (a_j - 1) .. (a_j - q + 1) with the
+exponents a_j - q.  Each cached value is the one a call would form, by the
+same operations, and a call uses it in the same order (the gap logarithms
+after the point-group terms), so the results are the same bits as when
+every call formed them itself.  The Decimal fallback forms its own table
+under its raised context.
+
 `branch_last_variable`, the one-variable branching over interlacing
 partitions, is kept here because the two-point Schur values of the de
 Casteljau pyramid are to be built on it.  The cross-check routes
@@ -22,10 +33,11 @@ h_m = 0 for m < 0, which closes the determinant over short rows.
 import decimal
 import math
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from math import factorial
 
-from .arith import all_exact, det, falling_factorial, is_integral, simplify
+from .arith import (SingularityError, all_exact, det, falling_factorial,
+                    is_integral, simplify)
 from .partitions import (FLOAT_SLACK, IntegerPartition, _strip_zeros,
                          interlacing_partitions, partition_parts)
 
@@ -61,23 +73,58 @@ def schur_jacobi_trudi(lam, points):
     return det(rows)
 
 
-def _lost_digits(groups, a):
+def _lost_digits(groups, gap_logs):
     """Decimal digits the float bialternant loses to cancellation.
 
     The numerator determinant carries the factor prod (v_i - v_j)^{m_i m_j}
     while its entries stay at the size of the largest power, so nearly
     coincident point groups erase about -log10 of that product.  Nearly
     equal column exponents a_j (from near-confluent Muntz exponents) make
-    two columns almost equal and erase -log10 of each small gap."""
+    two columns almost equal and erase -log10 of each small gap; those
+    logarithms depend on the ladder alone (`_ladder`'s `gap_logs`) and are
+    subtracted after the group terms, in ladder order."""
     lost = 0.0
     for i, (vi, mi) in enumerate(groups):
         for vj, mj in groups[i + 1:]:
             lost -= mi * mj * math.log10(abs(vi - vj) / max(abs(vi), abs(vj)))
-    for x, y in zip(a, a[1:]):
-        gap = abs(float(x) - float(y))
-        if 0 < gap < 1:
-            lost -= math.log10(gap)
+    for g in gap_logs:
+        lost -= g
     return lost
+
+
+def _entries(a, depth):
+    """Row q < depth of the confluent rows as pairs (c, x): the entry in
+    column j is c v^x, with c = a_j (a_j - 1) .. (a_j - q + 1) and
+    x = a_j - q."""
+    return tuple(tuple((falling_factorial(aj, q), aj - q) for aj in a)
+                 for q in range(depth))
+
+
+@lru_cache(maxsize=64, typed=True)
+def _ladder(n, *parts):
+    """What the bialternant of a shape at n points needs of the shape and
+    n alone: the ladder a_j = lambda_j + n - 1 - j (checked to decrease),
+    whether it is integral, the logarithms of its gaps below 1 (the ladder
+    term of `_lost_digits`) and its entry table (`_entries`) for up to n
+    equal points.  Cached for the 64 (shape, n) used last; typed, because
+    3.0 equals 3 but makes the ladder real.  A shape that fails a check
+    raises on every call: exceptions are not cached."""
+    parts = _strip_zeros(partition_parts(parts))
+    if len(parts) > n:
+        raise ValueError(
+            f"partition with {len(parts)} parts at {n} points: pad the points")
+    parts = parts + (0,) * (n - len(parts))
+    a = tuple(parts[j] + n - 1 - j for j in range(n))
+    # only the strict ladder is needed for the determinant quotient; blossom
+    # windows may break the real-partition bound on the final part
+    slack = 0 if all_exact(parts) else FLOAT_SLACK
+    for x, y in zip(a, a[1:]):
+        if not x > y - slack:
+            raise ValueError(f"Schur exponent ladder must decrease: {parts}")
+    gaps = (abs(float(x) - float(y)) for x, y in zip(a, a[1:]))
+    gap_logs = tuple(math.log10(gap) for gap in gaps if 0 < gap < 1)
+    integral = all(is_integral(x) for x in a)
+    return a, integral, gap_logs, _entries(a, n)
 
 
 def _decimal_power(v, a):
@@ -109,24 +156,30 @@ def _decimal_power(v, a):
     return power
 
 
-def _confluent_quotient(groups, a, sign):
+def _confluent_quotient(groups, a, sign, entries):
     """sign * det(confluent rows) / closed-form denominator, all in the
     number type of the group values: Fractions, floats, or Decimals under
-    the caller's context.  Each group forms its powers by one power
+    the caller's context.  `entries` holds the rows' coefficients and
+    exponents (`_entries`).  Each group forms its powers by one power
     function of v (`_decimal_power` for Decimals).  An entry whose
     falling-factorial coefficient is 0 is a positive zero and its power is
-    never formed: v^(a_j - q) can overflow where the entry is 0."""
+    never formed: v^(a_j - q) can overflow where the entry is 0.  A float
+    power that overflows elsewhere (a point near 0, a negative exponent)
+    is a SingularityError naming the point."""
     kind = type(groups[0][0])
+    zero = kind(0)
     rows = []
     for v, m in groups:
         power = (_decimal_power(v, a) if kind is decimal.Decimal
                  else partial(pow, v))
-        for q in range(m):
-            row = []
-            for aj in a:
-                c = falling_factorial(aj, q)
-                row.append(c * power(aj - q) if c != 0 else kind(0))
-            rows.append(row)
+        try:
+            for q in range(m):
+                rows.append([c * power(x) if c != 0 else zero
+                             for c, x in entries[q]])
+        except OverflowError:
+            raise SingularityError(
+                f"the float bialternant overflows at the point {v}: a "
+                f"negative power of it is beyond the float range") from None
     num = det(rows)
     den = kind(1)
     for i, (vi, mi) in enumerate(groups):
@@ -142,14 +195,16 @@ def _bialternant_decimal(groups, a, sign, lost):
     extra digits to absorb the `lost` digits of predicted cancellation.
     Float and int exponents convert exactly; a Fraction exponent is its
     quotient under the raised context, so the gap between two nearly
-    equal Fraction exponents survives."""
+    equal Fraction exponents survives.  The entry table is formed under
+    that context, for the largest multiplicity among the groups."""
     with decimal.localcontext() as ctx:
         ctx.prec = 28 + int(lost) + 8
         D = decimal.Decimal
+        a = [D(x.numerator) / D(x.denominator) if isinstance(x, Fraction)
+             else D(x) for x in a]
         value = _confluent_quotient(
-            [(D(v), m) for v, m in groups],
-            [D(x.numerator) / D(x.denominator) if isinstance(x, Fraction)
-             else D(x) for x in a], sign)
+            [(D(v), m) for v, m in groups], a, sign,
+            _entries(a, max(m for _, m in groups)))
     return float(value) if value else 0.0
 
 
@@ -171,29 +226,19 @@ def schur_bialternant(lam, points):
     floats, and Decimals take over past 4 predicted lost digits.  The
     Decimal route forms each non-integral power as exp(x ln v) from one
     logarithm per point value, with guard digits that make it round to
-    the correctly rounded v ** x (`_decimal_power`)."""
+    the correctly rounded v ** x (`_decimal_power`).  What depends on the
+    shape and the number of points alone comes from `_ladder`; a call
+    checks and groups its points and forms its entries."""
     pts = _check_points(points)
-    parts = _strip_zeros(partition_parts(lam))
     n = len(pts)
-    if len(parts) > n:
-        raise ValueError(
-            f"partition with {len(parts)} parts at {n} points: pad the points")
+    a, integral, gap_logs, entries = _ladder(n, *lam)
     if n == 0:
         return 1
-    parts = parts + (0,) * (n - len(parts))
-    a = [parts[j] + n - 1 - j for j in range(n)]
-    # only the strict ladder is needed for the determinant quotient; blossom
-    # windows may break the real-partition bound on the final part
-    slack = 0 if all_exact(parts) else FLOAT_SLACK
-    for x, y in zip(a, a[1:]):
-        if not x > y - slack:
-            raise ValueError(f"Schur exponent ladder must decrease: {parts}")
-    exact = all_exact(pts) and all(is_integral(x) for x in a)
+    exact = integral and all_exact(pts)
     kind = Fraction if exact else float
-    pts = [kind(u) for u in pts]
 
     groups = []
-    for v in sorted(pts, reverse=True):
+    for v in sorted(map(kind, pts), reverse=True):
         if groups and groups[-1][0] == v:
             groups[-1][1] += 1
         else:
@@ -201,10 +246,10 @@ def schur_bialternant(lam, points):
 
     sign = -1 if sum(m * (m - 1) // 2 for _, m in groups) % 2 else 1
     if not exact:
-        lost = _lost_digits(groups, a)
+        lost = _lost_digits(groups, gap_logs)
         if lost > 4:
             return _bialternant_decimal(groups, a, sign, lost)
-    return _confluent_quotient(groups, a, sign)
+    return _confluent_quotient(groups, a, sign, entries)
 
 
 def schur(lam, points):
@@ -212,12 +257,15 @@ def schur(lam, points):
     at exact points: Jacobi-Trudi, exactly.  Everything else: the
     bialternant, whose cancellation guard (float determinants of O(1)
     terms collapsing to a tiny Schur value) also covers integer shapes at
-    float points near 0 or near coincidence."""
-    parts = _strip_zeros(partition_parts(lam))
-    integer = all(is_integral(p) and p >= 0 for p in parts)
-    if integer and all_exact(tuple(points)):
-        return schur_jacobi_trudi(parts, points)
-    return schur_bialternant(parts, points)
+    float points near 0 or near coincidence.  Float points go to the
+    bialternant without a look at the shape, which its per-shape cache
+    reads."""
+    points = tuple(points)
+    if all_exact(points):
+        parts = _strip_zeros(partition_parts(lam))
+        if all(is_integral(p) and p >= 0 for p in parts):
+            return schur_jacobi_trudi(parts, points)
+    return schur_bialternant(lam, points)
 
 
 def branch_last_variable(lam, points, last):

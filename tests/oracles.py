@@ -20,7 +20,12 @@ the two against each other:
  * the CSV tables of `basis` and `curve` by the per-field route: basis
    values one parameter at a time, the curve as the basis sum over
    `basis_values` by `vec_scale` and `vec_add`, and each field formatted
-   by `cli._fmt17` and joined.
+   by `cli._fmt17` and joined;
+ * reference copies of the bialternant and the determinant as they were
+   before the per-shape ladder cache and the lean elimination loop
+   (`reference_bialternant`, `reference_confluent_quotient`,
+   `reference_det`): the same operations in the same order, re-derived
+   on every call, so that tests can pin the production bytes to them.
 
 Conventions: h_m = e_m = 0 for m < 0, and hook Schur values with a
 negative arm or leg are 0, so the determinant and branching formulas
@@ -32,19 +37,24 @@ Tests import this module as `oracles` (pytest puts `tests/` on
 `sys.path`); nothing under `src/` imports it.
 """
 
+import decimal
+import math
 from fractions import Fraction
-from math import comb
+from functools import partial
+from math import comb, factorial
 
-from gelfond.arith import as_point, det, exact_div, vec_add, vec_scale
+from gelfond.arith import (all_exact, as_point, det, exact_div,
+                           falling_factorial, is_integral, simplify, vec_add,
+                           vec_scale)
 from gelfond.cli import _fmt17, _parameter_grid
 from gelfond.divided_diff import _check_t, exponential_dd
 from gelfond.gelfond_basis import (basis_polynomial, basis_values,
                                    complete_exponents, elementary_exponents,
                                    hook_exponents)
-from gelfond.partitions import (IntegerPartition, RealPartition, as_exponents,
-                                partition_parts)
+from gelfond.partitions import (FLOAT_SLACK, IntegerPartition, RealPartition,
+                                _strip_zeros, as_exponents, partition_parts)
 from gelfond.polynomials import Poly
-from gelfond.schur import _check_points, _complete_table, schur
+from gelfond.schur import _check_points, _complete_table, _decimal_power, schur
 
 
 # -- partitions ------------------------------------------------------------
@@ -483,3 +493,123 @@ def curve_csv(exponents, points, interval, samples):
         rows.append((t, *(out if isinstance(out, tuple) else (out,))))
     dim = len(points[0]) if isinstance(points[0], tuple) else 1
     return _csv_lines(["t"] + [f"x{d}" for d in range(dim)], rows)
+
+
+# -- reference bialternant and determinant ----------------------------------
+
+def reference_det(rows):
+    """The determinant by the elimination loop that re-tests every entry's
+    type row by row and picks each float pivot by `max(key=...)`."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    m = [list(r) for r in rows]
+    if any(len(r) != n for r in m):
+        raise ValueError("determinant of a non-square matrix")
+    exact = all(all_exact(r) for r in m)
+    if exact:
+        m = [[Fraction(x) for x in r] for r in m]
+    sign = 1
+    for col in range(n):
+        if exact:
+            pivot_row = next((r for r in range(col, n) if m[r][col] != 0), col)
+        else:
+            pivot_row = max(range(col, n), key=lambda r: abs(m[r][col]))
+        if m[pivot_row][col] == 0:
+            return 0 if exact else abs(m[pivot_row][col])
+        if pivot_row != col:
+            m[col], m[pivot_row] = m[pivot_row], m[col]
+            sign = -sign
+        pivot = m[col][col]
+        for r in range(col + 1, n):
+            if m[r][col]:
+                factor = m[r][col] / pivot
+                for c in range(col, n):
+                    m[r][c] -= factor * m[col][c]
+    out = sign
+    for i in range(n):
+        out *= m[i][i]
+    return simplify(out) if exact else out
+
+
+def reference_confluent_quotient(groups, a, sign):
+    """sign * det(confluent rows) / closed-form denominator, each entry's
+    falling factorial and power formed where it is used."""
+    kind = type(groups[0][0])
+    rows = []
+    for v, m in groups:
+        power = (_decimal_power(v, a) if kind is decimal.Decimal
+                 else partial(pow, v))
+        for q in range(m):
+            row = []
+            for aj in a:
+                c = falling_factorial(aj, q)
+                row.append(c * power(aj - q) if c != 0 else kind(0))
+            rows.append(row)
+    num = reference_det(rows)
+    den = kind(1)
+    for i, (vi, mi) in enumerate(groups):
+        for vj, mj in groups[i + 1:]:
+            den *= (vi - vj) ** (mi * mj)
+        for q in range(mi):
+            den *= factorial(q)
+    return simplify(sign * num / den)
+
+
+def _reference_lost_digits(groups, a):
+    lost = 0.0
+    for i, (vi, mi) in enumerate(groups):
+        for vj, mj in groups[i + 1:]:
+            lost -= mi * mj * math.log10(abs(vi - vj) / max(abs(vi), abs(vj)))
+    for x, y in zip(a, a[1:]):
+        gap = abs(float(x) - float(y))
+        if 0 < gap < 1:
+            lost -= math.log10(gap)
+    return lost
+
+
+def _reference_bialternant_decimal(groups, a, sign, lost):
+    with decimal.localcontext() as ctx:
+        ctx.prec = 28 + int(lost) + 8
+        D = decimal.Decimal
+        value = reference_confluent_quotient(
+            [(D(v), m) for v, m in groups],
+            [D(x.numerator) / D(x.denominator) if isinstance(x, Fraction)
+             else D(x) for x in a], sign)
+    return float(value) if value else 0.0
+
+
+def reference_bialternant(lam, points):
+    """S_lambda(points) by the confluent bialternant, coercing the shape and
+    building its exponent ladder, the ladder's check and the lost-digit
+    prediction on every call; floats past 4 predicted lost digits go to
+    Decimals."""
+    pts = _check_points(points)
+    parts = _strip_zeros(partition_parts(lam))
+    n = len(pts)
+    if len(parts) > n:
+        raise ValueError(
+            f"partition with {len(parts)} parts at {n} points: pad the points")
+    if n == 0:
+        return 1
+    parts = parts + (0,) * (n - len(parts))
+    a = [parts[j] + n - 1 - j for j in range(n)]
+    slack = 0 if all_exact(parts) else FLOAT_SLACK
+    for x, y in zip(a, a[1:]):
+        if not x > y - slack:
+            raise ValueError(f"Schur exponent ladder must decrease: {parts}")
+    exact = all_exact(pts) and all(is_integral(x) for x in a)
+    kind = Fraction if exact else float
+    pts = [kind(u) for u in pts]
+    groups = []
+    for v in sorted(pts, reverse=True):
+        if groups and groups[-1][0] == v:
+            groups[-1][1] += 1
+        else:
+            groups.append([v, 1])
+    sign = -1 if sum(m * (m - 1) // 2 for _, m in groups) % 2 else 1
+    if not exact:
+        lost = _reference_lost_digits(groups, a)
+        if lost > 4:
+            return _reference_bialternant_decimal(groups, a, sign, lost)
+    return reference_confluent_quotient(groups, a, sign)

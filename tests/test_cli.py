@@ -276,6 +276,20 @@ def test_interval_below_float_resolution_exits_3(interval, capsys):
                "--interval", interval, "--samples", "3")[0] == 3
 
 
+@pytest.mark.parametrize("t", ["1e-130", "1e-200", "5e-324"])
+def test_small_float_t_on_a_real_space_exits_3(t, capsys):
+    # v ** (a_j - q) with a negative exponent overflows the float range at
+    # such t; the float bialternant reports it as a singularity at t
+    code = cli.main(["decasteljau", "--exponents", "0,0.7,1.9,2.5",
+                     "--points", "0,0;1,2;3,0;4,4", "--t", t])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numeric singularity:")
+    assert t in lines[0]
+
+
 def test_points_accept_fractions(capsys):
     code, out = run(capsys, "decasteljau", "--exponents", "0,1",
                     "--points", "1/3,0;2/3,1", "--t", "1/4")
@@ -441,11 +455,13 @@ def test_samples_ceiling(argv, monkeypatch, capsys):
 
 
 def _elevate_work(iterations, samples, n=3):
-    return (iterations + 1) * (samples ** 2 + n + iterations)
+    return (iterations + 1) * (samples ** 2 + n + iterations
+                               + cli.ELEVATE_ROW_WORK)
 
 
+# (9990, 2) took about 25 s before the per-row term, inside the ceiling
 @pytest.mark.parametrize("iterations, samples", [
-    (10 ** 9, 2), (0, 20000), (500, 512)])
+    (10 ** 9, 2), (0, 20000), (500, 512), (9990, 2), (2000, 2)])
 def test_elevate_work_ceiling(iterations, samples, monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("sampled above the work ceiling")
@@ -465,6 +481,17 @@ def test_elevate_work_ceiling(iterations, samples, monkeypatch, capsys):
 def test_elevate_defaults_well_inside_work_ceiling():
     # the README example and the benchmark ops: 100 iterations, 512 samples
     assert 3 * _elevate_work(100, 512) <= cli.MAX_ELEVATE_WORK
+
+
+@pytest.mark.parametrize("iterations, samples", [(100, 512), (1800, 2)])
+def test_elevate_below_the_work_ceiling_runs(iterations, samples, capsys):
+    assert _elevate_work(iterations, samples) <= cli.MAX_ELEVATE_WORK
+    code, out = run(capsys, "elevate", "--preset", "cubic-quadratic",
+                    "--points", "0,0;1,4;3,4;4,0",
+                    "--iterations", str(iterations),
+                    "--samples", str(samples))
+    assert code == 0
+    assert len(out.splitlines()) == iterations + 2
 
 
 def _fmt_row(values):

@@ -3,6 +3,9 @@ subcommand, drawn from pools that mix valid values with the inputs the
 boundary must refuse, among them exact coordinates (10^400 and
 10^400/3) too large for the float routes.
 
+A second test runs `decasteljau` on real spaces at float t below 1e-100,
+where negative powers of t overflow the float range.
+
 Every call ends with exit code 0, 2 or 3 and no traceback; an input the
 program itself rejects (not argparse) is reported on exactly one stderr
 line.  No call raises a numpy RuntimeWarning, and one that exits 0
@@ -33,7 +36,7 @@ POINTS = ["0,0;1,4;3,4;4,0", "0,0;1,2;3,0", "0,0;1,1", "0;1;3;2", "1;2,3",
 INTERVALS = ["0,1", "1/3,2", "0.3,0.9", "1,0", "1,1", "0,1/0", "nan,1",
              "0,inf", "1", "0,1,2", "-1e308,1e308"]
 PARAMETERS = ["1/2", "1/3", "0.4", "0", "1", "2", "-1", "nan", "inf", "1/0",
-              "x"]
+              "x", "1e-130", "1e-300"]
 RHOS = ["2", "5/2", "0.5", "3", "0", "-1", "1", "1/0", "nan", "1e308"]
 EXTRAS = ["5,6", "2.5", "7/2,9", "1/0", "nan", "1e308", "0", "-3"]
 SAMPLES = ["2", "3", "17", "65", "0", "1", "-3", "x"]
@@ -143,4 +146,28 @@ def test_cli_ends_in_a_known_exit_code(command, files, data):
     assert not [w for w in caught
                 if issubclass(w.category, RuntimeWarning)], argv
     if code == 0:
+        assert not NON_FINITE.search(out.getvalue()), argv
+
+
+@seed(20261019)
+@settings(max_examples=40, deadline=None, database=None)
+@given(gaps=st.lists(st.floats(0.05, 2.5), min_size=2, max_size=5),
+       digits=st.floats(100, 320), data=st.data())
+def test_decasteljau_at_small_float_t_on_real_spaces(gaps, digits, data):
+    exponents = [0.0]
+    for g in gaps:
+        exponents.append(round(exponents[-1] + g, 4))
+    text = "0," + ",".join(repr(x) for x in exponents[1:])
+    points = ";".join(f"{data.draw(st.integers(-5, 5))},"
+                      f"{data.draw(st.integers(-5, 5))}" for _ in exponents)
+    argv = ["decasteljau", "--exponents", text, f"--points={points}",
+            "--t", repr(10.0 ** -digits)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 3), (argv, code, err.getvalue())
+    if code:
+        assert len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())
+        assert out.getvalue() == "", argv
+    else:
         assert not NON_FINITE.search(out.getvalue()), argv

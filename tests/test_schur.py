@@ -7,6 +7,8 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+from gelfond.arith import det
 from gelfond.partitions import IntegerPartition, RealPartition, dimension
 from gelfond.schur import (branch_last_variable, schur, schur_bialternant,
                            schur_jacobi_trudi)
@@ -14,6 +16,8 @@ from oracles import (branch_last_variable_skew, complete_homogeneous,
                      elementary, hook_schur, schur_giambelli,
                      schur_nagelsbach_kostka, schur_tableaux, skew_schur,
                      skew_schur_tableaux, split_partition, splitting_limit)
+
+schur_module = importlib.import_module("gelfond.schur")
 
 ROUTES = (schur_jacobi_trudi, schur_nagelsbach_kostka, schur_giambelli,
           schur_bialternant, schur_tableaux)
@@ -224,3 +228,196 @@ def test_splitting_limit_is_the_scaled_limit():
         scaled = float(schur(RealPartition((3, 2, 1)),
                              z + tuple(eps * u for u in y))) / eps ** w
         assert abs(scaled - limit) < 1e-3 * eps / 1e-6 * max(1.0, abs(limit))
+
+
+# -- the production bialternant and determinant pinned to reference copies --
+#
+# `oracles.reference_bialternant`, `reference_confluent_quotient` and
+# `reference_det` form every ladder, falling factorial and pivot on every
+# call, by the operations the production routes take from the per-shape
+# cache and the lean elimination loop.  The results must be the same bits
+# and the same type: the repr of a float, Fraction or Decimal is exact,
+# and it tells -0.0 from 0.0.
+
+def _bits(x):
+    return type(x), repr(x)
+
+
+def _random_real_shape(rng, length):
+    """Parts of a real partition: lambda_j - j strictly decreasing,
+    lambda_last > -1."""
+    parts, top = [], rng.uniform(0.5, 6)
+    for _ in range(length):
+        parts.append(round(top, rng.choice((1, 4, 12))))
+        top = parts[-1] - rng.uniform(0.05, 1.5)
+        if top <= -0.9:
+            break
+    return tuple(p for p in parts if p > -1)
+
+
+def _random_points(rng, n):
+    # 1 to 3 distinct values with multiplicities, t = 1.0 among them
+    values = [1.0] + [rng.choice((rng.uniform(0.01, 1), 10 ** rng.uniform(-8, 0),
+                                  1 - 10 ** rng.uniform(-9, -1)))
+                      for _ in range(2)]
+    pool = values[:rng.randint(1, 3)]
+    return tuple(rng.choice(pool) for _ in range(n))
+
+
+def _bialternant_cases():
+    rng = random.Random(15)
+    cases = []
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        shape = _random_real_shape(rng, rng.randint(1, n))
+        cases.append((shape, _random_points(rng, n)))
+        ints = tuple(sorted((rng.randint(0, 4) for _ in range(rng.randint(1, n))),
+                            reverse=True))
+        cases.append((ints, _random_points(rng, n)))
+    cases += [
+        ((-1,), (0.5,)), ((-1,), (Fraction(1, 3),)), ((-1, -1), (2, 2)),
+        ((-1,), (1.0,)), ((2, 1), (Fraction(1, 2), Fraction(1, 2), 3)),
+        # entries whose falling-factorial coefficient is 0
+        ((0.5, 0.2, 0), (1e-200,) * 3), ((2, 1, 0), (0.3, 0.3, 0.3)),
+        ((1, 0), (1.0, 1.0)), ((1.5, 0.5), (1.0, 1.0, 1.0)),
+    ]
+    return cases
+
+
+def test_bialternant_is_the_reference_bit_for_bit():
+    for shape, pts in _bialternant_cases():
+        assert _bits(schur_bialternant(shape, pts)) == \
+            _bits(oracles.reference_bialternant(shape, pts)), (shape, pts)
+
+
+@pytest.mark.parametrize("first, second", [
+    ((2, 1), (2.0, 1.0)), ((2.0, 1.0), (2, 1))])
+def test_integral_and_float_shapes_keep_their_own_ladders(first, second):
+    # 2 == 2.0 and hash alike, but (2, 1) at exact points is a Fraction
+    # quotient and (2.0, 1.0) a float one
+    schur_module._ladder.cache_clear()
+    pts = (Fraction(1, 2), Fraction(1, 3), 2)
+    for shape in (first, second, first):
+        value = schur_bialternant(shape, pts)
+        assert _bits(value) == _bits(oracles.reference_bialternant(shape, pts))
+        assert type(value) is (float if isinstance(shape[0], float)
+                               else Fraction)
+
+
+@pytest.mark.parametrize("exps, t", [
+    ((0, 2.5, 2.5000001, 6), 0.3), ((0, 2.5, 2.5000001, 6), 0.9),
+    ((0, 0.6, 1.95, 2.0, 4.3, 5.1), 0.9), ((0, 0.6, 1.95, 2.0, 4.3, 5.1), 1.0),
+    ((0, 0.5, 1), 0.25)])
+def test_pyramid_values_are_the_reference_bit_for_bit(monkeypatch, exps, t):
+    # these spaces send some values through the Decimal fallback
+    blossom = importlib.import_module("gelfond.blossom")
+    calls = []
+
+    def recorded(lam, points):
+        calls.append((lam, points))
+        return schur(lam, points)
+
+    monkeypatch.setattr(blossom, "schur", recorded)
+    pts = tuple((k, (-1) ** k * k) for k in range(len(exps)))
+    apex, levels = blossom.de_casteljau(pts, exps, t)
+    assert calls
+    for lam, points in calls:
+        assert _bits(schur_bialternant(lam, points)) == \
+            _bits(oracles.reference_bialternant(lam, points)), (lam, points)
+    monkeypatch.setattr(blossom, "schur", oracles.reference_bialternant)
+    assert repr(blossom.de_casteljau(pts, exps, t)[1]) == repr(levels)
+
+
+def test_confluent_quotient_is_the_reference_bit_for_bit():
+    rng = random.Random(7)
+    quotient = schur_module._confluent_quotient
+    for _ in range(100):
+        n = rng.randint(1, 5)
+        a = sorted((rng.uniform(-1, 8) for _ in range(n)), reverse=True)
+        pts = sorted(_random_points(rng, n), reverse=True)
+        groups = []
+        for v in pts:
+            if groups and groups[-1][0] == v:
+                groups[-1][1] += 1
+            else:
+                groups.append([v, 1])
+        entries = schur_module._entries(a, n)
+        for sign in (1, -1):
+            assert _bits(quotient(groups, a, sign, entries)) == _bits(
+                oracles.reference_confluent_quotient(groups, a, sign))
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            D = decimal.Decimal
+            dgroups = [(D(v), m) for v, m in groups]
+            da = [D(x) for x in a]
+            assert _bits(quotient(dgroups, da, 1, schur_module._entries(da, n))) \
+                == _bits(oracles.reference_confluent_quotient(dgroups, da, 1))
+
+
+def _matrices():
+    rng = random.Random(3)
+    out = []
+    for n in range(1, 7):
+        for _ in range(12):
+            out.append([[rng.uniform(-2, 2) for _ in range(n)] for _ in range(n)])
+            out.append([[Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                         for _ in range(n)] for _ in range(n)])
+            out.append([[rng.choice((rng.randint(-3, 3), rng.uniform(-3, 3)))
+                         for _ in range(n)] for _ in range(n)])
+            # ties in pivot magnitude: entries from {-2, -1, 1, 2} and zeros
+            out.append([[float(rng.choice((-2, -1, 0, 1, 2)))
+                         for _ in range(n)] for _ in range(n)])
+            out.append([[rng.choice((-1, 1, 0)) for _ in range(n)]
+                        for _ in range(n)])
+        # a zero column, at each position
+        for col in range(n):
+            for kind in (float, Fraction, int):
+                rows = [[kind(rng.randint(-4, 4)) for _ in range(n)]
+                        for _ in range(n)]
+                for r in rows:
+                    r[col] = -kind(0) if kind is float else kind(0)
+                out.append(rows)
+    return out
+
+
+def test_det_is_the_reference_bit_for_bit():
+    for rows in _matrices():
+        assert _bits(det(rows)) == _bits(oracles.reference_det(rows)), rows
+
+
+def test_decimal_det_is_the_reference_bit_for_bit():
+    D = decimal.Decimal
+    for prec in (12, 40):
+        with decimal.localcontext() as ctx:
+            ctx.prec = prec
+            for rows in _matrices():
+                if any(isinstance(x, float) for r in rows for x in r):
+                    drows = [[D(x) for x in r] for r in rows]
+                    assert _bits(det(drows)) == \
+                        _bits(oracles.reference_det(drows)), drows
+
+
+def test_ladder_cache_is_bounded():
+    schur_module._ladder.cache_clear()
+    for k in range(200):
+        schur_bialternant((2 + k / 7, 1), (0.3, 0.6))
+    info = schur_module._ladder.cache_info()
+    assert info.maxsize == 64 and info.currsize <= 64
+    # a shape used again is a hit and gives the same bits
+    before = schur_module._ladder.cache_info().hits
+    value = schur_bialternant((2 + 199 / 7, 1), (0.3, 0.6))
+    assert schur_module._ladder.cache_info().hits == before + 1
+    assert _bits(value) == _bits(
+        oracles.reference_bialternant((2 + 199 / 7, 1), (0.3, 0.6)))
+
+
+@pytest.mark.parametrize("shape, pts", [
+    ((1, 3), (0.5, 0.7)),                 # ladder 2, 3 does not decrease
+    ((1, 3), (Fraction(1, 2), 2)),
+    ((0.2, 1.5), (0.5, 0.7)),
+    ((1, 1, 1), (0.5, 0.7)),              # more parts than points
+])
+def test_a_bad_ladder_raises_on_every_call(shape, pts):
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            schur_bialternant(shape, pts)
