@@ -16,6 +16,12 @@ classical de Casteljau algorithm: at each pyramid node
     p_i^r = (1 - alpha) p_i^{r-1} + alpha p_{i+1}^{r-1},
     alpha = alpha(0^{n-r-i}, 1^i, t^{r-1}; t).
 
+Every weight of the pyramid is a ratio of four two-point Schur values
+S_w(a, b) = S_{lam[w:w+a+b]}(1^a, t^b), w in {0, 1}, over windows of the
+space's partition lam; `de_casteljau` forms each of them once.  The
+pyramid's left edge holds the control points of s -> P(t s), its right
+edge those of P on [t, 1] in the Chebyshev-Bernstein basis.
+
 alpha is provably in [0, 1] for the diagonal schedule used here only
 through the total positivity of the basis; the implementation checks
 alpha in [-1e-12, 1 + 1e-12] at every node, raises SingularityError when
@@ -134,21 +140,23 @@ def blossom_value(coeffs, exponents, args, zeros=0):
     return out
 
 
-def pseudo_affinity(exponents, zeros, args, t, schur_values=None,
-                    parts=None):
+def _alpha(t, mu_t, eta_1, mu_1, eta_t):
+    """t S_mu(args, t) S_eta(args, 1) / (S_mu(args, 1) S_eta(args, t))
+    from its four Schur values (`pseudo_affinity` names them)."""
+    num = mu_t * eta_1
+    den = mu_1 * eta_t
+    if den == 0:
+        raise SingularityError(f"pseudo-affinity denominator vanished at t={t}")
+    return t * exact_div(num, den)
+
+
+def pseudo_affinity(exponents, zeros, args, t):
     """alpha(0^zeros, args; 0, 1, t): the de Casteljau weight on [0, 1].
 
     With lam the space's partition padded by one zero, mu its first
     n-zeros parts and eta the next window (lam_2..lam_{n-zeros+1}),
 
         alpha = t S_mu(args, t) S_eta(args, 1) / (S_mu(args, 1) S_eta(args, t)).
-
-    `schur_values`, a dict that the nodes of one de Casteljau pyramid
-    share, keeps each Schur value under its shape and its points as a
-    multiset; Schur functions are symmetric, so a value needed by two
-    nodes is computed once and is the same value either way.  `parts`,
-    the padded parts of lam, lets a pyramid form the partition once for
-    all its nodes.
     """
     r = as_exponents(exponents)
     n = r.n
@@ -160,37 +168,29 @@ def pseudo_affinity(exponents, zeros, args, t, schur_values=None,
         return 0 if is_exact(t) else 0.0
     if not 0 < t <= 1:
         raise ValueError(f"t={t} outside [0, 1]")
-    if parts is None:
-        parts = partition_from_exponents(r).parts + (0,)
+    parts = partition_from_exponents(r).parts + (0,)
     mu = parts[:n - j]
     eta = parts[1:n - j + 1]
-
-    def value(shape, last):
-        points = args + (last,)
-        if schur_values is None:
-            return schur(shape, points)
-        key = (shape, tuple(sorted(points)))
-        if key not in schur_values:
-            schur_values[key] = schur(shape, points)
-        return schur_values[key]
-
-    num = value(mu, t) * value(eta, 1)
-    den = value(mu, 1) * value(eta, t)
-    if den == 0:
-        raise SingularityError(f"pseudo-affinity denominator vanished at t={t}")
-    return t * exact_div(num, den)
+    return _alpha(t, schur(mu, args + (t,)), schur(eta, args + (1,)),
+                  schur(mu, args + (1,)), schur(eta, args + (t,)))
 
 
 def de_casteljau(points, exponents, t):
     """Evaluate by corner cutting; returns (value, pyramid levels).
 
-    Level r, node i uses alpha(0^{n-r-i}, 1^i, t^{r-1}; t), so
-    p_i^r = f_P(0^{n-r-i}, 1^i, t, .., t) with r copies of t.  The nodes
-    share their Schur values: S_{lam[:m]}(1^{i+1}, t^{m-i-1}), for one,
-    serves both node (r, i) and node (r-1, i+1), so a pyramid evaluates
-    at most n(n+3) Schur values, not 4 per node, and the space's partition
-    is formed once per pyramid.  Real exponents give the pyramid at
-    float(t)."""
+    Level L, node i uses alpha(0^{n-L-i}, 1^i, t^{L-1}; t), so
+    p_i^L = f_P(0^{n-L-i}, 1^i, t, .., t) with L copies of t.  Its four
+    Schur values are two-point values of windows of lam, the space's
+    partition padded by one zero:
+
+        S_w(a, b) = S_{lam[w:w+a+b]}(1^a, t^b),     w in {0, 1},
+        alpha = t S_0(i, L) S_1(i+1, L-1) / (S_0(i+1, L-1) S_1(i, L)).
+
+    Each S_w(a, b) is formed once per pyramid, on first use: S_0(i+1, L-1),
+    for one, serves both node (L, i) and node (L-1, i+1), so a pyramid
+    evaluates at most n(n+3) Schur values, not 4 per node.  At t = 0
+    every alpha is 0 and no Schur value is formed.  Real exponents give
+    the pyramid at float(t)."""
     r = as_exponents(exponents)
     n = r.n
     points = tuple(points)
@@ -202,16 +202,29 @@ def de_casteljau(points, exponents, t):
         # at an exact t only the integral shapes would be exact, and the
         # levels would differ from those at float(t) in the last bits
         t = float(t)
+    parts = partition_from_exponents(r).parts + (0,)
+    table = {}
+
+    def S(w, a, b):
+        # at t = 1 the two points coincide and S_w(a, b) depends on a + b
+        # alone; one value then serves numerator and denominator alike,
+        # and alpha is exactly t, which an integral shape's float
+        # bialternant at 1, .., 1 would not give
+        key = (w, a + b) if t == 1 else (w, a, b)
+        if key not in table:
+            table[key] = schur(parts[w:w + a + b], (1,) * a + (t,) * b)
+        return table[key]
+
     levels = [points]
     prev = points
-    schur_values = {}
-    parts = partition_from_exponents(r).parts + (0,)
     for level in range(1, n + 1):
         row = []
         for i in range(n - level + 1):
-            args = (1,) * i + (t,) * (level - 1)
-            alpha = pseudo_affinity(r, n - level - i, args, t, schur_values,
-                                    parts)
+            if t == 0:
+                alpha = 0 if is_exact(t) else 0.0
+            else:
+                alpha = _alpha(t, S(0, i, level), S(1, i + 1, level - 1),
+                               S(0, i + 1, level - 1), S(1, i, level))
             if not -ALPHA_SLACK <= alpha <= 1 + ALPHA_SLACK:
                 raise SingularityError(
                     f"pseudo-affinity {alpha} outside [0,1] at level {level}, node {i}")

@@ -36,8 +36,8 @@ import sys
 from .arith import SingularityError, as_point, format_number, parse_number
 from .curves import (GelfondBezierCurve, c1_join, curve_from_json,
                      curve_to_json)
-from .dimelev import (PRESETS, convergence_report, exponent_source,
-                      insert_exponent, preset)
+from .dimelev import (PRESETS, TAIL_RULES, convergence_report,
+                      exponent_source, insert_exponent, preset)
 from .gelfond_basis import (basis_table, complete_exponents,
                             elementary_exponents, gelfond_basis_dd,
                             gelfond_basis_schur, hook_exponents)
@@ -418,8 +418,7 @@ def _build_parser():
 
     p = sub.add_parser("elevate", help="dimension elevation experiment")
     common(p, points=True)
-    p.add_argument("--tail-rule", dest="tail_rule",
-                   choices=["classical", "linear", "affine", "quadratic"])
+    p.add_argument("--tail-rule", dest="tail_rule", choices=list(TAIL_RULES))
     p.add_argument("--extra", help="comma list inserted before the tail rule")
     p.add_argument("--iterations", type=int)
     p.add_argument("--frames-dir", dest="frames_dir")

@@ -102,21 +102,26 @@ def insert_exponent(points, exponents, rho):
     return tuple(new), ExponentSequence(sorted(tuple(r) + (rho,)))
 
 
+# tail rules j -> r_j of the corner-cutting flow, in the order that
+# `elevate --tail-rule` lists them
+TAIL_RULES = {
+    "classical": lambda j: j,
+    "linear": lambda j: 2 * j,
+    "affine": lambda j: 2 * j + 10,
+    "quadratic": lambda j: j * j,
+}
+
+
 def exponent_source(rule, extra=(), first_index=1):
     """A map j -> exponent for the corner-cutting flow: user-supplied
     `extra` values cover subscripts first_index, first_index+1, .., and the
-    named tail rule takes over beyond them.
+    named tail rule of TAIL_RULES takes over beyond them.
 
     Rules: "classical" j, "linear" 2j, "affine" 2j+10, "quadratic" j^2."""
-    rules = {
-        "classical": lambda j: j,
-        "linear": lambda j: 2 * j,
-        "affine": lambda j: 2 * j + 10,
-        "quadratic": lambda j: j * j,
-    }
-    if rule not in rules:
-        raise ValueError(f"unknown tail rule {rule!r}; pick from {sorted(rules)}")
-    tail = rules[rule]
+    if rule not in TAIL_RULES:
+        raise ValueError(
+            f"unknown tail rule {rule!r}; pick from {sorted(TAIL_RULES)}")
+    tail = TAIL_RULES[rule]
     extra = tuple(extra)
 
     def source(j):

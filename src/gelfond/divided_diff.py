@@ -2,8 +2,8 @@
 
 Routes:
 
- * `exponential_dd_table`, the float kernel (Opitz) and the production
-   route: for J = diag(x_0..x_n) plus a superdiagonal of ones,
+ * `opitz_table`, the float kernel (Opitz) and the production route:
+   for J = diag(x_0..x_n) plus a superdiagonal of ones,
 
        exp(ln(t) J)_{ij} = [x_i..x_j] f_t,
 
@@ -13,7 +13,7 @@ Routes:
    superdiagonal u is a diagonal similarity away and multiplies entry
    (i, j) by u_i..u_{j-1}; with u_k = -r_{k+1} the last column is the
    basis H_0..H_n itself, which is how every basis value of real
-   exponents is computed (`_opitz_table`);
+   exponents is computed (`gelfond_basis.basis_table`);
  * the naive partial-fraction sum over distinct nodes,
        [x_0..x_s] f_t = sum_i t^{x_i} / prod_{j != i} (x_i - x_j),
    exact for rational t and integer nodes;
@@ -41,7 +41,7 @@ from .arith import exact_div, is_exact, simplify
 
 MIN_GAP = 1e-3
 
-# exponential_dd_table sums the Taylor series of exp(h J') once |h| is at
+# opitz_table sums the Taylor series of exp(h J') once |h| is at
 # most TAYLOR_THETA, where J' = J / sigma has entries of size at most 1.
 # Entry (i, j) of the series is h^d/d! (1 + O(|h|)) with d = j - i, and
 # keeping TAYLOR_EXTRA terms past the first of every entry leaves out at
@@ -148,15 +148,7 @@ def _taylor_terms(nodes, upper):
     return x, sigma, terms
 
 
-def exponential_dd_table(nodes, ts):
-    """[x_k..x_n] t^x for k = 0..n at every t of `ts` in (0, 1], as an
-    array of shape (len(ts), n + 1): the last column of exp(ln(t) J),
-    J = diag(x_0..x_n) plus a superdiagonal of ones (`_opitz_table`)."""
-    nodes = tuple(nodes)
-    return _opitz_table(nodes, (1.0,) * (len(nodes) - 1), ts)
-
-
-def _opitz_table(nodes, upper, ts):
+def opitz_table(nodes, upper, ts):
     """The last column of exp(ln(t) J) at every t of `ts` in (0, 1], an
     array of shape (len(ts), n + 1), for J = diag(x_0..x_n) plus the
     superdiagonal u_0..u_{n-1} = `upper`: entry k is

@@ -52,7 +52,7 @@ import numpy as np
 
 from .arith import (SingularityError, all_exact, exact_div, is_exact,
                     is_integral, simplify)
-from .divided_diff import _opitz_table, exponential_dd
+from .divided_diff import exponential_dd, opitz_table
 from .partitions import (ExponentSequence, RealPartition, as_exponents,
                          dimension, partition_from_exponents, partition_parts)
 from .polynomials import Poly, _horner, horner_table
@@ -162,7 +162,7 @@ def _opitz_basis(r, t):
     -r_1..-r_n, which is (-1)^{n-k} r_{k+1}..r_n [r_k..r_n] t^x = H_k
     itself, so a tiny H_k keeps its relative accuracy; H_k(0) =
     delta_{k0}.  A row does not depend on the batch it is in."""
-    out = _opitz_table(r.exponents, [-r[k] for k in range(1, r.n + 1)],
+    out = opitz_table(r.exponents, [-r[k] for k in range(1, r.n + 1)],
                        np.where(t > 0, t, 1.0))
     if not t.all():
         out[t == 0] = np.eye(1, r.n + 1)

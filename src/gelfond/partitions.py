@@ -21,11 +21,11 @@ coordinates for the same data:
     r_k      = lambda_1 - lambda_{k+1} + k,  k = 0..n-1,   r_n = lambda_1 + n.
 
 The dimension f_lambda(n) has one route, the pairwise (Weyl) product of
-`dimension`, for integer and real partitions alike.
-`interlacing_partitions` indexes the one-variable branching of
-`schur.branch_last_variable`.  The cross-checks (conjugates, hook
-lengths, contents, the Frobenius form and the hook-content product for
-the dimension) live with the tests, in `tests/oracles.py`.
+`dimension`, for integer and real partitions alike.  The cross-checks
+(conjugates, hook lengths, contents, the Frobenius form, the
+hook-content product for the dimension, and the interlacing partitions
+that index one-variable branching) live with the tests, in
+`tests/oracles.py`.
 """
 
 from fractions import Fraction
@@ -254,32 +254,6 @@ def muntz_tableau(lam):
         bumped = tuple(p + 1 for p in parts[:i])
         rows.append(RealPartition(bumped + parts[i + 1:]))
     return tuple(rows)
-
-
-def interlacing_partitions(mu):
-    """All integer partitions eta with mu_{i+1} <= eta_i <= mu_i.
-
-    These index the one-variable branching of Schur functions; eta runs
-    over partitions whose diagram interlaces mu's (a horizontal strip is
-    removed)."""
-    parts = _strip_zeros(int(p) for p in partition_parts(mu))
-    if not parts:
-        yield IntegerPartition(())
-        return
-    bounds = []
-    for i, p in enumerate(parts):
-        lo = parts[i + 1] if i + 1 < len(parts) else 0
-        bounds.append((lo, p))
-
-    def rec(i, chosen):
-        if i == len(bounds):
-            yield IntegerPartition(chosen)
-            return
-        lo, hi = bounds[i]
-        for v in range(hi, lo - 1, -1):
-            yield from rec(i + 1, chosen + [v])
-
-    yield from rec(0, [])
 
 
 def dimension(lam, n):

@@ -20,11 +20,11 @@ after the point-group terms), so the results are the same bits as when
 every call formed them itself.  The Decimal fallback forms its own table
 under its raised context.
 
-`branch_last_variable`, the one-variable branching over interlacing
-partitions, is kept here because the two-point Schur values of the de
-Casteljau pyramid are to be built on it.  The cross-check routes
-(Nagelsbach-Kostka, Giambelli, tableau sums, skew shapes, the splitting
-limit) live with the tests, in `tests/oracles.py`.
+The de Casteljau pyramid needs only two-point values S_lambda(1^a, t^b),
+which `blossom.de_casteljau` forms through `schur` once each.  The
+cross-check routes (Nagelsbach-Kostka, Giambelli, tableau sums, skew
+shapes, one-variable branching over interlacing partitions, the
+splitting limit) live with the tests, in `tests/oracles.py`.
 
 Evaluation points must be positive; zeros never enter by substitution.
 h_m = 0 for m < 0, which closes the determinant over short rows.
@@ -39,7 +39,7 @@ from math import factorial
 from .arith import (SingularityError, all_exact, det, falling_factorial,
                     is_integral, simplify)
 from .partitions import (FLOAT_SLACK, IntegerPartition, _strip_zeros,
-                         interlacing_partitions, partition_parts)
+                         partition_parts)
 
 
 def _check_points(points):
@@ -267,15 +267,3 @@ def schur(lam, points):
             return schur_jacobi_trudi(parts, points)
     return schur_bialternant(lam, points)
 
-
-def branch_last_variable(lam, points, last):
-    """S_lambda(points, last) = sum over interlacing eta of
-    S_eta(points) last^{|lambda| - |eta|}."""
-    lam = IntegerPartition(partition_parts(lam))
-    if not last > 0:
-        raise ValueError("the split-off variable must be positive")
-    w = lam.weight()
-    out = 0
-    for eta in interlacing_partitions(lam):
-        out = out + schur(eta, points) * last ** (w - eta.weight())
-    return out

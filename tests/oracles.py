@@ -5,13 +5,13 @@ production route, but by an independent formula, so that tests can hold
 the two against each other:
 
  * partition combinatorics: conjugates, hook lengths, contents,
-   containment and the Frobenius form, and the hook-content product for
-   the dimension f_lambda(n) (`partitions.dimension` uses the pairwise
-   product);
+   containment and the Frobenius form, the hook-content product for the
+   dimension f_lambda(n) (`partitions.dimension` uses the pairwise
+   product), and the interlacing partitions of one-variable branching;
  * symmetric functions: h_r and e_r, Nagelsbach-Kostka, Giambelli over
    hook Schur values, skew Jacobi-Trudi, semistandard tableau sums
-   (straight and skew), branching written with skew shapes and the
-   splitting limit;
+   (straight and skew), branching over interlacing partitions and
+   written with skew shapes, and the splitting limit;
  * divided differences: the generic recursion on any callable, and the
    shift and derivative identities of [x_0..x_s] t^x;
  * the closed-form basis polynomials of the elementary, complete and hook
@@ -154,6 +154,32 @@ def hook_partition_dimension(arm, leg, n):
     return int(out)
 
 
+def interlacing_partitions(mu):
+    """All integer partitions eta with mu_{i+1} <= eta_i <= mu_i.
+
+    These index the one-variable branching of Schur functions; eta runs
+    over partitions whose diagram interlaces mu's (a horizontal strip is
+    removed)."""
+    parts = _strip_zeros(int(p) for p in partition_parts(mu))
+    if not parts:
+        yield IntegerPartition(())
+        return
+    bounds = []
+    for i, p in enumerate(parts):
+        lo = parts[i + 1] if i + 1 < len(parts) else 0
+        bounds.append((lo, p))
+
+    def rec(i, chosen):
+        if i == len(bounds):
+            yield IntegerPartition(chosen)
+            return
+        lo, hi = bounds[i]
+        for v in range(hi, lo - 1, -1):
+            yield from rec(i + 1, chosen + [v])
+
+    yield from rec(0, [])
+
+
 # -- Schur functions ---------------------------------------------------------
 
 def complete_homogeneous(r, points):
@@ -284,6 +310,24 @@ def skew_schur_tableaux(lam, mu, points):
 
     rec(0)
     return total
+
+
+def branch_last_variable(lam, points, last):
+    """S_lambda(points, last) = sum over interlacing eta of
+    S_eta(points) last^{|lambda| - |eta|}.
+
+    Splitting off the t's one at a time reduces every two-point value
+    S_lambda(1^a, t^b) of the de Casteljau pyramid to values S_eta(1^a),
+    the dimensions f_eta(a); the production pyramid takes each value from
+    `schur` instead."""
+    lam = IntegerPartition(partition_parts(lam))
+    if not last > 0:
+        raise ValueError("the split-off variable must be positive")
+    w = lam.weight()
+    out = 0
+    for eta in interlacing_partitions(lam):
+        out = out + schur(eta, points) * last ** (w - eta.weight())
+    return out
 
 
 def branch_last_variable_skew(lam, points, last):

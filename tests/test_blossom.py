@@ -18,9 +18,10 @@ from gelfond.blossom import (blossom_value, coefficients_from_control_points,
                              control_points_from_coefficients, de_casteljau,
                              monomial_blossom, monomial_control_points,
                              pseudo_affinity)
+from gelfond.curves import GelfondBezierCurve
 from gelfond.dimelev import polygon_diameter
 from gelfond.gelfond_basis import (basis_polynomial, basis_table, basis_values,
-                                   elementary_exponents)
+                                   chebyshev_basis, elementary_exponents)
 from gelfond.partitions import partition_from_exponents
 from gelfond.polynomials import Poly
 from gelfond.schur import schur
@@ -151,7 +152,7 @@ def test_argument_validation():
 
 
 def test_pseudo_affinity_out_of_range_raises(monkeypatch):
-    monkeypatch.setattr(blossom, "pseudo_affinity", lambda *args: 1.5)
+    monkeypatch.setattr(blossom, "_alpha", lambda *args: 1.5)
     with pytest.raises(SingularityError, match="outside"):
         de_casteljau((0, 1, 2, 3), EXPS[:4], Fraction(1, 2))
 
@@ -165,7 +166,7 @@ def test_pseudo_affinity_check_survives_optimize_flag():
     check = (
         "from gelfond import blossom\n"
         "from gelfond.arith import SingularityError\n"
-        "blossom.pseudo_affinity = lambda *args: 1.5\n"
+        "blossom._alpha = lambda *args: 1.5\n"
         "try:\n"
         "    blossom.de_casteljau((0, 1, 2), (0, 1, 2), 0.5)\n"
         "except SingularityError:\n"
@@ -317,6 +318,75 @@ def test_pyramid_through_the_decimal_fallback_matches_mpmath(
     diameter = max(math.dist(p, q) for p in pts for q in pts)
     ref = _mp_basis_sum(pts, exps, t)
     assert max(abs(a - b) for a, b in zip(apex, ref)) <= bound * diameter
+
+
+@pytest.mark.parametrize("exps", [EXPS, (0, 2, 4, 14), (0, 3, 600),
+                                  (0, 7, 19, 21, 44, 45, 57), REAL7])
+def test_pyramid_at_the_endpoints_cuts_nothing(exps):
+    # every weight is 0 at t = 0 and 1 at t = 1, so level L keeps the
+    # first or the last n + 1 - L control points; at t = 1.0 on an integer
+    # space the float bialternant of an integral shape at 1, .., 1 is not
+    # exact, and only a weight formed from one value per (w, a + b) is 1
+    rng = random.Random(len(exps))
+    pts = tuple((rng.uniform(-1, 1), rng.randint(-5, 5)) for _ in exps)
+    n = len(exps) - 1
+    for t in (0, 0.0, Fraction(0)):
+        assert de_casteljau(pts, exps, t)[1] == [pts[:n + 1 - L]
+                                                 for L in range(n + 1)]
+    for t in (1, 1.0, Fraction(1)):
+        assert de_casteljau(pts, exps, t)[1] == [pts[L:]
+                                                 for L in range(n + 1)]
+
+
+def test_pyramid_edges_are_the_two_subdivisions():
+    # Split at t0, the pyramid's left edge (k, 0) holds the control points
+    # of s -> P(t0 s): dilation maps the Muntz space onto itself.  Its
+    # right edge (n - k, k) holds the control points of P on [t0, 1] in
+    # the Chebyshev-Bernstein basis of the same space.  Both hold exactly
+    # on integer spaces at an exact t0.
+    rng = random.Random(6)
+    for _ in range(24):
+        n = rng.randint(2, 6)
+        r = (0,) + tuple(sorted(rng.sample(range(1, 3 * n + 3), n)))
+        pts = tuple((rng.randint(-5, 5), rng.randint(-5, 5)) for _ in r)
+        t0 = Fraction(rng.randint(1, 9), 10)
+        _, levels = de_casteljau(pts, r, t0)
+        left = [levels[k][0] for k in range(n + 1)]
+        right = [levels[n - k][k] for k in range(n + 1)]
+        curve = GelfondBezierCurve(r, pts)
+        head = GelfondBezierCurve(r, left)
+        lam = partition_from_exponents(r)
+        for s in (Fraction(1, 3), Fraction(5, 7), Fraction(1)):
+            assert head.evaluate(s) == curve.evaluate(t0 * s), (r, t0, s)
+            t = t0 + (1 - t0) * s
+            weights = [chebyshev_basis(lam, t0, 1, k, t) for k in range(n + 1)]
+            tail = tuple(sum(w * q[d] for w, q in zip(weights, right))
+                         for d in range(2))
+            assert tail == curve.evaluate(t), (r, t0, t)
+
+
+def test_pyramid_left_edge_on_real_spaces_matches_mpmath():
+    # The left edge against the 80-digit basis sum.  Bound: 1e-12 times
+    # the polygon diameter.  At this seed the worst deviation is 4.5e-13
+    # times it, the largest over seeds 0 to 7 (30 spaces each); the
+    # others stayed below 1.1e-13.
+    rng = random.Random(6)
+    for _ in range(12):
+        n = rng.randint(2, 6)
+        r = [0.0]
+        for _ in range(n):
+            r.append(round(r[-1] + rng.uniform(0.2, 2.5), 4))
+        r = tuple(r)
+        pts = tuple((rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in r)
+        t0 = rng.uniform(0.05, 0.95)
+        _, levels = de_casteljau(pts, r, t0)
+        left = [levels[k][0] for k in range(n + 1)]
+        diameter = polygon_diameter(pts)
+        for s in (0.2, 0.5, 0.9):
+            got = _mp_basis_sum(left, r, s)
+            ref = _mp_basis_sum(pts, r, t0 * s)
+            assert max(abs(a - b) for a, b in zip(got, ref)) \
+                <= 1e-12 * diameter, (r, t0, s)
 
 
 def test_rational_exponents_are_integer_spaces():

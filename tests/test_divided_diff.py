@@ -10,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 from gelfond.arith import SingularityError
 from gelfond.divided_diff import (BLOCK_ROWS, MIN_GAP, exponential_dd,
                                   exponential_dd_naive,
-                                  exponential_dd_recursive,
-                                  exponential_dd_table)
+                                  exponential_dd_recursive, opitz_table)
 from gelfond.gelfond_basis import basis_table, basis_values, gelfond_basis_schur
 from oracles import (divided_difference, exponential_dd_derivative,
                      exponential_dd_shifted)
@@ -230,10 +229,16 @@ def test_tiny_basis_values_keep_relative_accuracy():
     assert checked >= 11
 
 
+def _dd_table(nodes, ts):
+    """[x_k..x_n] t^x for k = 0..n at every t of `ts`: the kernel with a
+    superdiagonal of ones."""
+    return opitz_table(nodes, (1.0,) * (len(nodes) - 1), ts)
+
+
 def test_kernel_divided_differences_match_mpmath():
     nodes = (0.0, 0.5, 0.5 + 1e-6, 2.0, 7.25)
     for t in (1e-3, 0.3, 0.97):
-        got = exponential_dd_table(nodes, [t])[0]
+        got = _dd_table(nodes, [t])[0]
         for k in range(len(nodes)):
             with mpmath.workdps(120):
                 tail = [mpmath.mpf(x) for x in nodes[k:]]
@@ -246,27 +251,27 @@ def test_kernel_divided_differences_match_mpmath():
 
 def test_kernel_repeated_nodes_and_endpoints():
     t = 0.4
-    got = exponential_dd_table((1.0, 2.0, 2.0), [t])[0]
+    got = _dd_table((1.0, 2.0, 2.0), [t])[0]
     assert got[0] == pytest.approx(exponential_dd_recursive((1.0, 2.0, 2.0), t),
                                    rel=1e-13)
     assert got[1] == pytest.approx(t ** 2 * math.log(t), rel=1e-13)
     # t = 1: exp(0) = I, so only [x_n] t^x = 1 survives
-    assert exponential_dd_table((0.0, 1.5, 3.0), [1.0]).tolist() == [[0.0, 0.0, 1.0]]
-    assert exponential_dd_table((0.0, 1.5), []).shape == (0, 2)
+    assert _dd_table((0.0, 1.5, 3.0), [1.0]).tolist() == [[0.0, 0.0, 1.0]]
+    assert _dd_table((0.0, 1.5), []).shape == (0, 2)
     for bad in (0.0, -0.5, 1.5, float("nan")):
         with pytest.raises(ValueError):
-            exponential_dd_table((0.0, 1.5), [0.5, bad])
+            _dd_table((0.0, 1.5), [0.5, bad])
     with pytest.raises(ValueError):
-        exponential_dd_table((), [0.5])
+        _dd_table((), [0.5])
     with pytest.raises(ValueError):
-        exponential_dd_table((0.0, float("inf")), [0.5])
+        _dd_table((0.0, float("inf")), [0.5])
     # the scaling power of two of larger nodes is not a float
     for big in (2.0 ** 1023, 1e308, -1e308):
         with pytest.raises(ValueError, match="2\\^1023"):
-            exponential_dd_table((0.0, big), [0.5])
+            _dd_table((0.0, big), [0.5])
     big = 0.999 * 2.0 ** 1023
     # [0, big] t^x = (t^big - 1)/big, a subnormal
-    row = exponential_dd_table((0.0, big), [0.5])[0]
+    row = _dd_table((0.0, big), [0.5])[0]
     assert row[0] == pytest.approx(-1 / big, rel=1e-12) and row[1] == 0.0
     vals = basis_values((0, 1e200, 1e300), 0.5)
     assert all(math.isfinite(v) for v in vals) and abs(sum(vals) - 1) < 1e-14
@@ -302,15 +307,15 @@ def test_batched_rows_equal_pointwise_rows(gaps, ts):
         assert row.tolist() == list(basis_values(exps, t))
     inner = [t for t in ts if t > 0]
     if inner:
-        dd = exponential_dd_table(exps, inner)
+        dd = _dd_table(exps, inner)
         for t, row in zip(inner, dd):
-            assert row.tolist() == exponential_dd_table(exps, [t])[0].tolist()
+            assert row.tolist() == _dd_table(exps, [t])[0].tolist()
 
 
 def test_rows_do_not_depend_on_the_block():
     exps = (0.0, 0.7, 2.05, 2.0501, 5.5)
     ts = [i / (2 * BLOCK_ROWS + 6) for i in range(2 * BLOCK_ROWS + 7)]
-    table = exponential_dd_table(exps, ts[1:])
+    table = _dd_table(exps, ts[1:])
     for t, row in zip(ts[1:], table):
-        assert row.tolist() == exponential_dd_table(exps, [t])[0].tolist()
+        assert row.tolist() == _dd_table(exps, [t])[0].tolist()
     assert basis_table(exps, ts).tolist() == [list(basis_values(exps, t)) for t in ts]

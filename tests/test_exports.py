@@ -29,16 +29,18 @@ MOVED_OR_DELETED = {
         "complete_homogeneous", "elementary", "_elementary_table",
         "schur_nagelsbach_kostka", "hook_schur", "schur_giambelli",
         "schur_tableaux", "skew_schur", "skew_schur_tableaux",
-        "branch_last_variable_skew", "split_partition", "splitting_limit"),
+        "branch_last_variable_skew", "split_partition", "splitting_limit",
+        "branch_last_variable"),
     "gelfond.divided_diff": (
         "divided_difference", "exponential_dd_shifted",
-        "exponential_dd_derivative"),
+        "exponential_dd_derivative", "exponential_dd_table"),
     "gelfond.gelfond_basis": (
         "elementary_basis_polynomial", "complete_basis_polynomial",
         "hook_basis_polynomial", "_bernstein_poly", "vanishing_orders",
         "basis_polynomial_residues"),
     "gelfond.partitions": (
-        "hook_dimension", "hook_partition_dimension", "pairwise_dimension"),
+        "hook_dimension", "hook_partition_dimension", "pairwise_dimension",
+        "interlacing_partitions"),
     "gelfond.curves": ("hyperplane_crossings",),
 }
 MOVED_METHODS = {

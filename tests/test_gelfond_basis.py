@@ -16,11 +16,11 @@ from gelfond.gelfond_basis import (basis_derivative, basis_polynomial,
                                    gelfond_basis_dd, gelfond_basis_schur,
                                    hodograph_data, hook_exponents)
 from gelfond.gelfond_basis import basis_polynomial as basis_polynomial_residues
-from gelfond.partitions import (dimension, interlacing_partitions,
-                                partition_from_exponents)
+from gelfond.partitions import dimension, partition_from_exponents
 from gelfond.polynomials import Poly, horner_table
 from oracles import (complete_basis_polynomial, elementary_basis_polynomial,
-                     hook_basis_polynomial, vanishing_orders)
+                     hook_basis_polynomial, interlacing_partitions,
+                     vanishing_orders)
 
 EXPS = (0, 3, 4, 6, 9)
 

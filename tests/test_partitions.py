@@ -5,11 +5,11 @@ from hypothesis import given, strategies as st
 
 from gelfond.partitions import (ExponentSequence, IntegerPartition,
                                 RealPartition, as_exponents, dimension,
-                                exponents_from_partition,
-                                interlacing_partitions, muntz_tableau,
+                                exponents_from_partition, muntz_tableau,
                                 partition_from_exponents, partition_parts)
 from oracles import (conjugate, contents, from_frobenius, frobenius,
-                     hook_dimension, hook_partition_dimension, hooks)
+                     hook_dimension, hook_partition_dimension, hooks,
+                     interlacing_partitions)
 
 
 @st.composite

@@ -10,12 +10,12 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from gelfond.arith import det
 from gelfond.partitions import IntegerPartition, RealPartition, dimension
-from gelfond.schur import (branch_last_variable, schur, schur_bialternant,
-                           schur_jacobi_trudi)
-from oracles import (branch_last_variable_skew, complete_homogeneous,
-                     elementary, hook_schur, schur_giambelli,
-                     schur_nagelsbach_kostka, schur_tableaux, skew_schur,
-                     skew_schur_tableaux, split_partition, splitting_limit)
+from gelfond.schur import schur, schur_bialternant, schur_jacobi_trudi
+from oracles import (branch_last_variable, branch_last_variable_skew,
+                     complete_homogeneous, elementary, hook_schur,
+                     schur_giambelli, schur_nagelsbach_kostka, schur_tableaux,
+                     skew_schur, skew_schur_tableaux, split_partition,
+                     splitting_limit)
 
 schur_module = importlib.import_module("gelfond.schur")
 
