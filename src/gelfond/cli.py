@@ -30,10 +30,13 @@ command line; explicit flags win over the file.
 import argparse
 import functools
 import json
+import math
 import os
 import sys
+from fractions import Fraction
 
-from .arith import SingularityError, as_point, format_number, parse_number
+from .arith import (SingularityError, as_point, format_number, is_exact,
+                    parse_number)
 from .curves import (GelfondBezierCurve, c1_join, curve_from_json,
                      curve_to_json)
 from .dimelev import (PRESETS, TAIL_RULES, convergence_report,
@@ -51,10 +54,12 @@ MAX_SAMPLES = 10 ** 6
 # iterations + 1 rows compares two samplings (up to samples^2 squared
 # distances), inserts into and resamples a polygon that grows from n + 1
 # points by one per iteration, and pays a fixed cost, ELEVATE_ROW_WORK,
-# for numpy calls on small arrays (about 0.46 ms a row, which at 512
-# samples is the time of some 1.6e5 squared distances).  The README
-# example and the benchmark (100 iterations, 512 samples) do 3.2e7;
-# `--samples 2` stops near 1900 iterations, about a second of rows.
+# for numpy calls on small arrays.  Rows are measured in chunks of eight
+# (see `dimelev`); at `--samples 2` a row costs about 0.3 ms over 1800
+# iterations, the time of some 6e4 squared distances at 4.5 ns each (a
+# shared 2-vCPU x86-64 VM).  The README example and the benchmark (100
+# iterations, 512 samples) do 3.2e7; `--samples 2` stops near 1900
+# iterations, under a second of rows.
 MAX_ELEVATE_WORK = 10 ** 8
 ELEVATE_ROW_WORK = 5 * 10 ** 4
 
@@ -264,6 +269,7 @@ def cmd_decasteljau(args):
     if args.t is None:
         raise ValueError("--t required")
     t = parse_number(args.t)
+    _refuse_unprintable_pyramid(curve, t)
     levels = curve.de_casteljau_levels(t)
     data = {
         "t": format_number(t),
@@ -272,6 +278,27 @@ def cmd_decasteljau(args):
     }
     _write_text(args.output, json.dumps(data, indent=2) + "\n")
     return 0
+
+
+def _refuse_unprintable_pyramid(curve, t):
+    """An exact pyramid at the unit parameter s = p/q holds numbers whose
+    denominators grow as q^{r_n}, about r_n log10(q) digits.  Above the
+    digits that Python converts to text (`sys.get_int_max_str_digits`)
+    its JSON could not be written, so it is refused before any Schur
+    value is formed; float coordinates alone stay printable."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    s = curve.local_parameter(t)
+    if not (limit and is_exact(s) and 0 < s < 1 and curve.exponents.is_integer()
+            and any(is_exact(c) for p in curve.points for c in _coords(p))):
+        return
+    r_n = curve.exponents[curve.n]
+    q = Fraction(s).denominator
+    digits = r_n * math.log10(q)
+    if digits > limit:
+        raise ValueError(
+            f"an exact pyramid at the unit parameter {format_number(Fraction(s))} "
+            f"with r_n = {r_n} holds numbers of about r_n x log10({q}) = "
+            f"{digits:.0f} digits, above the {limit} that Python prints")
 
 
 def cmd_elevate(args):

@@ -43,22 +43,37 @@ coordinates in index order.  Square roots are taken only of the final
 extremes; the square root is monotone and correctly rounded, so that is
 bit-identical to taking it of every entry first.
 
-The Hausdorff distance is the larger of the directed maxima
-D(A, B) = max_i min_j |a_i - b_j|^2, and each is pruned with the early
-break of Taha and Hanbury (IEEE TPAMI 2015).  Every row a_i gets an upper
-bound U_i, its least squared distance to a fixed number of candidates in
-B: the band of indices around i rescaled to len(B), and evenly spaced
-points of B.  Rows are visited in order of decreasing U_i, eight at
-first and twice as many each step after, and a row's minimum over all
-of B is computed only while U_i exceeds the largest such minimum found
-so far, `best`.  A skipped row has
-min_j |a_i - b_j|^2 <= U_i <= best, so it cannot raise the maximum; since
-the bounds are entries of the same rows, computed by the same formula,
-the result is bit-identical to the dense pass.  When no row can be
-skipped the kernel costs the dense pass plus the bound pass.  The second
-direction starts from the first's maximum.
+The report measures its rows `_CHUNK` at a time.  The polygons of a
+chunk, each padded by repeats of its last point (which leaves its
+chord-length samples unchanged), are resampled as one stack, and one
+Hausdorff pass and one sup pass cover the stack.  `sample_polyline`,
+`hausdorff_distance` and `sup_param_distance` treat a single polygon or
+point set as a stack of one row.
+
+The Hausdorff distance of a row is the larger of the directed maxima
+D(A, B) = max_i min_j |a_i - b_j|^2.  Both directions raise one running
+maximum per row, `best`, and skip a point a_i whose upper bound U_i is at
+most `best`, since then min_j |a_i - b_j|^2 <= U_i <= best (the early
+break of Taha and Hanbury, IEEE TPAMI 2015).  The bounds come in tiers:
+
+ 1. every point gets U_i from the narrow band, the points of B whose
+    indices lie within `_NARROW` of i rescaled to len(B); in each row and
+    direction the point with the largest U_i is measured first;
+ 2. a point that stays open, U_i > best, gets the full bound: the band
+    of half-width `_BAND` and `_COARSE` evenly spaced points of B.  Only
+    the open points are gathered, unless more than `_DENSE_SHARE` of a
+    row's points are open; then the whole row is bounded at once;
+ 3. the open points are measured in decreasing order of bound, one per
+    row at first and twice as many each step after, while a bound still
+    exceeds its row's `best`.
+
+Each bound is an entry of its point's row of squared distances, formed by
+the same formula, so the result is bit-identical to the dense pass.  A
+pass that can skip nothing costs the dense pass plus the bounds.
 """
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -67,16 +82,24 @@ from .arith import as_point, exact_div, is_exact, lerp
 from .partitions import ExponentSequence, as_exponents
 from .curves import GelfondBezierCurve
 
-# Rows per squared-distance block of the diameter kernel, and the most
-# rows per exact step of the pruned Hausdorff pass.
+# Rows per squared-distance block of the diameter kernel.  The Hausdorff
+# pass measures points in blocks of as many floats, BLOCK_ROWS n, and at
+# most BLOCK_ROWS points of a row per step.
 BLOCK_ROWS = 64
 
-# The pruned Hausdorff pass: half-width of the index band and number of
-# evenly spaced points that bound each row, and rows of its first exact
-# step.  The bound pass holds (2 _BAND + 1 + _COARSE) d floats per row.
+# The Hausdorff pass (see the module docstring): half-widths of the narrow
+# and the full index band, the number of evenly spaced points in the full
+# bound, the share of open points above which a row is bounded whole, and
+# the open points bounded per block.
+_NARROW = 2
 _BAND = 4
 _COARSE = 24
-_PRUNE_ROWS = 8
+_DENSE_SHARE = 0.4
+_BOUND_BLOCK = 256
+
+# Report rows measured together.  The blocks above keep the temporaries of
+# a chunk's pass near 256 KB at the default 512 samples, whatever its size.
+_CHUNK = 8
 
 
 def insert_exponent(points, exponents, rho):
@@ -167,38 +190,40 @@ def corner_cutting(points, exponents, source, iterations):
 
 
 class _InsertionWeights:
-    """The exponents r_1..r_n of a float corner-cutting flow, kept as arrays
-    so that the weights of each insertion come from one vectorised pass
-    (see the module docstring)."""
+    """The exponents r_1..r_n of a float corner-cutting flow, kept in arrays
+    preallocated for `capacity` exponents, so that the weights of each
+    insertion come from one vectorised pass (see the module docstring)."""
 
-    def __init__(self, exponents):
-        self.values = np.empty(0)                 # float(r_k)
-        self.floats = np.empty(0, dtype=bool)     # r_k is not exact
+    def __init__(self, exponents, capacity):
+        self.size = 0
+        self.values = np.empty(capacity)                 # float(r_k)
+        self.floats = np.empty(capacity, dtype=bool)     # r_k is not exact
         # r_k = a_k / b_k as Python ints (0 / 1 for a float)
-        self.num = np.empty(0, dtype=object)
-        self.den = np.empty(0, dtype=object)
+        self.num = np.empty(capacity, dtype=object)
+        self.den = np.empty(capacity, dtype=object)
         for x in exponents:
             self.append(x)
 
     def append(self, x):
-        exact = is_exact(x)
-        a, b = (x.numerator, x.denominator) if exact else (0, 1)
-        self.values = np.append(self.values, float(x))
-        self.floats = np.append(self.floats, not exact)
-        self.num = np.append(self.num, np.array([a], dtype=object))
-        self.den = np.append(self.den, np.array([b], dtype=object))
+        k, exact = self.size, is_exact(x)
+        self.values[k] = float(x)
+        self.floats[k] = not exact
+        self.num[k], self.den[k] = (x.numerator, x.denominator) if exact else (0, 1)
+        self.size = k + 1
 
     def weights(self, rho):
         """(v, w) of inserting rho above every r_k."""
+        k = self.size
+        values, floats = self.values[:k], self.floats[:k]
         if not is_exact(rho):
-            w = self.values / rho
+            w = values / rho
             return 1.0 - w, w
-        a, b = self.num * rho.denominator, self.den * rho.numerator
+        a, b = self.num[:k] * rho.denominator, self.den[:k] * rho.numerator
         w = (a / b).astype(float)
         v = ((b - a) / b).astype(float)
-        if self.floats.any():
-            w = np.where(self.floats, self.values / float(rho), w)
-            v = np.where(self.floats, 1.0 - w, v)
+        if floats.any():
+            w = np.where(floats, values / float(rho), w)
+            v = np.where(floats, 1.0 - w, v)
         return v, w
 
 
@@ -210,7 +235,7 @@ def _float_corner_cutting(points, exponents, source, iterations):
     polygon = _point_array(points)
     if len(polygon) != r.n + 1:
         raise ValueError(f"expected {r.n + 1} control points, got {len(polygon)}")
-    exps, last = _InsertionWeights(r[1:]), r[r.n]
+    exps, last = _InsertionWeights(r[1:], r.n + iterations), r[r.n]
     yield 0, polygon
     for j in range(1, iterations + 1):
         rho = source(r.n + j)
@@ -238,18 +263,24 @@ def _point_array(points):
 
 
 def sample_polyline(points, count):
-    """Resample a polygon uniformly in chord length."""
+    """Resample a polygon uniformly in chord length.  A stack of polygons,
+    (rows, m, d), gives (rows, count, d); repeating a polygon's last point
+    leaves its samples unchanged, so polygons of different lengths can
+    share a stack."""
     arr = _point_array(points)
-    if len(arr) == 1:
-        return np.repeat(arr, count, axis=0)
-    seg = np.linalg.norm(np.diff(arr, axis=0), axis=1)
-    knots = np.concatenate([[0.0], np.cumsum(seg)])
-    total = knots[-1]
-    if total == 0.0:
-        return np.repeat(arr[:1], count, axis=0)
-    stations = np.linspace(0.0, total, count)
-    cols = [np.interp(stations, knots, arr[:, d]) for d in range(arr.shape[1])]
-    return np.stack(cols, axis=1)
+    stack = arr if arr.ndim == 3 else arr[None]
+    knots = np.zeros(stack.shape[:2])
+    np.cumsum(np.linalg.norm(np.diff(stack, axis=1), axis=2), axis=1,
+              out=knots[:, 1:])
+    out = np.repeat(stack[:, :1], count, axis=1)
+    # the stations of the rows that move; a zero step among them would
+    # change how np.linspace rounds every row
+    moving = np.flatnonzero(knots[:, -1] != 0.0)
+    stations = np.linspace(0.0, knots[moving, -1], count, axis=1)
+    for r, x in zip(moving, stations):
+        for k in range(stack.shape[2]):
+            out[r, :, k] = np.interp(x, knots[r], stack[r, :, k])
+    return out if arr.ndim == 3 else out[0]
 
 
 def sample_curve(curve, count):
@@ -269,14 +300,19 @@ def sample_curve(curve, count):
 
 
 def _coordinates(A, B):
-    """Two point sets as (d, m) and (d, n) arrays of coordinate rows."""
+    """Two point sets, or stacks of them, as (d, rows, m) and (d, rows, n)
+    arrays of coordinate rows; a single set is a stack of one row."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    if len(A) == 0 or len(B) == 0:
+    if A.shape[-2] == 0 or B.shape[-2] == 0:
         raise ValueError("distance between empty point sets")
-    if A.shape[1] != B.shape[1]:
-        raise ValueError(f"points of dimension {A.shape[1]} against {B.shape[1]}")
-    return np.ascontiguousarray(A.T), np.ascontiguousarray(B.T)
+    if A.shape[-1] != B.shape[-1]:
+        raise ValueError(f"points of dimension {A.shape[-1]} against {B.shape[-1]}")
+    A, B = (np.ascontiguousarray(np.moveaxis(X.reshape((-1,) + X.shape[-2:]), -1, 0))
+            for X in (A, B))
+    if min(A.shape[1], B.shape[1]) > 1 and A.shape[1] != B.shape[1]:
+        raise ValueError(f"stacks of {A.shape[1]} and {B.shape[1]} rows")
+    return A, B
 
 
 def _squared_distances(X, Y):
@@ -295,54 +331,126 @@ def _rescaled(i, m, n):
     return (i * (n - 1) + (m - 1) // 2) // max(m - 1, 1)
 
 
-def _row_bounds(A, B):
-    """For each point of A, its least squared distance to the points of B
-    in the index band around it and to `_COARSE` evenly spaced ones."""
-    m, n = A.shape[1], B.shape[1]
+@functools.lru_cache(maxsize=32)
+def _band(m, n, half_width):
+    """For each of m indices, the indices of the n points in the band of
+    half_width around its rescaled index: (2 half_width + 1, m), read-only
+    since every caller shares it."""
+    offsets = np.arange(-half_width, half_width + 1)[:, None]
+    band = np.clip(_rescaled(np.arange(m), m, n) + offsets, 0, n - 1)
+    band.setflags(write=False)
+    return band
+
+
+def _take(X, r, i):
+    """The points i of rows r of a stack X, (d, rows, m), as (d,) + the
+    broadcast shape of i and r.  A stack of one row stands for every row,
+    and gives (d,) + the shape of i."""
+    rows, m = X.shape[1:]
+    return np.take(X.reshape(len(X), -1), i + r * m if rows > 1 else i, axis=1)
+
+
+def _narrow_bounds(A, B):
+    """For each point of each row of A, (d, rows, m), its least squared
+    distance to the points of its row of B in the index band of
+    half-width `_NARROW` around it, one offset at a time."""
+    bound = None
+    for near in _band(A.shape[2], B.shape[2], _NARROW):
+        squared = _squared_distances(A, np.take(B, near, axis=2))
+        bound = squared if bound is None else np.minimum(bound, squared, out=bound)
+    return bound
+
+
+def _bounds(A, B, r, i):
+    """For the points i of rows r of A, the least squared distance to the
+    points of the same row of B in the index band of half-width `_BAND`
+    around them and to `_COARSE` evenly spaced ones."""
+    m, n = A.shape[2], B.shape[2]
     k = min(n, _COARSE)
-    coarse = B[:, _rescaled(np.arange(k), k, n), None]
-    band = np.arange(-_BAND, _BAND + 1)[:, None]
-    near = B[:, np.clip(_rescaled(np.arange(m), m, n) + band, 0, n - 1)]
-    return np.minimum(_squared_distances(A, near).min(axis=0),
-                      _squared_distances(A[:, None], coarse).min(axis=0))
+    a = _take(A, r, i)[:, None]
+    near = _take(B, r, _band(m, n, _BAND)[:, i])
+    far = _take(B, r, _rescaled(np.arange(k), k, n)[:, None])
+    return np.minimum(_squared_distances(a, near).min(axis=0),
+                      _squared_distances(a, far).min(axis=0))
 
 
-def _directed_max_min(A, B, best):
-    """max(best, max_i min_j |a_i - b_j|^2), skipping the points of A whose
-    bound cannot exceed the running maximum.  The rows computed per step
-    grow from `_PRUNE_ROWS` to `BLOCK_ROWS`, so that a pass that prunes
-    nothing takes few steps."""
-    bound = _row_bounds(A, B)
-    order = np.argsort(bound)[::-1]
-    start, size = 0, _PRUNE_ROWS
-    while start < len(order):
-        rows = order[start:start + size]
-        rows = rows[bound[rows] > best]
-        if not len(rows):
-            break
-        best = max(best, _squared_distances(A[:, rows, None], B[:, None])
-                   .min(axis=1).max())
-        start += size
+def _measure(A, B, r, i, best):
+    """Raise best[r] to min_j |a_ri - b_rj|^2 at the points i of rows r, in
+    blocks whose temporaries hold BLOCK_ROWS n floats: two rows of squared
+    distances per point, and the point's row of B where B is a stack."""
+    block = BLOCK_ROWS // (2 if B.shape[1] == 1 else 2 + len(B))
+    for k in range(0, len(r), block):
+        rk = r[k:k + block]
+        b = np.take(B, rk, axis=1) if B.shape[1] > 1 else B
+        a = _take(A, rk, i[k:k + block])[:, :, None]
+        np.maximum.at(best, rk, _squared_distances(a, b).min(axis=1))
+
+
+def _seeded_bounds(A, B, best):
+    """The narrow bound of every point of each row of A, (rows, m), after
+    measuring the point of each row that it bounds highest, whose bound
+    becomes -inf."""
+    bound = _narrow_bounds(A, B)
+    r, i = np.arange(len(bound)), bound.argmax(axis=1)
+    keep = bound[r, i] > best
+    _measure(A, B, r[keep], i[keep], best)
+    bound[r, i] = -np.inf
+    return bound
+
+
+def _directed_max_min(A, B, bound, best):
+    """Raise best_r to max_i min_j |a_ri - b_rj|^2 for each row r of A
+    against its row of B, measuring only the points whose bound exceeds
+    their row's running maximum (see the module docstring); the measured
+    and the skipped points end with bound -inf."""
+    rows, m = bound.shape
+    open_ = bound > best[:, None]
+    dense = open_.sum(axis=1) > _DENSE_SHARE * m
+    for row in np.flatnonzero(dense):
+        bound[row] = _bounds(A, B, row, np.arange(m))
+    r, i = np.nonzero(open_ & ~dense[:, None])
+    for k in range(0, len(r), _BOUND_BLOCK):
+        block = slice(k, k + _BOUND_BLOCK)
+        bound[r[block], i[block]] = _bounds(A, B, r[block], i[block])
+    bound[~open_] = -np.inf
+    size = 1
+    while True:
+        k = min(size, m)
+        top = np.argpartition(bound, m - k, axis=1)[:, m - k:]
+        r, c = np.nonzero(np.take_along_axis(bound, top, axis=1) > best[:, None])
+        if not len(r):
+            return
+        _measure(A, B, r, top[r, c], best)
+        bound[r, top[r, c]] = -np.inf
         size = min(2 * size, BLOCK_ROWS)
-    return best
 
 
 def hausdorff_distance(A, B):
-    """Symmetric Hausdorff distance between two sampled point sets."""
+    """Symmetric Hausdorff distance between two sampled point sets.  A
+    stack of sets, (rows, m, d), against one set or an equally long stack
+    gives the distance of each row."""
+    stacked = np.ndim(A) == 3 or np.ndim(B) == 3
     A, B = _coordinates(A, B)
-    return np.sqrt(_directed_max_min(B, A, _directed_max_min(A, B, -np.inf)))
+    best = np.full(max(A.shape[1], B.shape[1]), -np.inf)
+    there, back = _seeded_bounds(A, B, best), _seeded_bounds(B, A, best)
+    _directed_max_min(A, B, there, best)
+    _directed_max_min(B, A, back, best)
+    dist = np.sqrt(best)
+    return dist if stacked else dist[0]
 
 
 def sup_param_distance(A, B):
-    """Row-by-row sup distance of two equally long sample sequences."""
-    if len(A) != len(B):
+    """Row-by-row sup distance of two equally long sample sequences, or of
+    each row of a stack of them, (rows, m, d), against one sequence."""
+    if A.shape[-2] != B.shape[-2]:
         raise ValueError("sample counts differ")
-    return float(np.linalg.norm(A - B, axis=1).max())
+    dist = np.linalg.norm(A - B, axis=-1).max(axis=-1)
+    return dist if dist.ndim else float(dist)
 
 
 def polygon_diameter(points):
     arr = _point_array(points)
-    C, _ = _coordinates(arr, arr)
+    C = _coordinates(arr, arr)[0][:, 0]
     return float(np.sqrt(max(
         _squared_distances(C[:, start:start + BLOCK_ROWS, None], C[:, None]).max()
         for start in range(0, C.shape[1], BLOCK_ROWS))))
@@ -356,8 +464,8 @@ def convergence_report(points, exponents, source, iterations=100, samples=512,
     Returns rows of (iteration, polygon_size, hausdorff, sup_param).  If
     `frame` is given, it is called as frame(iteration, polygon, curve) with
     each float control polygon and the curve samples it was measured
-    against, both (m, d) arrays.  Points whose squared distances could
-    overflow floats raise ValueError."""
+    against, both (m, d) arrays, in the order of the iterations.  Points
+    whose squared distances could overflow floats raise ValueError."""
     if samples < 2:
         raise ValueError("need at least 2 samples per side")
     if target is None:
@@ -371,13 +479,19 @@ def convergence_report(points, exponents, source, iterations=100, samples=512,
         raise ValueError(f"coordinates as large as {extent:g}: squared "
                          "distances would overflow floats")
     curve_pts = sample_curve(target, samples)
+    steps = _float_corner_cutting(points, exponents, source, iterations)
     rows = []
-    for j, polygon in _float_corner_cutting(points, exponents, source,
-                                            iterations):
-        poly_pts = sample_polyline(polygon, samples)
-        rows.append((j, len(polygon),
-                     float(hausdorff_distance(poly_pts, curve_pts)),
-                     sup_param_distance(poly_pts, curve_pts)))
-        if frame is not None:
-            frame(j, polygon, curve_pts)
+    while chunk := list(itertools.islice(steps, _CHUNK)):
+        # each polygon padded by repeats of its last point to the chunk's
+        # largest size
+        size = len(chunk[-1][1])
+        stack = np.stack([np.concatenate([p, np.repeat(p[-1:], size - len(p), axis=0)])
+                          for _, p in chunk])
+        poly_pts = sample_polyline(stack, samples)
+        for (j, polygon), dist, sup in zip(
+                chunk, hausdorff_distance(poly_pts, curve_pts),
+                sup_param_distance(poly_pts, curve_pts)):
+            rows.append((j, len(polygon), float(dist), float(sup)))
+            if frame is not None:
+                frame(j, polygon, curve_pts)
     return rows

@@ -2,6 +2,8 @@ import contextlib
 import csv
 import io
 import json
+import sys
+import time
 from fractions import Fraction
 from itertools import accumulate
 
@@ -116,6 +118,44 @@ def test_decasteljau_trace(capsys):
     assert data["t"] == "1/2"
     assert data["levels"][0] == [[0, 0], [1, 2], [3, 0]]
     assert data["levels"][-1] == [["15/16", "9/8"]]
+
+
+# t = p/q puts denominators near q^{r_n} into the exact pyramid: at 1/2
+# its JSON is printable up to r_n = 14200 (4275 digits) and not from
+# 14300 (4305) on.  Forming such a pyramid takes seconds, so the time
+# bound and the patched Schur routine show the refusal comes first.
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no limit on printing integers")
+@pytest.mark.parametrize("t, r_n", [("1/2", 100000), ("1/2", 14300),
+                                    ("2/7", 5120), ("999/1000", 1440)])
+def test_unprintable_exact_pyramid_refused_at_once(t, r_n, monkeypatch, capsys):
+    from gelfond import blossom
+
+    def refuse(*args):
+        raise AssertionError("formed a Schur value of an unprintable pyramid")
+    monkeypatch.setattr(blossom, "schur", refuse)
+    start = time.perf_counter()
+    code = cli.main(["decasteljau", "--exponents", f"0,3,{r_n}",
+                     "--points", "0,0;1,2;3,0", "--t", t])
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert f"r_n = {r_n}" in lines[0] and str(sys.get_int_max_str_digits()) in lines[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--exponents", "0,3,5000", "--points", "0,0;1,2;3,0", "--t", "1/2"],
+    # float coordinates alone give a float pyramid, printable at any r_n
+    ["--exponents", "0,3,14300", "--points", "0.5,0.25;1.5,2.0;3.0,0.5",
+     "--t", "1/2"],
+], ids=["exact-printable", "float-points"])
+def test_printable_pyramids_still_answer(argv, capsys):
+    code, out = run(capsys, "decasteljau", *argv)
+    assert code == 0
+    assert len(json.loads(out)["levels"]) == 3
 
 
 def test_elevate_zero_iterations_echoes(capsys):

@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gelfond.curves import GelfondBezierCurve
-from gelfond.dimelev import (BLOCK_ROWS, PRESETS, _COARSE, _PRUNE_ROWS,
-                             _coordinates, _float_corner_cutting, _row_bounds,
+from gelfond.dimelev import (BLOCK_ROWS, PRESETS, _BAND, _CHUNK, _COARSE,
+                             _NARROW, _bounds, _coordinates,
+                             _float_corner_cutting, _narrow_bounds,
                              convergence_report,
                              corner_cutting, exponent_source,
                              hausdorff_distance, insert_exponent,
@@ -201,6 +202,8 @@ def test_blocked_distances_on_block_edges():
         hausdorff_distance(np.zeros((0, 2)), np.zeros((3, 2)))
     with pytest.raises(ValueError):
         hausdorff_distance(np.zeros((2, 2)), np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="stacks of 2 and 3 rows"):
+        hausdorff_distance(np.zeros((2, 4, 2)), np.zeros((3, 4, 2)))
 
 
 def exact_polygon_report(points, exponents, source, iterations, samples):
@@ -227,8 +230,11 @@ def test_float_polygon_matches_exact_polygon(name):
 
 def _pruning_cases():
     rng = np.random.default_rng(11)
-    sizes = (1, 2, _PRUNE_ROWS - 1, _PRUNE_ROWS, _PRUNE_ROWS + 1,
-             _COARSE - 1, _COARSE, _COARSE + 1, 2 * BLOCK_ROWS + 3)
+    # around the widths of the two index bands and the coarse count, and
+    # past two exact blocks
+    sizes = sorted({1, 2, *range(2 * _NARROW, 2 * _NARROW + 3),
+                    *range(2 * _BAND - 1, 2 * _BAND + 3),
+                    _COARSE - 1, _COARSE, _COARSE + 1, 2 * BLOCK_ROWS + 3})
     for m in sizes:
         for dim in (1, 2, 3):
             A = np.cumsum(rng.normal(size=(m, dim)), axis=0)
@@ -263,11 +269,12 @@ def _pruning_cases():
 def test_pruned_hausdorff_equals_dense_formula(A, B):
     assert hausdorff_distance(A, B) == dense_hausdorff(A, B)
     assert hausdorff_distance(B, A) == dense_hausdorff(B, A)
-    # the pruning is exact because each row bound is an entry of its row
+    # the pruning is exact because each bound, narrow or full, is an
+    # entry of its row
     At, Bt = _coordinates(A, B)
     squared = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
-    bound = _row_bounds(At, Bt)
-    assert (bound[:, None] == squared).any(axis=1).all()
+    for bound in (_narrow_bounds(At, Bt)[0], _bounds(At, Bt, 0, np.arange(len(A)))):
+        assert (bound[:, None] == squared).any(axis=1).all()
 
 
 def float_polygon_report(points, exponents, source, iterations, samples):
@@ -316,3 +323,81 @@ def test_float_insertion_equals_insert_exponent(exps, source):
     tuple_steps = corner_cutting(points, exps, source, 30)
     for (j, polygon), (i, pts, _) in zip(float_steps, tuple_steps, strict=True):
         assert j == i and polygon.tolist() == [list(p) for p in pts]
+
+
+# self-intersecting 4-point polygons, on which the narrow band certifies
+# few points and the full bound takes whole rows
+CROSSED = [((0, -2), (7, 3), (0, -4), (6, 2)), ((6, 5), (9, -4), (-5, 9), (7, -3)),
+           ((4, 1), (5, -2), (-7, 8), (3, -8)), ((0, 0), (4, 4), (4, 0), (0, 4))]
+
+
+@pytest.mark.parametrize("iterations", [0, _CHUNK - 1, _CHUNK, _CHUNK + 1])
+@pytest.mark.parametrize("points", [PTS] + CROSSED,
+                         ids=["figure"] + [f"crossed-{k}" for k in range(len(CROSSED))])
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_batched_report_equals_dense_route(name, points, iterations):
+    exps, source = preset(name)
+    got = convergence_report(points, exps, source, iterations=iterations,
+                             samples=96)
+    assert got == float_polygon_report(points, exps, source, iterations, 96)
+
+
+@pytest.mark.parametrize("points", [
+    ((0,), (3,), (-1,), (4,)),
+    ((0, 0, 0), (3, 1, 2), (1, 5, -1), (4, 0, 3)),
+    ((0, -2, 1), (7, 3, 0), (0, -4, 2), (6, 2, -1)),
+], ids=["1-d", "3-d", "3-d-crossed"])
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_batched_report_equals_dense_route_in_other_dimensions(name, points):
+    exps, source = preset(name)
+    got = convergence_report(points, exps, source, iterations=2 * _CHUNK + 3,
+                             samples=64)
+    assert got == float_polygon_report(points, exps, source, 2 * _CHUNK + 3, 64)
+
+
+def test_frames_come_once_per_row_in_order():
+    exps, source = preset("cubic-linear")
+    calls = []
+    rows = convergence_report(PTS, exps, source, iterations=2 * _CHUNK + 1,
+                              samples=32,
+                              frame=lambda j, poly, curve: calls.append((j, poly, curve)))
+    assert [j for j, _, _ in calls] == [row[0] for row in rows] == list(range(2 * _CHUNK + 2))
+    polygons = [pts for _, pts, _ in corner_cutting(
+        [tuple(float(c) for c in p) for p in PTS], exps, source, 2 * _CHUNK + 1)]
+    for (_, poly, curve), pts in zip(calls, polygons):
+        assert poly.tolist() == [list(p) for p in pts]
+        assert curve.shape == (32, 2) and curve is calls[0][2]
+
+
+@st.composite
+def polygon_stacks(draw):
+    dim = draw(st.integers(1, 3))
+    rows = draw(st.integers(1, 5))
+    coords = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    polygons = [draw(arrays(float, (draw(st.integers(1, 9)), dim), elements=coords))
+                for _ in range(rows)]
+    # repeated points give zero-length segments, or a polygon of length 0
+    polygons = [np.repeat(p, draw(st.integers(1, 2)), axis=0) for p in polygons]
+    return polygons
+
+
+@settings(max_examples=100, deadline=None)
+@given(polygon_stacks(), st.integers(2, 40))
+def test_padded_stack_samples_like_each_polygon(polygons, count):
+    # each polygon padded by repeats of its last point, as the report does
+    size = max(len(p) for p in polygons)
+    stack = np.stack([np.concatenate([p, np.repeat(p[-1:], size - len(p), axis=0)])
+                      for p in polygons])
+    samples = sample_polyline(stack, count)
+    assert samples.shape == (len(polygons), count, stack.shape[2])
+    for p, row in zip(polygons, samples):
+        assert row.tolist() == sample_polyline(p, count).tolist()
+    curve = sample_polyline(polygons[0], count)
+    dist = hausdorff_distance(samples, curve)
+    sup = sup_param_distance(samples, curve)
+    for k, row in enumerate(samples):
+        assert dist[k] == dense_hausdorff(row, curve)
+        assert sup[k] == sup_param_distance(row, curve)
+        # a stack against a stack as long pairs the rows
+        assert hausdorff_distance(samples, samples[::-1])[k] == \
+            dense_hausdorff(row, samples[len(samples) - 1 - k])

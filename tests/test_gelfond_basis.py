@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import prod
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -246,25 +247,64 @@ def test_limit_rate_is_the_smallest_gap():
             assert abs(slope - g) < 1e-3, (exps, slope)
 
 
+def _mp_limit_deviation(exps, a, ts):
+    """sup_{k,t} |B^{[a,1]}_k(t) - H_k(t)| at 60 digits, from definitions
+    that share no code with `chebyshev_basis` or `basis_values`: B_k in
+    span(t^{r_j}) vanishes to order k at a and to order n - k at 1, and
+    the B_k sum to one; H_k is the divided-difference form
+    (-r_{k+1})..(-r_n) [r_k, .., r_n] t^x."""
+    with mpmath.workdps(60):
+        r = [mpmath.mpf(x) for x in exps]
+        n = len(r) - 1
+
+        def derivatives(x, orders):
+            return [[mpmath.ff(e, i) * x ** (e - i) for e in r] for i in range(orders)]
+
+        shapes = []
+        for k in range(n + 1):
+            rows = derivatives(mpmath.mpf(a), k) + derivatives(mpmath.mpf(1), n - k)
+            # the kernel of these n conditions, by signed maximal minors
+            shapes.append([(-1) ** j * mpmath.det(mpmath.matrix(
+                [row[:j] + row[j + 1:] for row in rows])) for j in range(n + 1)])
+        # the weights that make the shapes sum to the constant 1 = t^{r_0}
+        weights = mpmath.lu_solve(mpmath.matrix(shapes).T,
+                                  mpmath.matrix([1] + [0] * n))
+        dev = mpmath.mpf(0)
+        for t in map(mpmath.mpf, ts):
+            for k in range(n + 1):
+                h = mpmath.fprod(-r[j] for j in range(k + 1, n + 1)) * mpmath.fsum(
+                    t ** r[i] / mpmath.fprod(r[i] - r[j] for j in range(k, n + 1) if j != i)
+                    for i in range(k, n + 1))
+                b = weights[k] * mpmath.fsum(c * t ** e for c, e in zip(shapes[k], r))
+                dev = max(dev, abs(b - h))
+        return dev
+
+
 def test_limit_rate_is_the_smallest_gap_on_real_spaces():
-    # The same observed rate in floats on real spaces, g = 1.5 and g = 0.5
-    # (slopes 1.500, 1.500 and 0.504, 0.501 per decade of a): each slope
-    # within 0.01 of g, and the two decades within 0.01 of each other, so
-    # the rate is already asymptotic at these a.
+    # The same observed rate on real spaces, g = 1.5 and g = 0.5 (slopes
+    # 1.500, 1.500 and 0.504, 0.501 per decade of a), from a 60-digit
+    # reference: each slope within 0.01 of g, and the two decades within
+    # 0.01 of each other, so the rate is already asymptotic at these a.
+    # The float routes give the same slopes, and each of their deviations
+    # is within 1e-6 relative of the reference (2e-8 seen).
     ts = [i / 40 for i in range(1, 40)]
     for exps in [(0, 1.5, 3), (0, 3, 3.5, 7)]:
         lam = partition_from_exponents(exps)
         g = min(b - a for a, b in zip(exps, exps[1:]))
         h = {t: basis_values(exps, t) for t in ts}
-        logs = []
+        logs, ref_logs = [], []
         for e in (4, 5, 6):
             a = 10.0 ** -e
-            logs.append(math.log10(max(
-                abs(chebyshev_basis(lam, a, 1.0, k, t) - h[t][k])
-                for t in ts for k in range(len(exps)))))
-        slopes = (logs[0] - logs[1], logs[1] - logs[2])
-        assert all(abs(slope - g) < 0.01 for slope in slopes), (exps, slopes)
-        assert abs(slopes[0] - slopes[1]) < 0.01, (exps, slopes)
+            dev = max(abs(chebyshev_basis(lam, a, 1.0, k, t) - h[t][k])
+                      for t in ts for k in range(len(exps)))
+            ref = _mp_limit_deviation(exps, a, ts)
+            assert abs(dev - ref) <= 1e-6 * ref, (exps, a, dev, ref)
+            logs.append(math.log10(dev))
+            ref_logs.append(float(mpmath.log10(ref)))
+        for route in (ref_logs, logs):
+            slopes = (route[0] - route[1], route[1] - route[2])
+            assert all(abs(slope - g) < 0.01 for slope in slopes), (exps, slopes)
+            assert abs(slopes[0] - slopes[1]) < 0.01, (exps, slopes)
 
 
 def test_index_validation():
