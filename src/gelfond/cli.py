@@ -32,6 +32,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -42,8 +43,8 @@ from .curves import (GelfondBezierCurve, c1_join, curve_from_json,
 from .dimelev import (PRESETS, TAIL_RULES, convergence_report,
                       exponent_source, insert_exponent, preset)
 from .gelfond_basis import (basis_table, complete_exponents,
-                            elementary_exponents, gelfond_basis_dd,
-                            gelfond_basis_schur, hook_exponents)
+                            elementary_exponents, gelfond_basis_schur,
+                            hook_exponents)
 from .partitions import ExponentSequence
 
 # --samples above this is refused before any grid is built: tables hold
@@ -100,7 +101,7 @@ def _load_points(args):
 
 
 def _interval(args):
-    if getattr(args, "interval", None):
+    if getattr(args, "interval", None) is not None:
         lo, hi = _parse_numbers(args.interval)
         return lo, hi
     return 0, 1
@@ -198,8 +199,8 @@ def _exponents_from(args):
 
 
 def _samples(args, default=101):
-    n = args.samples if getattr(args, "samples", None) else default
-    n = int(n)
+    n = getattr(args, "samples", None)
+    n = int(default if n is None else n)
     if n < 2:
         raise ValueError("need at least 2 samples")
     if n > MAX_SAMPLES:
@@ -392,13 +393,11 @@ def cmd_oracle(args):
         if 0 < t:
             for k in range(n + 1):
                 a = gelfond_basis_schur(exps, k, t)
-                b = gelfond_basis_dd(exps, k, t)
-                dev_routes = max(dev_routes, abs(float(a) - float(b)),
-                                 abs(float(a) - float(vals[k])))
+                dev_routes = max(dev_routes, abs(float(a) - float(vals[k])))
         v2 = curve.evaluate_de_casteljau(t)
         dev_dc = max(dev_dc, max(abs(x - y) for x, y in zip(v1, v2)))
     lines = [
-        f"basis routes (schur vs divided-difference vs production): {_fmt17(dev_routes)}",
+        f"basis routes (schur vs production): {_fmt17(dev_routes)}",
         f"partition-of-unity residual: {_fmt17(dev_unity)}",
         f"de casteljau vs basis sum: {_fmt17(dev_dc)}",
     ]
@@ -497,9 +496,27 @@ def _apply_config(args, parser):
                 setattr(args, attr, _config_value(actions[attr], value))
 
 
+def _join_negative_values(argv):
+    """argv with each `--flag -<digit or .>..` pair joined as
+    `--flag=-..`: argparse takes a value that starts with "-" for a flag
+    unless it is a plain decimal such as -0.5, so `--points -1,0;1,2` and
+    `--t -1/2` would not parse.  No flag of this command line starts that
+    way, and a real flag after a flag (`--points --samples 3`) is left to
+    fail as before."""
+    out = []
+    for arg in argv:
+        if (out and re.match(r"-[0-9.]", arg)
+                and re.fullmatch(r"--[^=]+", out[-1])):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
     parser, commands = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args(_join_negative_values(argv))
     try:
         _apply_config(args, commands[args.command])
         return globals()[f"cmd_{args.command}"](args)

@@ -1,45 +1,27 @@
-"""Divided differences of f_t(x) = t**x in the exponent nodes x.
+"""Divided differences of f_t(x) = t**x in the exponent nodes x, by one
+float kernel (Opitz): for J = diag(x_0..x_n) plus a superdiagonal of
+ones,
 
-Routes:
+    exp(ln(t) J)_{ij} = [x_i..x_j] f_t,
 
- * `opitz_table`, the float kernel (Opitz) and the production route:
-   for J = diag(x_0..x_n) plus a superdiagonal of ones,
+so the last column of one matrix exponential holds [x_k..x_n] f_t for
+every k.  `opitz_table` computes it by Taylor scaling and squaring on the
+bidiagonal J, a batch of parameters at a time.  Any other superdiagonal u
+is a diagonal similarity away and multiplies entry (i, j) by
+u_i..u_{j-1}; with u_k = -r_{k+1} the last column is the basis H_0..H_n
+itself, which is how every basis value of real exponents is computed
+(`gelfond_basis.basis_table`).  Integer basis polynomials are built from
+their own residue form.
 
-       exp(ln(t) J)_{ij} = [x_i..x_j] f_t,
-
-   so the last column of one matrix exponential holds [x_k..x_n] f_t for
-   every k.  It is computed by Taylor scaling and squaring on the
-   bidiagonal J, a batch of parameters at a time.  Any other
-   superdiagonal u is a diagonal similarity away and multiplies entry
-   (i, j) by u_i..u_{j-1}; with u_k = -r_{k+1} the last column is the
-   basis H_0..H_n itself, which is how every basis value of real
-   exponents is computed (`gelfond_basis.basis_table`);
- * the naive partial-fraction sum over distinct nodes,
-       [x_0..x_s] f_t = sum_i t^{x_i} / prod_{j != i} (x_i - x_j),
-   exact for rational t and integer nodes;
- * the classical recursion, which also handles repeated nodes through the
-   analytic derivatives d^m/dx^m t^x = t^x ln(t)^m.
-
-`exponential_dd` evaluates one divided difference by the last two: the
-naive sum unless nodes repeat or the smallest gap drops below MIN_GAP
-(the sum's cancellation blows up roughly like 1/gap, the recursion
-degrades much more gently).  These two routes stay here because the
-`oracle` command runs them, through the divided-difference form
-`gelfond_basis.gelfond_basis_dd`; integer basis polynomials are built
-from their own residue form.  The generic recursion on any callable and
-the shift and derivative identities, which only tests use, live in
-`tests/oracles.py`.
+The naive partial-fraction sum, the classical recursion with confluent
+blocks and the generic recursion on any callable, which only tests use
+to check this kernel, live in `tests/oracles.py`.
 """
 
 import functools
 import math
-from fractions import Fraction
 
 import numpy as np
-
-from .arith import exact_div, is_exact, simplify
-
-MIN_GAP = 1e-3
 
 # opitz_table sums the Taylor series of exp(h J') once |h| is at
 # most TAYLOR_THETA, where J' = J / sigma has entries of size at most 1.
@@ -51,75 +33,6 @@ TAYLOR_EXTRA = 18
 # Parameters per block: bounds the (rows, terms/2, n+1, n+1) array of the
 # first Estrin step.
 BLOCK_ROWS = 64
-
-
-def _check_t(t):
-    """t, made a Fraction when it is exact: an int raised to a negative
-    node would give a float."""
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
-    return Fraction(t) if is_exact(t) else t
-
-
-def exponential_dd_naive(nodes, t):
-    """Partial-fraction form; nodes must be pairwise distinct."""
-    t = _check_t(t)
-    xs = tuple(nodes)
-    if not xs:
-        raise ValueError("at least one node required")
-    if len(set(xs)) != len(xs):
-        raise ValueError("naive form needs distinct nodes")
-    out = 0
-    for i, xi in enumerate(xs):
-        den = 1
-        for j, xj in enumerate(xs):
-            if j != i:
-                den = den * (xi - xj)
-        out = out + exact_div(t ** xi, den)
-    return simplify(out)
-
-
-def exponential_dd_recursive(nodes, t):
-    """Recursion with confluent blocks.
-
-    Nodes are sorted so repeats are adjacent; a block of m+1 equal nodes x
-    contributes f^{(m)}(x)/m! = t^x ln(t)^m / m!.  Repeats therefore force
-    the float route (ln), while distinct exact inputs stay exact."""
-    t = _check_t(t)
-    xs = tuple(sorted(nodes))
-    if not xs:
-        raise ValueError("at least one node required")
-    memo = {}
-
-    def dd(i, j):
-        if (i, j) in memo:
-            return memo[(i, j)]
-        if xs[i] == xs[j]:
-            m = j - i
-            if m == 0:
-                val = t ** xs[i]
-            else:
-                val = (float(t ** xs[i]) * math.log(float(t)) ** m
-                       / math.factorial(m))
-        else:
-            val = exact_div(dd(i + 1, j) - dd(i, j - 1), xs[j] - xs[i])
-        memo[(i, j)] = val
-        return val
-
-    out = dd(0, len(xs) - 1)
-    return simplify(out)
-
-
-def exponential_dd(nodes, t):
-    """Production dispatch between the naive sum and the recursion."""
-    xs = tuple(nodes)
-    if not xs:
-        raise ValueError("at least one node required")
-    s = sorted(xs)
-    gaps = [b - a for a, b in zip(s, s[1:])]
-    if any(g == 0 for g in gaps) or any(g < MIN_GAP for g in gaps):
-        return exponential_dd_recursive(xs, t)
-    return exponential_dd_naive(xs, t)
 
 
 @functools.lru_cache(maxsize=16)

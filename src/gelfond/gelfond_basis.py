@@ -16,7 +16,9 @@ Routes:
    keeps the 64 spaces used last: a curve or a table reuses its one
    space and `elevate` two, while a process that meets a new space per
    call would otherwise keep every basis it ever built.  Float
-   parameters go through Horner's rule, exact ones stay exact.
+   parameters go through Horner's rule, exact ones stay exact.  The
+   polynomials are dense, so a space of more than
+   MAX_BASIS_COEFFICIENTS coefficients in all is refused.
  * real exponents: one matrix exponential (Opitz) holds every divided
    difference [r_k..r_n] f_t at once, and with the superdiagonal
    -r_1..-r_n its last column is H_0(t)..H_n(t) itself, so `basis_table`
@@ -26,10 +28,9 @@ Routes:
 
 `basis_values` (one parameter, exact or float) and `basis_table` (a batch
 of float parameters) are the production entry points; each picks the
-route by the exponents once per call, through that cache.  Two
-independent real-exponent routes stay here because the `oracle` command
-runs them: the divided difference by partial fractions or recursion
-(`gelfond_basis_dd`) and the Schur-quotient form (`gelfond_basis_schur`)
+route by the exponents once per call, through that cache.  The `oracle`
+command checks them against one independent route that stays here, the
+Schur-quotient form (`gelfond_basis_schur`)
 
      H_k(t) = [prod_{i>k} r_i/(r_i - r_k)] t^{r_k} (1-t)^{n-k}
               * S_{(lambda_{k+1..n})}(1, t, .., t) / S_{(lambda_{k+2..n})}(t, .., t)
@@ -38,6 +39,8 @@ with n-k copies of t, which is also exact for integer exponents at
 rational t.  H_k(0) and H_k(1) are delta values; the Schur route
 short-circuits t = 0 because its quotient there is a 0/0 limit (resolved
 by the splitting limit, which is exactly what the short-circuit encodes).
+H_k as one divided difference by partial fractions or by recursion,
+which only tests use, lives in `tests/oracles.py`.
 
 The exponents of the elementary, complete and hook families feed
 `basis --closed-form`; their closed-form polynomials and the vanishing
@@ -52,11 +55,17 @@ import numpy as np
 
 from .arith import (SingularityError, all_exact, exact_div, is_exact,
                     is_integral, simplify)
-from .divided_diff import exponential_dd, opitz_table
+from .divided_diff import opitz_table
 from .partitions import (ExponentSequence, RealPartition, as_exponents,
                          dimension, partition_from_exponents, partition_parts)
 from .polynomials import Poly, _horner, horner_table
 from .schur import schur
+
+# An integer space's basis is held as n + 1 dense polynomials of r_n + 1
+# Fraction coefficients each, so time and memory grow with r_n; above
+# this many coefficients in all (the scale of `cli.MAX_SAMPLES`) it is
+# refused before any is built.
+MAX_BASIS_COEFFICIENTS = 10 ** 6
 
 
 def _prefactor(r, k):
@@ -70,8 +79,9 @@ def _prefactor(r, k):
 
 
 def _oracle_shortcut(r, k, t):
-    """The index and range checks of both oracles, then H_k where it needs
-    no divided difference: t^{r_n} for k = n (1 for n = 0), delta_{k0} at
+    """The index and range checks of the Schur route (and of the
+    divided-difference form in `tests/oracles.py`), then H_k where it
+    needs no quotient: t^{r_n} for k = n (1 for n = 0), delta_{k0} at
     t = 0.  None everywhere else."""
     n = r.n
     if not 0 <= k <= n:
@@ -87,9 +97,9 @@ def _oracle_shortcut(r, k, t):
 
 
 def gelfond_basis_schur(exponents, k, t):
-    """Schur-quotient evaluation, an oracle for the production routes;
-    works for real exponents, exact for integer exponents with rational
-    t."""
+    """Schur-quotient evaluation, the route that `oracle` checks the
+    production routes against; works for real exponents, exact for
+    integer exponents with rational t."""
     r = as_exponents(exponents)
     value = _oracle_shortcut(r, k, t)
     if value is not None:
@@ -102,20 +112,6 @@ def gelfond_basis_schur(exponents, k, t):
         raise SingularityError(f"Schur denominator vanished at t={t}")
     return (_prefactor(r, k) * t ** r[k] * (1 - t) ** m
             * exact_div(num, den))
-
-
-def gelfond_basis_dd(exponents, k, t):
-    """One divided difference by partial fractions or recursion
-    (`exponential_dd`), the other oracle for real exponents."""
-    r = as_exponents(exponents)
-    value = _oracle_shortcut(r, k, t)
-    if value is not None:
-        return value
-    coeff = 1
-    for i in range(k + 1, r.n + 1):
-        coeff = coeff * r[i]
-    value = coeff * exponential_dd(r.exponents[k:], t)
-    return -value if (r.n - k) % 2 else value
 
 
 def _basis_poly_cached(r_tuple, k):
@@ -138,6 +134,11 @@ def _exact_basis(*exponents):
     if not all(is_integral(x) for x in exponents):
         return None
     key = tuple(int(x) for x in exponents)
+    if len(key) * (key[-1] + 1) > MAX_BASIS_COEFFICIENTS:
+        raise ValueError(
+            f"the exact basis of order {len(key) - 1} with r_n = {key[-1]} "
+            f"needs (n + 1)(r_n + 1) coefficients, above the "
+            f"{MAX_BASIS_COEFFICIENTS} that are built")
     return tuple(_basis_poly_cached(key, k) for k in range(len(key)))
 
 

@@ -12,7 +12,10 @@ the two against each other:
    hook Schur values, skew Jacobi-Trudi, semistandard tableau sums
    (straight and skew), branching over interlacing partitions and
    written with skew shapes, and the splitting limit;
- * divided differences: the generic recursion on any callable, and the
+ * divided differences of t^x: the partial-fraction sum, the recursion
+   with confluent blocks and their dispatch by the smallest gap
+   (`exponential_dd`), the basis H_k as one such divided difference
+   (`gelfond_basis_dd`), the generic recursion on any callable, and the
    shift and derivative identities of [x_0..x_s] t^x;
  * the closed-form basis polynomials of the elementary, complete and hook
    families, and the vanishing orders of H_k at 0 and 1;
@@ -44,13 +47,12 @@ from functools import partial
 from math import comb, factorial
 
 from gelfond.arith import (all_exact, as_point, det, exact_div,
-                           falling_factorial, is_integral, simplify, vec_add,
-                           vec_scale)
+                           falling_factorial, is_exact, is_integral, simplify,
+                           vec_add, vec_scale)
 from gelfond.cli import _fmt17, _parameter_grid
-from gelfond.divided_diff import _check_t, exponential_dd
-from gelfond.gelfond_basis import (basis_polynomial, basis_values,
-                                   complete_exponents, elementary_exponents,
-                                   hook_exponents)
+from gelfond.gelfond_basis import (_oracle_shortcut, basis_polynomial,
+                                   basis_values, complete_exponents,
+                                   elementary_exponents, hook_exponents)
 from gelfond.partitions import (FLOAT_SLACK, IntegerPartition, RealPartition,
                                 _strip_zeros, as_exponents, partition_parts)
 from gelfond.polynomials import Poly
@@ -363,6 +365,101 @@ def splitting_limit(eta, z, y):
 
 
 # -- divided differences -----------------------------------------------------
+
+# exponential_dd takes the recursion once two nodes are closer than this
+MIN_GAP = 1e-3
+
+
+def _check_t(t):
+    """t, made a Fraction when it is exact: an int raised to a negative
+    node would give a float."""
+    if not t > 0:
+        raise ValueError(f"t must be positive, got {t}")
+    return Fraction(t) if is_exact(t) else t
+
+
+def exponential_dd_naive(nodes, t):
+    """Partial-fraction form over pairwise distinct nodes,
+
+        [x_0..x_s] f_t = sum_i t^{x_i} / prod_{j != i} (x_i - x_j),
+
+    exact for rational t and integer nodes."""
+    t = _check_t(t)
+    xs = tuple(nodes)
+    if not xs:
+        raise ValueError("at least one node required")
+    if len(set(xs)) != len(xs):
+        raise ValueError("naive form needs distinct nodes")
+    out = 0
+    for i, xi in enumerate(xs):
+        den = 1
+        for j, xj in enumerate(xs):
+            if j != i:
+                den = den * (xi - xj)
+        out = out + exact_div(t ** xi, den)
+    return simplify(out)
+
+
+def exponential_dd_recursive(nodes, t):
+    """Recursion with confluent blocks.
+
+    Nodes are sorted so repeats are adjacent; a block of m+1 equal nodes x
+    contributes f^{(m)}(x)/m! = t^x ln(t)^m / m!.  Repeats therefore force
+    the float route (ln), while distinct exact inputs stay exact."""
+    t = _check_t(t)
+    xs = tuple(sorted(nodes))
+    if not xs:
+        raise ValueError("at least one node required")
+    memo = {}
+
+    def dd(i, j):
+        if (i, j) in memo:
+            return memo[(i, j)]
+        if xs[i] == xs[j]:
+            m = j - i
+            if m == 0:
+                val = t ** xs[i]
+            else:
+                val = (float(t ** xs[i]) * math.log(float(t)) ** m
+                       / math.factorial(m))
+        else:
+            val = exact_div(dd(i + 1, j) - dd(i, j - 1), xs[j] - xs[i])
+        memo[(i, j)] = val
+        return val
+
+    out = dd(0, len(xs) - 1)
+    return simplify(out)
+
+
+def exponential_dd(nodes, t):
+    """[x_0..x_s] t^x by the naive sum unless nodes repeat or the smallest
+    gap drops below MIN_GAP: the sum's cancellation blows up roughly like
+    1/gap, the recursion degrades much more gently."""
+    xs = tuple(nodes)
+    if not xs:
+        raise ValueError("at least one node required")
+    s = sorted(xs)
+    gaps = [b - a for a, b in zip(s, s[1:])]
+    if any(g == 0 for g in gaps) or any(g < MIN_GAP for g in gaps):
+        return exponential_dd_recursive(xs, t)
+    return exponential_dd_naive(xs, t)
+
+
+def gelfond_basis_dd(exponents, k, t):
+    """H_k(t) = (-1)^{n-k} r_{k+1} .. r_n [r_k, .., r_n] t^x with one
+    divided difference by `exponential_dd`, the reference that the Opitz
+    kernel and the Schur route are checked against; exact for integer
+    exponents at rational t."""
+    r = as_exponents(exponents)
+    value = _oracle_shortcut(r, k, t)
+    if value is not None:
+        return value
+    coeff = 1
+    for i in range(k + 1, r.n + 1):
+        coeff = coeff * r[i]
+    value = coeff * exponential_dd(r.exponents[k:], t)
+    return -value if (r.n - k) % 2 else value
+
 
 def divided_difference(nodes, f):
     """Recursive divided difference of an arbitrary callable on distinct

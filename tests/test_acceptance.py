@@ -19,14 +19,14 @@ from gelfond.dimelev import (convergence_report, insert_exponent,
                              polygon_diameter, preset)
 from gelfond.gelfond_basis import (basis_polynomial, basis_values,
                                    chebyshev_basis, elementary_exponents,
-                                   gelfond_basis_dd, gelfond_basis_schur)
+                                   gelfond_basis_schur)
 from gelfond.gelfond_basis import basis_polynomial as basis_polynomial_residues
 from gelfond.partitions import (IntegerPartition, exponents_from_partition,
                                 partition_from_exponents)
 from gelfond.polynomials import Poly
 from gelfond.schur import schur_bialternant, schur_jacobi_trudi
-from oracles import (schur_giambelli, schur_nagelsbach_kostka, schur_tableaux,
-                     vanishing_orders)
+from oracles import (gelfond_basis_dd, schur_giambelli,
+                     schur_nagelsbach_kostka, schur_tableaux, vanishing_orders)
 
 FIG_POLYGON = ((0, 0), (1, 4), (3, 4), (4, 0))
 

@@ -12,12 +12,13 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from gelfond import cli
-from gelfond.arith import SingularityError
+from gelfond.arith import SingularityError, parse_number
 from gelfond.curves import GelfondBezierCurve, curve_from_json
 from gelfond.dimelev import (PRESETS, corner_cutting, insert_exponent,
                              preset, sample_curve)
-from gelfond.gelfond_basis import (basis_values, complete_exponents,
-                                   elementary_exponents, hook_exponents)
+from gelfond.gelfond_basis import (basis_table, basis_values,
+                                   complete_exponents, elementary_exponents,
+                                   gelfond_basis_schur, hook_exponents)
 from oracles import basis_csv, curve_csv
 
 
@@ -239,6 +240,36 @@ def test_oracle_report(capsys):
     assert values[2] < 1e-10
 
 
+# lines 2 and 3 of `oracle` for these commands, and line 1 when it also
+# held the partial-fraction/recursive divided difference of each H_k
+ORACLE_REPORTS = [
+    (["0,3,4,6,9", "--samples", "17", "--seed", "3"], "3.1849523018934178e-15",
+     ["partition-of-unity residual: 2.6645352591003757e-15",
+      "de casteljau vs basis sum: 2.8504976157250894e-14"]),
+    (["0,2.5,2.5000001,6", "--samples", "21"], "2.6196682045842579e-09",
+     ["partition-of-unity residual: 2.2204460492503131e-16",
+      "de casteljau vs basis sum: 3.3306690738754696e-16"]),
+]
+
+
+@pytest.mark.parametrize("argv, wider, tail", ORACLE_REPORTS)
+def test_oracle_compares_schur_with_production(argv, wider, tail, capsys):
+    code, out = run(capsys, "oracle", "--exponents", *argv)
+    assert code == 0
+    first, *rest = out.splitlines()
+    assert rest == tail
+    exps = tuple(parse_number(x) for x in argv[0].split(","))
+    ts = cli._parameter_grid(0, 1, int(argv[2]))
+    dev = 0.0
+    for t, vals in zip(ts, basis_table(exps, ts).tolist()):
+        if 0 < t:
+            for k in range(len(exps)):
+                a = gelfond_basis_schur(exps, k, t)
+                dev = max(dev, abs(float(a) - float(vals[k])))
+    assert first == f"basis routes (schur vs production): {cli._fmt17(dev)}"
+    assert dev <= float(wider)
+
+
 def test_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(
@@ -297,6 +328,64 @@ def test_input_error_exit_codes(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["unknown-command"])
     assert exc.value.code == 2
+
+
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of one run, argparse refusals included."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["curve", "--exponents", "0,1", "--samples", "3"], "--points", "-1,0;1,2"),
+    (["curve", "--exponents", "0,1", "--samples", "3"], "--points", "-1;2"),
+    (["curve", "--exponents", "0,1", "--points", "0,0;1,1", "--samples", "3"],
+     "--interval", "-1,2"),
+    (["decasteljau", "--exponents", "0,1", "--points", "0,0;1,2"], "--t", "-1/2"),
+    (["insert", "--exponents", "0,1", "--points", "0,0;1,2"], "--rho", "-1/2"),
+    (["basis", "--exponents", "0,1"], "--samples", "-3"),
+])
+def test_negative_values_may_follow_their_flag(argv, flag, value, capsys):
+    # argparse alone reads every value here but -3 as an unknown flag
+    spaced = _outcome(argv + [flag, value], capsys)
+    assert spaced == _outcome(argv + [f"{flag}={value}"], capsys)
+    code, out, err = spaced
+    assert code in (0, 2)
+    assert len(err.splitlines()) == (code == 2)
+    assert bool(out) == (code == 0)
+
+
+def test_only_negative_values_join_their_flag(capsys):
+    join = cli._join_negative_values
+    assert join(["curve", "--t", "-1/2", "--points", "-.5;1"]) == [
+        "curve", "--t=-1/2", "--points=-.5;1"]
+    for argv in (["--t=0", "-1"], ["--", "-1"], ["curve", "-1"],
+                 ["--points", "--samples", "3"], ["--points", "-x"]):
+        assert join(argv) == argv
+    # a real flag after a flag still fails in argparse
+    code, out, err = _outcome(["curve", "--exponents", "0,1", "--points",
+                               "--samples", "3"], capsys)
+    assert (code, out) == (2, "") and "expected one argument" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["basis"],
+    ["curve", "--points", "0,0;1,1;2,0"],
+    ["oracle"],
+    ["elevate", "--points", "0,0;1,1;2,0", "--iterations", "1"],
+])
+def test_huge_integer_exponent_is_refused_at_once(argv, capsys):
+    # the dense exact basis of r_n = 10^9 would need 3 x 10^9 coefficients
+    start = time.perf_counter()
+    code, out, err = _outcome(argv + ["--exponents", "0,3,1000000000"], capsys)
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: the exact basis of order 2 with r_n = 1000000000")
 
 
 def test_singularity_exit_code(monkeypatch, capsys):
@@ -384,6 +473,19 @@ HUGE = 10 ** 400
      "--format", "svg"],
     ["basis", "--exponents", f"0,{HUGE}"],
     ["oracle", "--exponents", f"0,{HUGE}"],
+    # 0 samples and an empty interval used to stand for the defaults
+    ["basis", "--exponents", "0,1", "--samples", "0"],
+    ["curve", "--exponents", "0,1", "--points", "0,0;1,1", "--samples", "0"],
+    ["oracle", "--exponents", "0,1", "--samples", "0"],
+    ["elevate", "--preset", "cubic-linear", "--points", "0,0;1,4;3,4;4,0",
+     "--iterations", "1", "--samples", "0"],
+    ["curve", "--exponents", "0,1", "--points", "0,0;1,1", "--interval", ""],
+    ["decasteljau", "--exponents", "0,1", "--points", "0,0;1,1",
+     "--interval", "", "--t", "1/2"],
+    # values that argparse alone takes for flags
+    ["decasteljau", "--exponents", "0,1", "--points", "0,0;1,2", "--t", "-1/2"],
+    ["insert", "--exponents", "0,1", "--points", "0,0;1,2", "--rho", "-1/2"],
+    ["basis", "--exponents", "-1,2"],
 ])
 def test_boundary_inputs_exit_2(argv, tmp_path, capsys):
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]

@@ -1,7 +1,10 @@
 """Seeded fuzz test of the command line: generated argv for every
 subcommand, drawn from pools that mix valid values with the inputs the
 boundary must refuse, among them exact coordinates (10^400 and
-10^400/3) too large for the float routes.
+10^400/3) too large for the float routes, values that start with "-"
+(`-1,0;1,2`, `-1/2`) given after their flag as separate arguments, and
+the integer space (0, 3, 10^9), whose exact basis is refused before it
+is built (`decasteljau`, which builds no basis, does not draw it).
 
 A second test runs `decasteljau` on real spaces at float t below 1e-100,
 where negative powers of t overflow the float range.
@@ -10,8 +13,9 @@ Every call ends with exit code 0, 2 or 3 and no traceback; an input the
 program itself rejects (not argparse) is reported on exactly one stderr
 line.  No call raises a numpy RuntimeWarning, and one that exits 0
 prints no nan or inf.  No call is timed: the sizes are kept small instead
-(samples <= 65, iterations <= 5, integer exponents <= 1000), because a
-dense basis polynomial of degree near 10^5 takes seconds.
+(samples <= 65, iterations <= 5, integer exponents <= 1000 but for the
+refused 10^9), because a dense basis polynomial of degree near 10^5
+takes seconds.
 """
 
 import contextlib
@@ -25,19 +29,21 @@ from hypothesis import given, seed, settings, strategies as st
 
 from gelfond import cli
 
+HUGE_SPACE = "0,3,1000000000"
 EXPONENTS = ["0,1,3", "0,2,4,14", "0,3,4,6,9", "0,1,2,4", "0,1.5,3",
              "0,0.7,1.9", "0,1/2,5/2", "0", "0,1000", "0,1e200,1e300",
              "0,3,3", "0,3,2", "1,2,3", "0,-1", "0,2/0", "0,nan", "0,inf",
-             "0,1e308", "0,,2", "zero,1"]
+             "0,1e308", "0,,2", "zero,1", HUGE_SPACE]
 POINTS = ["0,0;1,4;3,4;4,0", "0,0;1,2;3,0", "0,0;1,1", "0;1;3;2", "1;2,3",
           "0,0,0;1,2,3;3,0,1", "1/2,0;1,1;2,0", "1/0,0;1,1", "nan,0;1,1",
           "0,inf;1,1", "1e308,0;-1e308,1;1e308,0;0,0", "0,0;1", "a,b",
-          f"{10 ** 400},0;1,2;3,0", f"0,0;1,4;3,{10 ** 400}/3;4,0"]
+          f"{10 ** 400},0;1,2;3,0", f"0,0;1,4;3,{10 ** 400}/3;4,0",
+          "-1,0;1,2"]
 INTERVALS = ["0,1", "1/3,2", "0.3,0.9", "1,0", "1,1", "0,1/0", "nan,1",
-             "0,inf", "1", "0,1,2", "-1e308,1e308"]
+             "0,inf", "1", "0,1,2", "-1e308,1e308", "-1,2", ""]
 PARAMETERS = ["1/2", "1/3", "0.4", "0", "1", "2", "-1", "nan", "inf", "1/0",
-              "x", "1e-130", "1e-300"]
-RHOS = ["2", "5/2", "0.5", "3", "0", "-1", "1", "1/0", "nan", "1e308"]
+              "x", "1e-130", "1e-300", "-1/2"]
+RHOS = ["2", "5/2", "0.5", "3", "0", "-1", "1", "1/0", "nan", "1e308", "-1/2"]
 EXTRAS = ["5,6", "2.5", "7/2,9", "1/0", "nan", "1e308", "0", "-3"]
 SAMPLES = ["2", "3", "17", "65", "0", "1", "-3", "x"]
 ITERATIONS = ["0", "1", "5", "-1", "x"]
@@ -86,7 +92,10 @@ FLAGS = {
                                           "other"],
               "--l": SMALL, "--m": SMALL, "--n": SMALL},
     "curve": {**COMMON, **CURVE, "--format": ["csv", "json", "svg", "png"]},
-    "decasteljau": {**COMMON, **CURVE, "--t": PARAMETERS},
+    # the pyramid is not refused at r_n = 10^9: at t = 1 it would allocate
+    # a list of 10^9 complete symmetric values
+    "decasteljau": {**COMMON, **CURVE, "--t": PARAMETERS,
+                    "--exponents": [e for e in EXPONENTS if e != HUGE_SPACE]},
     "elevate": {**COMMON, **CURVE,
                 "--tail-rule": ["classical", "linear", "affine", "quadratic"],
                 "--extra": EXTRAS, "--iterations": ITERATIONS},

@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gelfond.arith import SingularityError
-from gelfond.divided_diff import (BLOCK_ROWS, MIN_GAP, exponential_dd,
-                                  exponential_dd_naive,
-                                  exponential_dd_recursive, opitz_table)
+from gelfond.divided_diff import BLOCK_ROWS, opitz_table
 from gelfond.gelfond_basis import basis_table, basis_values, gelfond_basis_schur
-from oracles import (divided_difference, exponential_dd_derivative,
-                     exponential_dd_shifted)
+from oracles import (MIN_GAP, divided_difference, exponential_dd,
+                     exponential_dd_derivative, exponential_dd_naive,
+                     exponential_dd_recursive, exponential_dd_shifted)
 
 
 def test_generic_divided_difference():

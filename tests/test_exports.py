@@ -33,11 +33,13 @@ MOVED_OR_DELETED = {
         "branch_last_variable"),
     "gelfond.divided_diff": (
         "divided_difference", "exponential_dd_shifted",
-        "exponential_dd_derivative", "exponential_dd_table"),
+        "exponential_dd_derivative", "exponential_dd_table", "exponential_dd",
+        "exponential_dd_naive", "exponential_dd_recursive", "_check_t",
+        "MIN_GAP"),
     "gelfond.gelfond_basis": (
         "elementary_basis_polynomial", "complete_basis_polynomial",
         "hook_basis_polynomial", "_bernstein_poly", "vanishing_orders",
-        "basis_polynomial_residues"),
+        "basis_polynomial_residues", "gelfond_basis_dd"),
     "gelfond.partitions": (
         "hook_dimension", "hook_partition_dimension", "pairwise_dimension",
         "interlacing_partitions"),

@@ -14,14 +14,14 @@ from gelfond.arith import SingularityError
 from gelfond.gelfond_basis import (basis_derivative, basis_polynomial,
                                    basis_table, basis_values, chebyshev_basis,
                                    complete_exponents, elementary_exponents,
-                                   gelfond_basis_dd, gelfond_basis_schur,
-                                   hodograph_data, hook_exponents)
+                                   gelfond_basis_schur, hodograph_data,
+                                   hook_exponents)
 from gelfond.gelfond_basis import basis_polynomial as basis_polynomial_residues
 from gelfond.partitions import dimension, partition_from_exponents
 from gelfond.polynomials import Poly, horner_table
 from oracles import (complete_basis_polynomial, elementary_basis_polynomial,
-                     hook_basis_polynomial, interlacing_partitions,
-                     vanishing_orders)
+                     gelfond_basis_dd, hook_basis_polynomial,
+                     interlacing_partitions, vanishing_orders)
 
 EXPS = (0, 3, 4, 6, 9)
 
@@ -375,6 +375,19 @@ def test_exact_basis_cache_is_bounded():
     misses = cache.cache_info().misses
     assert basis_table(first, ts).tolist() == want
     assert cache.cache_info().misses == misses + 1
+
+
+def test_exact_basis_is_refused_above_its_coefficient_ceiling(monkeypatch):
+    # (n + 1)(r_n + 1) coefficients: 3 x 12 = 36 is built, 3 x 13 is not
+    monkeypatch.setattr(gelfond_basis_module, "MAX_BASIS_COEFFICIENTS", 36)
+    gelfond_basis_module._exact_basis.cache_clear()
+    assert basis_polynomial((0, 7, 11), 2) == Poly.monomial(1, 11)
+    for route in (lambda e: basis_polynomial(e, 0),
+                  lambda e: basis_values(e, Fraction(1, 2)),
+                  lambda e: basis_table(e, [0.5])):
+        with pytest.raises(ValueError, match="above the 36"):
+            route((0, 7, 12))
+    gelfond_basis_module._exact_basis.cache_clear()
 
 
 @pytest.mark.parametrize("exps, ts", [
