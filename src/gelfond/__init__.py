@@ -19,7 +19,7 @@ from .gelfond_basis import (basis_derivative, basis_polynomial, basis_values,
 from .partitions import (ExponentSequence, IntegerPartition, RealPartition,
                          dimension, exponents_from_partition, muntz_tableau,
                          partition_from_exponents)
-from .schur import schur, schur_bialternant, schur_jacobi_trudi
+from .schur import schur, schur_bialternant
 
 __version__ = "0.1.0"
 
@@ -36,5 +36,5 @@ __all__ = [
     "chebyshev_basis", "hodograph_data",
     "ExponentSequence", "IntegerPartition", "RealPartition", "dimension",
     "exponents_from_partition", "muntz_tableau", "partition_from_exponents",
-    "schur", "schur_bialternant", "schur_jacobi_trudi",
+    "schur", "schur_bialternant",
 ]

@@ -188,9 +188,9 @@ def de_casteljau(points, exponents, t):
 
     Each S_w(a, b) is formed once per pyramid, on first use: S_0(i+1, L-1),
     for one, serves both node (L, i) and node (L-1, i+1), so a pyramid
-    evaluates at most n(n+3) Schur values, not 4 per node.  At t = 0
-    every alpha is 0 and no Schur value is formed.  Real exponents give
-    the pyramid at float(t)."""
+    evaluates at most n(n+3) Schur values, not 4 per node.  At t = 0 and
+    at t = 1 every alpha is t and no Schur value is formed.  Real
+    exponents give the pyramid at float(t)."""
     r = as_exponents(exponents)
     n = r.n
     points = tuple(points)
@@ -206,22 +206,24 @@ def de_casteljau(points, exponents, t):
     table = {}
 
     def S(w, a, b):
-        # at t = 1 the two points coincide and S_w(a, b) depends on a + b
-        # alone; one value then serves numerator and denominator alike,
-        # and alpha is exactly t, which an integral shape's float
-        # bialternant at 1, .., 1 would not give
-        key = (w, a + b) if t == 1 else (w, a, b)
-        if key not in table:
-            table[key] = schur(parts[w:w + a + b], (1,) * a + (t,) * b)
-        return table[key]
+        if (w, a, b) not in table:
+            table[w, a, b] = schur(parts[w:w + a + b], (1,) * a + (t,) * b)
+        return table[w, a, b]
 
+    # at either end every weight is t; an exact 1 is the Fraction that
+    # the ratio of Schur values gives
+    end = None
+    if t == 0:
+        end = 0 if is_exact(t) else 0.0
+    elif t == 1:
+        end = Fraction(1) if is_exact(t) else 1.0
     levels = [points]
     prev = points
     for level in range(1, n + 1):
         row = []
         for i in range(n - level + 1):
-            if t == 0:
-                alpha = 0 if is_exact(t) else 0.0
+            if end is not None:
+                alpha = end
             else:
                 alpha = _alpha(t, S(0, i, level), S(1, i + 1, level - 1),
                                S(0, i + 1, level - 1), S(1, i, level))

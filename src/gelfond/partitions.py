@@ -207,6 +207,14 @@ def as_exponents(spec):
     return ExponentSequence(spec)
 
 
+def _is_integer_shape(parts):
+    """Weakly decreasing nonnegative integral parts: the shapes for which
+    more nonzero parts than variables means S_lambda = 0 and
+    f_lambda(n) = 0."""
+    return all(is_integral(p) and p >= 0 for p in parts) and all(
+        a >= b for a, b in zip(parts, parts[1:]))
+
+
 def partition_parts(lam):
     """Raw parts of any partition-like argument."""
     if isinstance(lam, (RealPartition, IntegerPartition)):
@@ -267,8 +275,7 @@ def dimension(lam, n):
     other partition, where that convention does not exist."""
     parts = _strip_zeros(partition_parts(lam))
     if len(parts) > n:
-        if all(is_integral(p) and p >= 0 for p in parts) and all(
-                a >= b for a, b in zip(parts, parts[1:])):
+        if _is_integer_shape(parts):
             return 0
         raise ValueError(
             f"real partition with {len(parts)} parts in {n} variables")

@@ -1,10 +1,12 @@
 """Schur function evaluation.
 
-Production route (`schur`): Jacobi-Trudi, det(h_{lambda_i - i + j}), for
-integer partitions at exact points; the bialternant quotient for
-everything else (with confluent derivative rows when evaluation points
-repeat), in Fractions, floats or Decimals.  Decimals take over from
-floats where the quotient would cancel more than 4 digits; their
+One production route, `schur` (the name of `schur_bialternant`): the
+bialternant quotient det(u_i^{a_j}) / det(u_i^{n-j}), with confluent
+derivative rows when evaluation points repeat.  At exact points with an
+integral ladder it runs on integers, since Schur functions are
+homogeneous: S_lambda(u) = S_lambda(d u) / d^{|lambda|}, d the common
+denominator of the points.  Everything else runs in floats, and in
+Decimals where the float quotient would cancel more than 4 digits; their
 non-integral powers are exp(x ln v) from one logarithm per point,
 carried with guard digits so that each rounds to the correctly rounded
 Decimal power v ** x, at a fraction of its cost.
@@ -18,16 +20,18 @@ exponents a_j - q.  Each cached value is the one a call would form, by the
 same operations, and a call uses it in the same order (the gap logarithms
 after the point-group terms), so the results are the same bits as when
 every call formed them itself.  The Decimal fallback forms its own table
-under its raised context.
+under its raised context.  An integer partition with more nonzero parts
+than points has S_lambda = 0 (no semistandard tableau has more rows than
+entries), as `partitions.dimension` states; `_ladder` decides this once
+per (shape, n).
 
 The de Casteljau pyramid needs only two-point values S_lambda(1^a, t^b),
 which `blossom.de_casteljau` forms through `schur` once each.  The
-cross-check routes (Nagelsbach-Kostka, Giambelli, tableau sums, skew
-shapes, one-variable branching over interlacing partitions, the
-splitting limit) live with the tests, in `tests/oracles.py`.
+cross-check routes (Jacobi-Trudi, Nagelsbach-Kostka, Giambelli, tableau
+sums, skew shapes, one-variable branching over interlacing partitions,
+the splitting limit) live with the tests, in `tests/oracles.py`.
 
 Evaluation points must be positive; zeros never enter by substitution.
-h_m = 0 for m < 0, which closes the determinant over short rows.
 """
 
 import decimal
@@ -36,9 +40,9 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from math import factorial
 
-from .arith import (SingularityError, all_exact, det, falling_factorial,
-                    is_integral, simplify)
-from .partitions import (FLOAT_SLACK, IntegerPartition, _strip_zeros,
+from .arith import (SingularityError, all_exact, det, exact_div,
+                    falling_factorial, is_integral, simplify)
+from .partitions import (FLOAT_SLACK, _is_integer_shape, _strip_zeros,
                          partition_parts)
 
 
@@ -48,29 +52,6 @@ def _check_points(points):
         if not u > 0:
             raise ValueError(f"evaluation points must be positive, got {u}")
     return pts
-
-
-def _complete_table(pts, max_degree):
-    # generating function prod 1/(1 - u x); one dp pass per variable
-    h = [1] + [0] * max_degree
-    for u in pts:
-        for m in range(1, max_degree + 1):
-            h[m] = h[m] + u * h[m - 1]
-    return h
-
-
-def schur_jacobi_trudi(lam, points):
-    """det(h_{lambda_i - i + j}) over i, j = 1..l(lambda), with h_m the
-    complete homogeneous values of the points and h_{<0} = 0."""
-    parts = IntegerPartition(partition_parts(lam)).parts
-    pts = _check_points(points)
-    l = len(parts)
-    if l == 0:
-        return 1
-    h = _complete_table(pts, parts[0] + l - 1)
-    rows = [[h[parts[i] - i + j] if parts[i] - i + j >= 0 else 0
-             for j in range(l)] for i in range(l)]
-    return det(rows)
 
 
 def _lost_digits(groups, gap_logs):
@@ -106,11 +87,15 @@ def _ladder(n, *parts):
     n alone: the ladder a_j = lambda_j + n - 1 - j (checked to decrease),
     whether it is integral, the logarithms of its gaps below 1 (the ladder
     term of `_lost_digits`) and its entry table (`_entries`) for up to n
-    equal points.  Cached for the 64 (shape, n) used last; typed, because
-    3.0 equals 3 but makes the ladder real.  A shape that fails a check
-    raises on every call: exceptions are not cached."""
+    equal points.  None for an integer partition with more nonzero parts
+    than points, whose Schur value is 0.  Cached for the 64 (shape, n)
+    used last; typed, because 3.0 equals 3 but makes the ladder real.  A
+    shape that fails a check raises on every call: exceptions are not
+    cached."""
     parts = _strip_zeros(partition_parts(parts))
     if len(parts) > n:
+        if _is_integer_shape(parts):
+            return None
         raise ValueError(
             f"partition with {len(parts)} parts at {n} points: pad the points")
     parts = parts + (0,) * (n - len(parts))
@@ -158,14 +143,15 @@ def _decimal_power(v, a):
 
 def _confluent_quotient(groups, a, sign, entries):
     """sign * det(confluent rows) / closed-form denominator, all in the
-    number type of the group values: Fractions, floats, or Decimals under
-    the caller's context.  `entries` holds the rows' coefficients and
-    exponents (`_entries`).  Each group forms its powers by one power
-    function of v (`_decimal_power` for Decimals).  An entry whose
-    falling-factorial coefficient is 0 is a positive zero and its power is
-    never formed: v^(a_j - q) can overflow where the entry is 0.  A float
-    power that overflows elsewhere (a point near 0, a negative exponent)
-    is a SingularityError naming the point."""
+    number type of the group values: ints or Fractions (an exact
+    quotient), floats, or Decimals under the caller's context.  `entries`
+    holds the rows' coefficients and exponents (`_entries`).  Each group
+    forms its powers by one power function of v (`_decimal_power` for
+    Decimals).  An entry whose falling-factorial coefficient is 0 is a
+    positive zero and its power is never formed: v^(a_j - q) can overflow
+    where the entry is 0.  A float power that overflows elsewhere (a
+    point near 0, a negative exponent) is a SingularityError naming the
+    point."""
     kind = type(groups[0][0])
     zero = kind(0)
     rows = []
@@ -187,7 +173,7 @@ def _confluent_quotient(groups, a, sign, entries):
             den *= (vi - vj) ** (mi * mj)
         for q in range(mi):
             den *= factorial(q)
-    return simplify(sign * num / den)
+    return simplify(exact_div(sign * num, den))
 
 
 def _bialternant_decimal(groups, a, sign, lost):
@@ -209,8 +195,8 @@ def _bialternant_decimal(groups, a, sign, lost):
 
 
 def schur_bialternant(lam, points):
-    """det(u_i^{lambda_j + n - j}) / det(u_i^{n - j}), the route that works
-    for real partitions.
+    """S_lambda(points) = det(u_i^{lambda_j + n - j}) / det(u_i^{n - j}),
+    for integer and real partitions alike.
 
     Repeated points get confluent treatment: group equal values in
     descending order; a value of multiplicity m contributes the rows
@@ -221,24 +207,37 @@ def schur_bialternant(lam, points):
                                prod_i prod_{q<m_i} q!
 
     which is the confluent Vandermonde determinant under the same row and
-    column ordering.  Exact (Fractions) when the points are exact and the
-    ladder a_j = lambda_j + n - j is integral; otherwise the points become
-    floats, and Decimals take over past 4 predicted lost digits.  The
-    Decimal route forms each non-integral power as exp(x ln v) from one
-    logarithm per point value, with guard digits that make it round to
-    the correctly rounded v ** x (`_decimal_power`).  What depends on the
+    column ordering.  Exact when the points are exact and the ladder
+    a_j = lambda_j + n - j is integral: the quotient runs on the integer
+    points d u (ints, or integer-valued Fractions for a ladder with a
+    negative exponent), d the common denominator of the points, and is
+    divided by d^{|lambda|}, |lambda| = sum_j a_j - n(n-1)/2.  Otherwise
+    the points become floats, and Decimals take over past 4 predicted
+    lost digits.  The Decimal route forms each non-integral power as
+    exp(x ln v) from one logarithm per point value, with guard digits
+    that make it round to the correctly rounded v ** x
+    (`_decimal_power`).  An integer partition with more nonzero parts
+    than points gives 0 (0.0 at float points).  What depends on the
     shape and the number of points alone comes from `_ladder`; a call
     checks and groups its points and forms its entries."""
     pts = _check_points(points)
     n = len(pts)
-    a, integral, gap_logs, entries = _ladder(n, *lam)
+    ladder = _ladder(n, *lam)
+    if ladder is None:
+        return 0 if all_exact(pts) else 0.0
+    a, integral, gap_logs, entries = ladder
     if n == 0:
         return 1
     exact = integral and all_exact(pts)
-    kind = Fraction if exact else float
+    if exact:
+        d = math.lcm(*(u.denominator for u in pts))
+        kind = int if a[-1] >= 0 else Fraction
+        values = [kind(u * d) for u in pts]
+    else:
+        values = map(float, pts)
 
     groups = []
-    for v in sorted(map(kind, pts), reverse=True):
+    for v in sorted(values, reverse=True):
         if groups and groups[-1][0] == v:
             groups[-1][1] += 1
         else:
@@ -249,21 +248,10 @@ def schur_bialternant(lam, points):
         lost = _lost_digits(groups, gap_logs)
         if lost > 4:
             return _bialternant_decimal(groups, a, sign, lost)
-    return _confluent_quotient(groups, a, sign, entries)
+    value = _confluent_quotient(groups, a, sign, entries)
+    if not exact or d == 1:
+        return value
+    return simplify(value / Fraction(d) ** (sum(a) - n * (n - 1) // 2))
 
 
-def schur(lam, points):
-    """S_lambda(points).  Integer partitions (nonnegative integral parts)
-    at exact points: Jacobi-Trudi, exactly.  Everything else: the
-    bialternant, whose cancellation guard (float determinants of O(1)
-    terms collapsing to a tiny Schur value) also covers integer shapes at
-    float points near 0 or near coincidence.  Float points go to the
-    bialternant without a look at the shape, which its per-shape cache
-    reads."""
-    points = tuple(points)
-    if all_exact(points):
-        parts = _strip_zeros(partition_parts(lam))
-        if all(is_integral(p) and p >= 0 for p in parts):
-            return schur_jacobi_trudi(parts, points)
-    return schur_bialternant(lam, points)
-
+schur = schur_bialternant

@@ -8,7 +8,9 @@ the two against each other:
    containment and the Frobenius form, the hook-content product for the
    dimension f_lambda(n) (`partitions.dimension` uses the pairwise
    product), and the interlacing partitions of one-variable branching;
- * symmetric functions: h_r and e_r, Nagelsbach-Kostka, Giambelli over
+ * symmetric functions: h_r and e_r, Jacobi-Trudi det(h_{lambda_i - i + j})
+   (the exact route `schur` took for integer partitions before the
+   bialternant ran on integer points), Nagelsbach-Kostka, Giambelli over
    hook Schur values, skew Jacobi-Trudi, semistandard tableau sums
    (straight and skew), branching over interlacing partitions and
    written with skew shapes, and the splitting limit;
@@ -56,7 +58,7 @@ from gelfond.gelfond_basis import (_oracle_shortcut, basis_polynomial,
 from gelfond.partitions import (FLOAT_SLACK, IntegerPartition, RealPartition,
                                 _strip_zeros, as_exponents, partition_parts)
 from gelfond.polynomials import Poly
-from gelfond.schur import _check_points, _complete_table, _decimal_power, schur
+from gelfond.schur import _check_points, _decimal_power, schur
 
 
 # -- partitions ------------------------------------------------------------
@@ -183,6 +185,29 @@ def interlacing_partitions(mu):
 
 
 # -- Schur functions ---------------------------------------------------------
+
+def _complete_table(pts, max_degree):
+    # generating function prod 1/(1 - u x); one dp pass per variable
+    h = [1] + [0] * max_degree
+    for u in pts:
+        for m in range(1, max_degree + 1):
+            h[m] = h[m] + u * h[m - 1]
+    return h
+
+
+def schur_jacobi_trudi(lam, points):
+    """det(h_{lambda_i - i + j}) over i, j = 1..l(lambda), with h_m the
+    complete homogeneous values of the points and h_{<0} = 0."""
+    parts = IntegerPartition(partition_parts(lam)).parts
+    pts = _check_points(points)
+    l = len(parts)
+    if l == 0:
+        return 1
+    h = _complete_table(pts, parts[0] + l - 1)
+    rows = [[h[parts[i] - i + j] if parts[i] - i + j >= 0 else 0
+             for j in range(l)] for i in range(l)]
+    return det(rows)
+
 
 def complete_homogeneous(r, points):
     """h_r(points): sum of all monomials of degree r.  h_0 = 1, h_{<0} = 0."""

@@ -24,8 +24,8 @@ from gelfond.gelfond_basis import basis_polynomial as basis_polynomial_residues
 from gelfond.partitions import (IntegerPartition, exponents_from_partition,
                                 partition_from_exponents)
 from gelfond.polynomials import Poly
-from gelfond.schur import schur_bialternant, schur_jacobi_trudi
-from oracles import (gelfond_basis_dd, schur_giambelli,
+from gelfond.schur import schur_bialternant
+from oracles import (gelfond_basis_dd, schur_giambelli, schur_jacobi_trudi,
                      schur_nagelsbach_kostka, schur_tableaux, vanishing_orders)
 
 FIG_POLYGON = ((0, 0), (1, 4), (3, 4), (4, 0))

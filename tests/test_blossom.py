@@ -326,7 +326,7 @@ def test_pyramid_at_the_endpoints_cuts_nothing(exps):
     # every weight is 0 at t = 0 and 1 at t = 1, so level L keeps the
     # first or the last n + 1 - L control points; at t = 1.0 on an integer
     # space the float bialternant of an integral shape at 1, .., 1 is not
-    # exact, and only a weight formed from one value per (w, a + b) is 1
+    # exact, so the weight must not be a ratio of Schur values
     rng = random.Random(len(exps))
     pts = tuple((rng.uniform(-1, 1), rng.randint(-5, 5)) for _ in exps)
     n = len(exps) - 1
@@ -336,6 +336,18 @@ def test_pyramid_at_the_endpoints_cuts_nothing(exps):
     for t in (1, 1.0, Fraction(1)):
         assert de_casteljau(pts, exps, t)[1] == [pts[L:]
                                                  for L in range(n + 1)]
+
+
+@pytest.mark.parametrize("exps", [EXPS, (0, 3, 10 ** 9), REAL7])
+def test_pyramid_at_the_endpoints_forms_no_schur_value(exps, monkeypatch):
+    # every weight is t at t = 0 and t = 1, whatever the exponents
+    def refuse(*args):
+        raise AssertionError("formed a Schur value at an end of [0, 1]")
+    monkeypatch.setattr(blossom, "schur", refuse)
+    pts = tuple((k, 2 * k + 1) for k in range(len(exps)))
+    for t in (0, 0.0, Fraction(0), 1, 1.0, Fraction(1)):
+        levels = de_casteljau(pts, exps, t)[1]
+        assert levels[-1] == (pts[-1] if t else pts[0],), t
 
 
 def test_pyramid_edges_are_the_two_subdivisions():

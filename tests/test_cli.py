@@ -388,6 +388,28 @@ def test_huge_integer_exponent_is_refused_at_once(argv, capsys):
     assert err.startswith("error: the exact basis of order 2 with r_n = 1000000000")
 
 
+@pytest.mark.parametrize("t, code", [
+    ("1", 0), ("1.0", 0), ("0", 0), ("0.4", 3), ("0.999", 3), ("1e-130", 3),
+    ("1e-300", 3)])
+def test_huge_exponent_pyramid_ends_at_once(t, code, capsys):
+    # the pyramid builds no basis, so the basis refusal does not cover it;
+    # its ends form no Schur value, and inside [0, 1] the float Schur
+    # values of r_n = 10^9 underflow to a vanishing weight denominator
+    start = time.perf_counter()
+    got, out, err = _outcome(["decasteljau", "--exponents", "0,3,1000000000",
+                              "--points", "0,0;1,2;3,0", "--t", t], capsys)
+    assert time.perf_counter() - start < 2.0
+    assert got == code
+    if code:
+        assert out == ""
+        assert err.splitlines() == [
+            f"numeric singularity: pseudo-affinity denominator vanished at t={t}"]
+    else:
+        levels = json.loads(out)["levels"]
+        end = [0, 0] if float(t) == 0 else [3, 0]
+        assert levels[0] == [[0, 0], [1, 2], [3, 0]] and levels[-1] == [end]
+
+
 def test_singularity_exit_code(monkeypatch, capsys):
     def blow_up(args):
         raise SingularityError("synthetic")

@@ -4,7 +4,9 @@ boundary must refuse, among them exact coordinates (10^400 and
 10^400/3) too large for the float routes, values that start with "-"
 (`-1,0;1,2`, `-1/2`) given after their flag as separate arguments, and
 the integer space (0, 3, 10^9), whose exact basis is refused before it
-is built (`decasteljau`, which builds no basis, does not draw it).
+is built; `decasteljau`, which builds no basis, draws it too: its pyramid
+forms no Schur value at t = 0 and 1, refuses an exact t as unprintable,
+and meets a vanishing weight denominator at a float t.
 
 A second test runs `decasteljau` on real spaces at float t below 1e-100,
 where negative powers of t overflow the float range.
@@ -13,8 +15,8 @@ Every call ends with exit code 0, 2 or 3 and no traceback; an input the
 program itself rejects (not argparse) is reported on exactly one stderr
 line.  No call raises a numpy RuntimeWarning, and one that exits 0
 prints no nan or inf.  No call is timed: the sizes are kept small instead
-(samples <= 65, iterations <= 5, integer exponents <= 1000 but for the
-refused 10^9), because a dense basis polynomial of degree near 10^5
+(samples <= 65, iterations <= 5, integer exponents <= 1000 but for
+10^9, which every command refuses or answers at once), because a dense basis polynomial of degree near 10^5
 takes seconds.
 """
 
@@ -92,10 +94,7 @@ FLAGS = {
                                           "other"],
               "--l": SMALL, "--m": SMALL, "--n": SMALL},
     "curve": {**COMMON, **CURVE, "--format": ["csv", "json", "svg", "png"]},
-    # the pyramid is not refused at r_n = 10^9: at t = 1 it would allocate
-    # a list of 10^9 complete symmetric values
-    "decasteljau": {**COMMON, **CURVE, "--t": PARAMETERS,
-                    "--exponents": [e for e in EXPONENTS if e != HUGE_SPACE]},
+    "decasteljau": {**COMMON, **CURVE, "--t": PARAMETERS},
     "elevate": {**COMMON, **CURVE,
                 "--tail-rule": ["classical", "linear", "affine", "quadratic"],
                 "--extra": EXTRAS, "--iterations": ITERATIONS},

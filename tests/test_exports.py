@@ -30,7 +30,7 @@ MOVED_OR_DELETED = {
         "schur_nagelsbach_kostka", "hook_schur", "schur_giambelli",
         "schur_tableaux", "skew_schur", "skew_schur_tableaux",
         "branch_last_variable_skew", "split_partition", "splitting_limit",
-        "branch_last_variable"),
+        "branch_last_variable", "schur_jacobi_trudi", "_complete_table"),
     "gelfond.divided_diff": (
         "divided_difference", "exponential_dd_shifted",
         "exponential_dd_derivative", "exponential_dd_table", "exponential_dd",

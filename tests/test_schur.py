@@ -10,12 +10,12 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from gelfond.arith import det
 from gelfond.partitions import IntegerPartition, RealPartition, dimension
-from gelfond.schur import schur, schur_bialternant, schur_jacobi_trudi
+from gelfond.schur import schur, schur_bialternant
 from oracles import (branch_last_variable, branch_last_variable_skew,
                      complete_homogeneous, elementary, hook_schur,
-                     schur_giambelli, schur_nagelsbach_kostka, schur_tableaux,
-                     skew_schur, skew_schur_tableaux, split_partition,
-                     splitting_limit)
+                     schur_giambelli, schur_jacobi_trudi,
+                     schur_nagelsbach_kostka, schur_tableaux, skew_schur,
+                     skew_schur_tableaux, split_partition, splitting_limit)
 
 schur_module = importlib.import_module("gelfond.schur")
 
@@ -320,7 +320,8 @@ def test_pyramid_values_are_the_reference_bit_for_bit(monkeypatch, exps, t):
     monkeypatch.setattr(blossom, "schur", recorded)
     pts = tuple((k, (-1) ** k * k) for k in range(len(exps)))
     apex, levels = blossom.de_casteljau(pts, exps, t)
-    assert calls
+    # at t = 1 every weight is t and the pyramid forms no Schur value
+    assert bool(calls) == (t != 1)
     for lam, points in calls:
         assert _bits(schur_bialternant(lam, points)) == \
             _bits(oracles.reference_bialternant(lam, points)), (lam, points)
@@ -415,9 +416,78 @@ def test_ladder_cache_is_bounded():
     ((1, 3), (0.5, 0.7)),                 # ladder 2, 3 does not decrease
     ((1, 3), (Fraction(1, 2), 2)),
     ((0.2, 1.5), (0.5, 0.7)),
-    ((1, 1, 1), (0.5, 0.7)),              # more parts than points
+    # more parts than points, and not an integer partition, for which
+    # the value would be 0
+    ((1.5, 1, 0.5), (0.5, 0.7)),
 ])
 def test_a_bad_ladder_raises_on_every_call(shape, pts):
     for _ in range(3):
         with pytest.raises(ValueError):
             schur_bialternant(shape, pts)
+
+
+# -- one route: the bialternant at exact points runs on integers -----------
+
+def test_schur_is_the_bialternant():
+    assert schur is schur_bialternant
+
+
+def _integer_point_cases():
+    # integer partitions of length <= 8 with parts <= 12, at rational
+    # points with different denominators, repeated points and ones
+    rng = random.Random(19)
+    cases = []
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        parts = sorted((rng.randint(0, 12) for _ in range(rng.randint(0, n))),
+                       reverse=True)
+        pool = [1] + [Fraction(rng.randint(1, 40), rng.randint(1, 17))
+                      for _ in range(rng.randint(1, 3))]
+        cases.append((tuple(parts), tuple(rng.choice(pool) for _ in range(n))))
+    return cases
+
+
+def test_schur_is_jacobi_trudi_exactly():
+    for parts, pts in _integer_point_cases():
+        assert _bits(schur(parts, pts)) == \
+            _bits(schur_jacobi_trudi(parts, pts)), (parts, pts)
+
+
+def test_negative_parts_shift_by_the_point_product():
+    # S_lambda(u) = S_{lambda + k}(u) / (u_1 .. u_m)^k, lambda padded to m
+    rng = random.Random(4)
+    for _ in range(120):
+        m = rng.randint(1, 5)
+        parts = tuple(sorted((rng.randint(-4, 6) for _ in range(m)),
+                             reverse=True))
+        if parts[-1] >= 0:
+            parts = parts[:-1] + (-1,)
+        k = -parts[-1]
+        pool = [1, 2, Fraction(rng.randint(1, 20), rng.randint(2, 11))]
+        pts = tuple(rng.choice(pool) for _ in range(m))
+        product = Fraction(1)
+        for u in pts:
+            product *= u
+        shifted = tuple(p + k for p in parts)
+        value = schur(parts, pts)
+        assert value == schur_jacobi_trudi(shifted, pts) / product ** k, \
+            (parts, pts)
+        assert _bits(value) == _bits(oracles.reference_bialternant(parts, pts))
+
+
+@pytest.mark.parametrize("shape, n", [
+    ((1,), 0), ((1, 1, 1), 2), ((3, 2, 2, 1), 3), ((5, 1, 1, 1, 1, 1), 4),
+    (IntegerPartition((2, 1, 1)), 2), ((Fraction(2), 1, 1), 1)])
+def test_more_parts_than_points_is_zero(shape, n):
+    exact = (Fraction(1, 3), 2, 1, Fraction(5, 7))[:n]
+    assert _bits(schur(shape, exact)) == _bits(0)
+    assert _bits(schur(shape, exact)) == _bits(schur_jacobi_trudi(shape, exact))
+    if n:
+        assert _bits(schur(shape, tuple(map(float, exact)))) == _bits(0.0)
+        mixed = (0.5,) + exact[1:]
+        assert _bits(schur(shape, mixed)) == _bits(0.0)
+    # decided once per (shape, n): the cached ladder says so
+    schur_module._ladder.cache_clear()
+    assert schur_module._ladder(n, *shape) is None
+    schur(shape, exact)
+    assert schur_module._ladder.cache_info().hits == 1
