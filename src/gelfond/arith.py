@@ -57,10 +57,10 @@ def falling_factorial(a, q):
     return out
 
 
-def det(rows):
+def det(rows, exact):
     """Determinant of a square matrix given as a list of row lists.
 
-    One scan of the entries decides the arithmetic.  All exact (ints and
+    The caller states the arithmetic once.  `exact` (all entries ints and
     Fractions): fraction arithmetic with the first nonzero pivot, giving
     an exact result, an int where it is integral.  Otherwise partial
     pivoting in the entries' own arithmetic (floats, or Decimals under the
@@ -75,7 +75,6 @@ def det(rows):
         return 1
     if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
-    exact = all(is_exact(x) for r in rows for x in r)
     if exact:
         m = [[Fraction(x) for x in r] for r in rows]
     else:

@@ -25,9 +25,12 @@ edge those of P on [t, 1] in the Chebyshev-Bernstein basis.
 alpha is provably in [0, 1] for the diagonal schedule used here only
 through the total positivity of the basis; the implementation checks
 alpha in [-1e-12, 1 + 1e-12] at every node, raises SingularityError when
-it falls outside (also under `python -O`), and never clamps.
+it falls outside (also under `python -O`), and never clamps.  A weight
+that is not finite, from a float Schur value that left the float range,
+is a SingularityError naming t.
 """
 
+import math
 from fractions import Fraction
 
 from .arith import (SingularityError, exact_div, is_exact, lerp, simplify,
@@ -142,12 +145,17 @@ def blossom_value(coeffs, exponents, args, zeros=0):
 
 def _alpha(t, mu_t, eta_1, mu_1, eta_t):
     """t S_mu(args, t) S_eta(args, 1) / (S_mu(args, 1) S_eta(args, t))
-    from its four Schur values (`pseudo_affinity` names them)."""
+    from its four Schur values (`pseudo_affinity` names them).  A zero
+    denominator and a weight that is not finite (inf or nan) raise
+    SingularityError naming t."""
     num = mu_t * eta_1
     den = mu_1 * eta_t
     if den == 0:
         raise SingularityError(f"pseudo-affinity denominator vanished at t={t}")
-    return t * exact_div(num, den)
+    alpha = t * exact_div(num, den)
+    if not -math.inf < alpha < math.inf:
+        raise SingularityError(f"pseudo-affinity {alpha} is not finite at t={t}")
+    return alpha
 
 
 def pseudo_affinity(exponents, zeros, args, t):

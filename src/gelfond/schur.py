@@ -5,9 +5,16 @@ bialternant quotient det(u_i^{a_j}) / det(u_i^{n-j}), with confluent
 derivative rows when evaluation points repeat.  At exact points with an
 integral ladder it runs on integers, since Schur functions are
 homogeneous: S_lambda(u) = S_lambda(d u) / d^{|lambda|}, d the common
-denominator of the points.  Everything else runs in floats, and in
-Decimals where the float quotient would cancel more than 4 digits; their
-non-integral powers are exp(x ln v) from one logarithm per point,
+denominator of the points.  Everything else runs in floats.  At one
+point value v the confluent quotient has a closed form, Weyl's
+dimension formula times a power of v,
+
+    S_lambda(v, .., v) = v^{|lambda|} prod_{i<j} (a_i - a_j) / (j - i),
+
+which floats take with no determinant and no cancellation (`_weyl`).
+At two or more point values the quotient runs in floats, and in Decimals
+where it would cancel more than 4 digits; their non-integral powers come
+from one exponential per ladder column and one logarithm per point,
 carried with guard digits so that each rounds to the correctly rounded
 Decimal power v ** x, at a fraction of its cost.
 
@@ -20,13 +27,16 @@ exponents a_j - q.  Each cached value is the one a call would form, by the
 same operations, and a call uses it in the same order (the gap logarithms
 after the point-group terms), so the results are the same bits as when
 every call formed them itself.  The Decimal fallback forms its own table
-under its raised context.  An integer partition with more nonzero parts
-than points has S_lambda = 0 (no semistandard tableau has more rows than
-entries), as `partitions.dimension` states; `_ladder` decides this once
-per (shape, n).
+under its raised context.  Float points at one value take the exact
+product and |lambda| of the closed form from `_weyl`, cached the same
+way, but only for shapes that meet such points.  An integer partition
+with more nonzero parts than points has S_lambda = 0 (no semistandard
+tableau has more rows than entries), as `partitions.dimension` states;
+`_ladder` decides this once per (shape, n).
 
 The de Casteljau pyramid needs only two-point values S_lambda(1^a, t^b),
-which `blossom.de_casteljau` forms through `schur` once each.  The
+which `blossom.de_casteljau` forms through `schur` once each; those with
+a = 0 or b = 0 are one-valued.  The
 cross-check routes (Jacobi-Trudi, Nagelsbach-Kostka, Giambelli, tableau
 sums, skew shapes, one-variable branching over interlacing partitions,
 the splitting limit) live with the tests, in `tests/oracles.py`.
@@ -37,7 +47,7 @@ Evaluation points must be positive; zeros never enter by substitution.
 import decimal
 import math
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import factorial
 
 from .arith import (SingularityError, all_exact, det, exact_div,
@@ -87,7 +97,8 @@ def _ladder(n, *parts):
     n alone: the ladder a_j = lambda_j + n - 1 - j (checked to decrease),
     whether it is integral, the logarithms of its gaps below 1 (the ladder
     term of `_lost_digits`) and its entry table (`_entries`) for up to n
-    equal points.  None for an integer partition with more nonzero parts
+    equal points, which exact points use (float points at one value take
+    the closed form of `_weyl`, built on this ladder).  None for an integer partition with more nonzero parts
     than points, whose Schur value is 0.  Cached for the 64 (shape, n)
     used last; typed, because 3.0 equals 3 but makes the ladder real.  A
     shape that fails a check raises on every call: exceptions are not
@@ -112,33 +123,89 @@ def _ladder(n, *parts):
     return a, integral, gap_logs, _entries(a, n)
 
 
+@lru_cache(maxsize=64, typed=True)
+def _weyl(n, *parts):
+    """What S_lambda(v, .., v) at n equal float points needs of the shape
+    and n.  The confluent bialternant at one point value has the closed
+    form (Weyl's dimension formula, as in `partitions.dimension`)
+
+        S_lambda(v^n) = v^{|lambda|} prod_{i<j} (a_i - a_j) / (j - i),
+
+    with a the ladder of `_ladder` and |lambda| = sum_j a_j - n(n-1)/2.
+    Both are formed exactly, in integers over the ladder's common
+    denominator d (a power of 2 for float ladders), and rounded once: the
+    product to a float, and |lambda| to a float size with the float of
+    its rounding error, which the caller applies as 1 + err ln v.  Formed
+    for float points only, and cached for the 64 (shape, n) used last;
+    typed, as `_ladder` is."""
+    ratios = [x.as_integer_ratio() for x in _ladder(n, *parts)[0]]
+    d = math.lcm(*(q for _, q in ratios))
+    a = [p * (d // q) for p, q in ratios]
+    pairs = n * (n - 1) // 2
+    size = sum(a) - pairs * d
+    num, den = 1, d ** pairs
+    for i in range(n):
+        for j in range(i + 1, n):
+            num *= a[i] - a[j]
+            den *= j - i
+    try:
+        product = num / den
+    except OverflowError:
+        raise SingularityError(
+            f"the Schur value of {parts} at {n} equal points: its "
+            f"dimension factor is beyond the float range") from None
+    rounded = size / d
+    p, q = rounded.as_integer_ratio()
+    return rounded, (size * q - p * d) / (d * q), product
+
+
 def _decimal_power(v, a):
-    """x -> v ** x for Decimals, rounded to the caller's context, for every
-    exponent x of the quotient's rows (|x| below max |a_j| + len(a)).
+    """(j, q, x) -> v ** x for Decimals, rounded to the caller's context:
+    the entry power of column j in confluent row q, whose exponent x is
+    a_j - q as that context rounds it (`_entries`).
 
     A non-integral Decimal power is correctly rounded, and pays for that
-    in every call (about 6x an exp at 45 digits).  Here ln v is formed
-    once, with `guard` digits beyond the context: 10 plus the digits of
-    the largest |x ln v|.  The product x ln v then carries an absolute
-    error near 10^-(prec + 9), and so does the relative error of
-    exp(x ln v), formed at as many digits.  Rounded back by unary plus,
-    that is the correctly
-    rounded v ** x unless v ** x lies within about 1e-9 units in the last
-    place of a rounding boundary.  Integral x keep the Decimal power, and
-    v = 1 gives exactly 1."""
+    in every call (about 6x an exp at 45 digits).  Here every column takes
+    one exponential, e_j = exp(a_j ln v), formed on first use from one
+    logarithm of v, and row q multiplies it by (1/v)^q and by
+    (1 + eps ln v), where eps = x - (a_j - q) is the rounding of the
+    entry's own exponent: v^x = e_j v^-q v^eps, and eps ln v is near
+    10^-prec, so its square is far below the guard digits.  All of this
+    runs with `guard` digits beyond the context: 10 plus the digits of
+    the largest |x ln v| (|x| below max |a_j| + len(a)).  Every factor
+    then carries a relative error near 10^-(prec + 9).  Rounded back by
+    unary plus, that is the correctly rounded v ** x unless v ** x lies
+    within about 1e-9 units in the last place of a rounding boundary.
+    Integral x keep the Decimal power, and v = 1 gives exactly 1."""
     if v == 1:
-        return lambda x: v
+        return lambda j, q, x: v
     top = float(max(abs(x) for x in a)) + len(a)
     guard = 10 + max(0, math.ceil(math.log10(top * abs(math.log(v)))))
     hi = decimal.getcontext().copy()
     hi.prec += guard
     ln = v.ln(hi)
+    columns = {}
+    inverse = [hi.divide(1, v)]
 
-    def power(x):
+    def power(j, q, x):
         if x == x.to_integral_value():
             return v ** x
-        return +hi.exp(hi.multiply(ln, x))
+        if j not in columns:
+            columns[j] = hi.exp(hi.multiply(ln, a[j]))
+        value = columns[j]
+        if q:
+            while len(inverse) < q:
+                inverse.append(hi.multiply(inverse[-1], inverse[0]))
+            value = hi.multiply(value, inverse[q - 1])
+        eps = hi.add(hi.subtract(x, a[j]), q)
+        return +hi.multiply(value, hi.fma(eps, ln, 1))
     return power
+
+
+def _overflow(v):
+    return SingularityError(
+        f"the float bialternant overflows at the point {v}: a "
+        f"negative power of it is beyond the float range")
 
 
 def _confluent_quotient(groups, a, sign, entries):
@@ -146,27 +213,28 @@ def _confluent_quotient(groups, a, sign, entries):
     number type of the group values: ints or Fractions (an exact
     quotient), floats, or Decimals under the caller's context.  `entries`
     holds the rows' coefficients and exponents (`_entries`).  Each group
-    forms its powers by one power function of v (`_decimal_power` for
-    Decimals).  An entry whose falling-factorial coefficient is 0 is a
-    positive zero and its power is never formed: v^(a_j - q) can overflow
-    where the entry is 0.  A float power that overflows elsewhere (a
-    point near 0, a negative exponent) is a SingularityError naming the
-    point."""
+    forms its powers from v: Python's power for ints, Fractions and
+    floats, and one power function of v for Decimals (`_decimal_power`).
+    An entry whose falling-factorial coefficient is 0 is a positive zero
+    and its power is never formed: v^(a_j - q) can overflow where the
+    entry is 0.  A float power that overflows elsewhere (a point near 0,
+    a negative exponent) is a SingularityError naming the point."""
     kind = type(groups[0][0])
     zero = kind(0)
     rows = []
     for v, m in groups:
-        power = (_decimal_power(v, a) if kind is decimal.Decimal
-                 else partial(pow, v))
+        if kind is decimal.Decimal:
+            power = _decimal_power(v, a)
+            rows += ([c * power(j, q, x) if c != 0 else zero
+                      for j, (c, x) in enumerate(entries[q])]
+                     for q in range(m))
+            continue
         try:
-            for q in range(m):
-                rows.append([c * power(x) if c != 0 else zero
-                             for c, x in entries[q]])
+            rows += ([c * v ** x if c != 0 else zero for c, x in entries[q]]
+                     for q in range(m))
         except OverflowError:
-            raise SingularityError(
-                f"the float bialternant overflows at the point {v}: a "
-                f"negative power of it is beyond the float range") from None
-    num = det(rows)
+            raise _overflow(v) from None
+    num = det(rows, kind in (int, Fraction))
     den = kind(1)
     for i, (vi, mi) in enumerate(groups):
         for vj, mj in groups[i + 1:]:
@@ -212,14 +280,19 @@ def schur_bialternant(lam, points):
     points d u (ints, or integer-valued Fractions for a ladder with a
     negative exponent), d the common denominator of the points, and is
     divided by d^{|lambda|}, |lambda| = sum_j a_j - n(n-1)/2.  Otherwise
-    the points become floats, and Decimals take over past 4 predicted
-    lost digits.  The Decimal route forms each non-integral power as
-    exp(x ln v) from one logarithm per point value, with guard digits
-    that make it round to the correctly rounded v ** x
-    (`_decimal_power`).  An integer partition with more nonzero parts
-    than points gives 0 (0.0 at float points).  What depends on the
-    shape and the number of points alone comes from `_ladder`; a call
-    checks and groups its points and forms its entries."""
+    the points become floats.  Float points that all take one value v
+    give the closed form v^{|lambda|} prod_{i<j} (a_i - a_j) / (j - i)
+    (`_weyl`), with no determinant, so no lost digits either; a power of
+    v beyond the float range is a SingularityError naming v, as in the
+    determinant.  At two or more values Decimals take over past 4
+    predicted lost digits.  The Decimal route forms each non-integral
+    power from one exponential per ladder column and one logarithm per
+    point value, with guard digits that make it round to the correctly
+    rounded v ** x (`_decimal_power`).  An integer partition with more
+    nonzero parts than points gives 0 (0.0 at float points).  What
+    depends on the shape and the number of points alone comes from
+    `_ladder` and `_weyl`; a call checks and groups its points and forms
+    its entries."""
     pts = _check_points(points)
     n = len(pts)
     ladder = _ladder(n, *lam)
@@ -234,7 +307,17 @@ def schur_bialternant(lam, points):
         kind = int if a[-1] >= 0 else Fraction
         values = [kind(u * d) for u in pts]
     else:
-        values = map(float, pts)
+        values = [float(u) for u in pts]
+        v = values[0]
+        if values.count(v) == n:
+            size, size_error, product = _weyl(n, *lam)
+            try:
+                power = v ** size
+            except OverflowError:
+                raise _overflow(v) from None
+            if size_error:
+                power *= 1 + size_error * math.log(v)
+            return product * power
 
     groups = []
     for v in sorted(values, reverse=True):

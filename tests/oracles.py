@@ -29,8 +29,10 @@ the two against each other:
  * reference copies of the bialternant and the determinant as they were
    before the per-shape ladder cache and the lean elimination loop
    (`reference_bialternant`, `reference_confluent_quotient`,
-   `reference_det`): the same operations in the same order, re-derived
-   on every call, so that tests can pin the production bytes to them.
+   `reference_det`), and of the product formula at one float point value
+   (`reference_one_valued`): the same operations in the same order,
+   re-derived on every call, so that tests can pin the production bytes
+   to them.
 
 Conventions: h_m = e_m = 0 for m < 0, and hook Schur values with a
 negative arm or leg are 0, so the determinant and branching formulas
@@ -45,7 +47,6 @@ Tests import this module as `oracles` (pytest puts `tests/` on
 import decimal
 import math
 from fractions import Fraction
-from functools import partial
 from math import comb, factorial
 
 from gelfond.arith import (all_exact, as_point, det, exact_div,
@@ -206,7 +207,7 @@ def schur_jacobi_trudi(lam, points):
     h = _complete_table(pts, parts[0] + l - 1)
     rows = [[h[parts[i] - i + j] if parts[i] - i + j >= 0 else 0
              for j in range(l)] for i in range(l)]
-    return det(rows)
+    return det(rows, all_exact(pts))
 
 
 def complete_homogeneous(r, points):
@@ -243,7 +244,7 @@ def schur_nagelsbach_kostka(lam, points):
     e = _elementary_table(pts, top)
     rows = [[e[conj[i] - i + j] if conj[i] - i + j >= 0 else 0
              for j in range(l)] for i in range(l)]
-    return det(rows)
+    return det(rows, all_exact(pts))
 
 
 def hook_schur(arm, leg, points):
@@ -272,7 +273,7 @@ def schur_giambelli(lam, points):
         return 1
     rows = [[hook_schur(alphas[i], betas[j], pts) for j in range(d)]
             for i in range(d)]
-    return det(rows)
+    return det(rows, all_exact(pts))
 
 
 def schur_tableaux(lam, points):
@@ -299,7 +300,7 @@ def skew_schur(lam, mu, points):
     rows = [[h[lam.parts[i] - mu_parts[j] - i + j]
              if 0 <= lam.parts[i] - mu_parts[j] - i + j <= top else 0
              for j in range(l)] for i in range(l)]
-    return det(rows)
+    return det(rows, all_exact(pts))
 
 
 def skew_schur_tableaux(lam, mu, points):
@@ -705,12 +706,12 @@ def reference_confluent_quotient(groups, a, sign):
     rows = []
     for v, m in groups:
         power = (_decimal_power(v, a) if kind is decimal.Decimal
-                 else partial(pow, v))
+                 else lambda j, q, x, v=v: v ** x)
         for q in range(m):
             row = []
-            for aj in a:
+            for j, aj in enumerate(a):
                 c = falling_factorial(aj, q)
-                row.append(c * power(aj - q) if c != 0 else kind(0))
+                row.append(c * power(j, q, aj - q) if c != 0 else kind(0))
             rows.append(row)
     num = reference_det(rows)
     den = kind(1)
@@ -745,11 +746,34 @@ def _reference_bialternant_decimal(groups, a, sign, lost):
     return float(value) if value else 0.0
 
 
+def reference_one_valued(a, v):
+    """S_lambda(v, .., v) at a float v by the product formula
+    v^{|lambda|} prod_{i<j} (a_i - a_j) / (j - i) over the ladder a, with
+    |lambda| = sum a_j - n(n-1)/2: the product and |lambda| formed exactly
+    and rounded to floats, and v^err = 1 + err ln v for the rounding err
+    of |lambda|, on every call."""
+    n = len(a)
+    exact = [Fraction(x) for x in a]
+    size = sum(exact) - n * (n - 1) // 2
+    num, den = Fraction(1), 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            num *= exact[i] - exact[j]
+            den *= j - i
+    rounded = float(size)
+    error = float(size - Fraction(rounded))
+    power = v ** rounded
+    if error:
+        power *= 1 + error * math.log(v)
+    return float(num / den) * power
+
+
 def reference_bialternant(lam, points):
     """S_lambda(points) by the confluent bialternant, coercing the shape and
     building its exponent ladder, the ladder's check and the lost-digit
     prediction on every call; floats past 4 predicted lost digits go to
-    Decimals."""
+    Decimals, and floats at one point value to the product formula
+    (`reference_one_valued`)."""
     pts = _check_points(points)
     parts = _strip_zeros(partition_parts(lam))
     n = len(pts)
@@ -773,6 +797,8 @@ def reference_bialternant(lam, points):
             groups[-1][1] += 1
         else:
             groups.append([v, 1])
+    if not exact and len(groups) == 1:
+        return reference_one_valued(a, groups[0][0])
     sign = -1 if sum(m * (m - 1) // 2 for _, m in groups) % 2 else 1
     if not exact:
         lost = _reference_lost_digits(groups, a)

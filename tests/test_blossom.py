@@ -181,6 +181,25 @@ def test_pseudo_affinity_check_survives_optimize_flag():
         assert done.stdout.strip() == expect
 
 
+def test_weight_that_is_not_finite_names_t():
+    # a float Schur value that left the float range makes the weight inf
+    # or nan, which no range check should report as a number; the refusal
+    # is an `if`, so it holds under -O too
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(SingularityError, match="not finite at t=1e-300"):
+            blossom._alpha(1e-300, value, 1.0, 1.0, 1.0)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "gelfond.cli", "decasteljau",
+         "--exponents", "0,0.7,1.9,2.5", "--points", "0,0;1,2;3,0;4,4",
+         "--t", "1e-300"], env=env, capture_output=True, text=True,
+        timeout=60)
+    assert done.returncode == 3 and done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and "t=1e-300" in lines[0]
+
+
 def _pyramid_node_by_node(points, exps, t):
     """The de Casteljau pyramid with one pseudo_affinity call per node and
     no Schur values shared between nodes."""

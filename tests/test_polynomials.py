@@ -50,17 +50,17 @@ def test_exact_div_keeps_fractions():
 
 
 def test_det_exact_and_float():
-    assert det([[1, 2], [3, 4]]) == -2
-    assert det([]) == 1
+    assert det([[1, 2], [3, 4]], True) == -2
+    assert det([], True) == 1
     rows = [[Fraction(1, 2), 1], [1, 3]]
-    assert det(rows) == Fraction(1, 2)
-    assert det([[1.0, 2.0], [2.0, 4.0]]) == pytest.approx(0.0)
-    assert det([[0, 1], [1, 0]]) == -1   # needs a row swap
+    assert det(rows, True) == Fraction(1, 2)
+    assert det([[1.0, 2.0], [2.0, 4.0]], False) == pytest.approx(0.0)
+    assert det([[0, 1], [1, 0]], True) == -1   # needs a row swap
     # exact results come back as ints where integral, on every exit
-    assert type(det([[1, 2], [3, 4]])) is int
-    assert type(det([[0, 1], [0, 2]])) is int
-    assert type(det([[Fraction(1, 2), 0], [0, 4]])) is int
-    assert type(det([[0.0, 1.0], [0.0, 2.0]])) is float
+    assert type(det([[1, 2], [3, 4]], True)) is int
+    assert type(det([[0, 1], [0, 2]], True)) is int
+    assert type(det([[Fraction(1, 2), 0], [0, 4]], True)) is int
+    assert type(det([[0.0, 1.0], [0.0, 2.0]], False)) is float
 
 
 def test_small_helpers():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from gelfond.arith import det
+from gelfond.arith import SingularityError, det
 from gelfond.partitions import IntegerPartition, RealPartition, dimension
 from gelfond.schur import schur, schur_bialternant
 from oracles import (branch_last_variable, branch_last_variable_skew,
@@ -130,9 +130,66 @@ def test_confluent_rows_skip_zero_coefficients():
                                   rel=1e-12)
 
 
+def _one_valued_cases():
+    """(parts, v): real shapes of 1 to 8 parts whose ladders mix unit-size
+    gaps with gaps down to 1e-7, at v from 1e-130 to 1 - 1e-6, with
+    v^{|lambda|} kept inside the normal float range."""
+    rng = random.Random(20)
+    cases = []
+    for _ in range(240):
+        n = rng.randint(1, 8)
+        a = [rng.uniform(-0.9, 3)]
+        for _ in range(n - 1):
+            a.append(a[-1] + rng.choice((rng.uniform(0.3, 2.5),
+                                         10 ** rng.uniform(-7, -1))))
+        a.reverse()
+        parts = tuple(x - (n - 1 - j) for j, x in enumerate(a))
+        size = abs(sum(a) - n * (n - 1) / 2)
+        low = max(-130, -280 / size) if size > 1 else -130
+        v = rng.choice((10 ** rng.uniform(low, 0), 10 ** low,
+                        1 - 10 ** rng.uniform(-6, -1), 1 - 1e-6))
+        cases.append((parts, v))
+    return cases
+
+
+def test_one_valued_float_points_take_the_product_formula(monkeypatch):
+    # v^{|lambda|} prod_{i<j} (a_i - a_j) / (j - i) over the ladder
+    # a_j = lambda_j + n - 1 - j that the bialternant forms in floats,
+    # at 60 digits; no determinant is formed
+    def no_det(rows, exact):
+        raise AssertionError("a one-valued Schur value formed a determinant")
+
+    monkeypatch.setattr(schur_module, "det", no_det)
+    for parts, v in _one_valued_cases():
+        n = len(parts)
+        a = [p + n - 1 - j for j, p in enumerate(parts)]
+        with mpmath.workdps(60):
+            m = [mpmath.mpf(x) for x in a]
+            ref = mpmath.mpf(v) ** (mpmath.fsum(m) - n * (n - 1) // 2)
+            for i in range(n):
+                for j in range(i + 1, n):
+                    ref *= (m[i] - m[j]) / (j - i)
+        value = schur_bialternant(parts, (v,) * n)
+        assert abs(value - ref) <= 1e-14 * abs(ref), (parts, v)
+        assert _bits(value) == _bits(oracles.reference_bialternant(
+            parts, (v,) * n)), (parts, v)
+
+
+def test_one_valued_overflow_is_a_singularity():
+    # |lambda| = -0.99 at v = 1e-320: the power is beyond the float range
+    with pytest.raises(SingularityError, match="1e-320"):
+        schur_bialternant((-0.99,), (1e-320,))
+    with pytest.raises(SingularityError, match="1e-300"):
+        schur_bialternant((-0.7, -0.8), (1e-300, 1e-300))
+    # and a product of ladder gaps beyond the float range
+    with pytest.raises(SingularityError, match="dimension factor"):
+        schur_bialternant((3e300, 2e300, 1e300, 0.5), (0.5,) * 4)
+
+
 def test_decimal_power_is_the_correctly_rounded_power():
-    # one logarithm per point and exp(x ln v) must round to what the
-    # Decimal power itself gives, at every working precision
+    # one logarithm per point, one exponential per column and the row's
+    # (1/v)^q and exponent rounding must round to what the Decimal power
+    # itself gives, in every row and at every working precision
     decimal_power = importlib.import_module("gelfond.schur")._decimal_power
     D = decimal.Decimal
     rng = random.Random(12)
@@ -146,10 +203,13 @@ def test_decimal_power_is_the_correctly_rounded_power():
     for prec in (30, 45, 80):
         with decimal.localcontext() as ctx:
             ctx.prec = prec
-            for v, xs in cases:
-                power = decimal_power(v, xs)
-                for x in xs:
-                    assert power(x) == v ** x, (prec, v, x)
+            for v, a in cases:
+                power = decimal_power(v, a)
+                for q in range(4):
+                    for j, aj in enumerate(a):
+                        # the entry exponent as `_entries` rounds it
+                        x = aj - q
+                        assert power(j, q, x) == v ** x, (prec, v, aj, q)
 
 
 def test_decimal_fallback_keeps_fraction_exponent_gaps():
@@ -356,20 +416,24 @@ def test_confluent_quotient_is_the_reference_bit_for_bit():
 
 
 def _matrices():
+    """(rows, exact) pairs: each matrix with the arithmetic `det` is to
+    take, exact for ints and Fractions alone."""
     rng = random.Random(3)
     out = []
     for n in range(1, 7):
         for _ in range(12):
-            out.append([[rng.uniform(-2, 2) for _ in range(n)] for _ in range(n)])
-            out.append([[Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-                         for _ in range(n)] for _ in range(n)])
-            out.append([[rng.choice((rng.randint(-3, 3), rng.uniform(-3, 3)))
-                         for _ in range(n)] for _ in range(n)])
+            out.append(([[rng.uniform(-2, 2) for _ in range(n)]
+                         for _ in range(n)], False))
+            out.append(([[Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                          for _ in range(n)] for _ in range(n)], True))
+            mixed = [[rng.choice((rng.randint(-3, 3), rng.uniform(-3, 3)))
+                      for _ in range(n)] for _ in range(n)]
+            out.append((mixed, all(type(x) is int for r in mixed for x in r)))
             # ties in pivot magnitude: entries from {-2, -1, 1, 2} and zeros
-            out.append([[float(rng.choice((-2, -1, 0, 1, 2)))
-                         for _ in range(n)] for _ in range(n)])
-            out.append([[rng.choice((-1, 1, 0)) for _ in range(n)]
-                        for _ in range(n)])
+            out.append(([[float(rng.choice((-2, -1, 0, 1, 2)))
+                          for _ in range(n)] for _ in range(n)], False))
+            out.append(([[rng.choice((-1, 1, 0)) for _ in range(n)]
+                         for _ in range(n)], True))
         # a zero column, at each position
         for col in range(n):
             for kind in (float, Fraction, int):
@@ -377,13 +441,14 @@ def _matrices():
                         for _ in range(n)]
                 for r in rows:
                     r[col] = -kind(0) if kind is float else kind(0)
-                out.append(rows)
+                out.append((rows, kind is not float))
     return out
 
 
 def test_det_is_the_reference_bit_for_bit():
-    for rows in _matrices():
-        assert _bits(det(rows)) == _bits(oracles.reference_det(rows)), rows
+    for rows, exact in _matrices():
+        assert _bits(det(rows, exact)) == \
+            _bits(oracles.reference_det(rows)), rows
 
 
 def test_decimal_det_is_the_reference_bit_for_bit():
@@ -391,10 +456,10 @@ def test_decimal_det_is_the_reference_bit_for_bit():
     for prec in (12, 40):
         with decimal.localcontext() as ctx:
             ctx.prec = prec
-            for rows in _matrices():
+            for rows, exact in _matrices():
                 if any(isinstance(x, float) for r in rows for x in r):
                     drows = [[D(x) for x in r] for r in rows]
-                    assert _bits(det(drows)) == \
+                    assert _bits(det(drows, False)) == \
                         _bits(oracles.reference_det(drows)), drows
 
 
