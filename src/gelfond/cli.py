@@ -304,6 +304,9 @@ def _refuse_unprintable_pyramid(curve, t):
 
 def cmd_elevate(args):
     if getattr(args, "preset", None):
+        if args.tail_rule is not None or args.extra is not None:
+            raise ValueError("--preset sets the tail rule and the extra "
+                             "exponents: drop --tail-rule and --extra")
         exps, source = preset(args.preset)
     else:
         exps = _exponents_from(args)
@@ -363,7 +366,7 @@ def cmd_join(args):
     if not getattr(args, "interval", None):
         raise ValueError("--interval b,c required for the right segment")
     lo, hi = _parse_numbers(args.interval)
-    free = _parse_points(args.points) if args.points else ()
+    free = _load_points(args) if args.points or args.points_file else ()
     right = c1_join(left, exps, (lo, hi), free)
     _write_text(args.output, curve_to_json(right) + "\n")
     return 0
@@ -405,26 +408,35 @@ def cmd_oracle(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse refusing on one line, `error: <message>`, exit code 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 @functools.cache
 def _build_parser():
     """The argparse tree and its subparsers by command name, built once per
     process.  The tree names no handler: `main` looks up `cmd_<command>`
     when it runs one."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gelfond",
         description="Gelfond-Bezier curve toolkit over Muntz spaces")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, points=False):
+    def common(p, samples=True, points=False, interval=True):
         p.add_argument("--exponents", help="comma list, e.g. 0,3,4,6,9")
         p.add_argument("--preset", help=f"one of {sorted(PRESETS)}")
-        p.add_argument("--samples", type=int)
+        if samples:
+            p.add_argument("--samples", type=int)
         p.add_argument("--output", help="file path (default stdout)")
         p.add_argument("--config", help="JSON file supplying flags")
         if points:
             p.add_argument("--points", help='inline points "x,y;x,y;.."')
             p.add_argument("--points-file", dest="points_file")
-            p.add_argument("--interval", help='"a,b" (default "0,1")')
+            if interval:
+                p.add_argument("--interval", help='"a,b" (default "0,1")')
 
     p = sub.add_parser("basis", help="basis value table")
     common(p)
@@ -439,22 +451,22 @@ def _build_parser():
     p.add_argument("--format", choices=["csv", "json", "svg"])
 
     p = sub.add_parser("decasteljau", help="corner-cutting pyramid as JSON")
-    common(p, points=True)
+    common(p, samples=False, points=True)
     p.add_argument("--t")
 
     p = sub.add_parser("elevate", help="dimension elevation experiment")
-    common(p, points=True)
+    common(p, points=True, interval=False)
     p.add_argument("--tail-rule", dest="tail_rule", choices=list(TAIL_RULES))
     p.add_argument("--extra", help="comma list inserted before the tail rule")
     p.add_argument("--iterations", type=int)
     p.add_argument("--frames-dir", dest="frames_dir")
 
     p = sub.add_parser("insert", help="insert one exponent")
-    common(p, points=True)
+    common(p, samples=False, points=True)
     p.add_argument("--rho")
 
     p = sub.add_parser("join", help="C1-join a right segment")
-    common(p, points=True)
+    common(p, samples=False, points=True)
     p.add_argument("--left", help="serialized left curve (JSON file)")
 
     p = sub.add_parser("oracle", help="cross-route consistency report")

@@ -28,6 +28,7 @@ that index one-variable branching) live with the tests, in
 `tests/oracles.py`.
 """
 
+import math
 from fractions import Fraction
 
 from .arith import all_exact, is_integral, simplify
@@ -265,10 +266,13 @@ def muntz_tableau(lam):
 
 
 def dimension(lam, n):
-    """f_lambda(n) = S_lambda(1, ..., 1) with n ones: the product over
-    1 <= i < j <= n of (lambda_i - lambda_j + j - i)/(j - i), with lambda
-    zero-padded to n.  Exact parts give an exact result, an int for an
-    integer partition.
+    """f_lambda(n) = S_lambda(1, ..., 1) with n ones, Weyl's product
+    prod_{1 <= i < j <= n} (a_i - a_j) / (j - i) over the ladder
+    a_j = lambda_j + n - j (lambda zero-padded to n), formed in the parts'
+    own arithmetic as the Schur bialternant forms it.  The product is
+    taken in integers over the ladder's common denominator: exact for
+    exact parts (an int for an integer partition), and rounded once for
+    float parts (an infinity beyond the float range).
 
     More parts than variables gives 0 for an integer partition (no
     semistandard tableau has more than n rows) and is rejected for any
@@ -280,11 +284,17 @@ def dimension(lam, n):
         raise ValueError(
             f"real partition with {len(parts)} parts in {n} variables")
     parts = parts + (0,) * (n - len(parts))
-    exact = all_exact(parts)
-    num = Fraction(1) if exact else 1.0
-    den = 1
+    ratios = [(p + n - 1 - j).as_integer_ratio() for j, p in enumerate(parts)]
+    d = math.lcm(*(q for _, q in ratios))
+    a = [p * (d // q) for p, q in ratios]
+    num, den = 1, d ** (n * (n - 1) // 2)
     for i in range(n):
         for j in range(i + 1, n):
-            num = num * (parts[i] - parts[j] + j - i)
+            num *= a[i] - a[j]
             den *= j - i
-    return simplify(num / den) if exact else num / den
+    if all_exact(parts):
+        return simplify(Fraction(num, den))
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf

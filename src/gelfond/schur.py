@@ -2,37 +2,29 @@
 
 One production route, `schur` (the name of `schur_bialternant`): the
 bialternant quotient det(u_i^{a_j}) / det(u_i^{n-j}), with confluent
-derivative rows when evaluation points repeat.  At exact points with an
-integral ladder it runs on integers, since Schur functions are
+derivative rows when evaluation points repeat.  At one point value v the
+confluent quotient has a closed form, Weyl's dimension formula times a
+power of v (Macdonald, Symmetric Functions and Hall Polynomials, I.3),
+
+    S_lambda(v, .., v) = v^{|lambda|} f_lambda(n),
+    f_lambda(n) = prod_{i<j} (a_i - a_j) / (j - i)   (`partitions.dimension`),
+
+which every one-valued point set takes, exact or float, with no
+determinant and no cancellation.  At two or more exact points with an
+integral ladder the quotient runs on integers, since Schur functions are
 homogeneous: S_lambda(u) = S_lambda(d u) / d^{|lambda|}, d the common
-denominator of the points.  Everything else runs in floats.  At one
-point value v the confluent quotient has a closed form, Weyl's
-dimension formula times a power of v,
-
-    S_lambda(v, .., v) = v^{|lambda|} prod_{i<j} (a_i - a_j) / (j - i),
-
-which floats take with no determinant and no cancellation (`_weyl`).
-At two or more point values the quotient runs in floats, and in Decimals
-where it would cancel more than 4 digits; their non-integral powers come
-from one exponential per ladder column and one logarithm per point,
-carried with guard digits so that each rounds to the correctly rounded
-Decimal power v ** x, at a fraction of its cost.
+denominator of the points.  Everything else runs in floats, and in
+Decimals where the float quotient would cancel more than 4 digits; their
+non-integral powers come from one exponential per ladder column and one
+logarithm per point, carried with guard digits so that each rounds to
+the correctly rounded Decimal power v ** x, at a fraction of its cost.
 
 What a bialternant needs of its shape and its number of points n alone is
-formed once per (shape, n) and cached (`_ladder`, the 64 used last): the
-exponent ladder a_j and its decrease check, whether it is integral, the
-logarithms of its gaps below 1 that `_lost_digits` subtracts, and the
-table of falling factorials a_j (a_j - 1) .. (a_j - q + 1) with the
-exponents a_j - q.  Each cached value is the one a call would form, by the
-same operations, and a call uses it in the same order (the gap logarithms
-after the point-group terms), so the results are the same bits as when
-every call formed them itself.  The Decimal fallback forms its own table
-under its raised context.  Float points at one value take the exact
-product and |lambda| of the closed form from `_weyl`, cached the same
-way, but only for shapes that meet such points.  An integer partition
-with more nonzero parts than points has S_lambda = 0 (no semistandard
-tableau has more rows than entries), as `partitions.dimension` states;
-`_ladder` decides this once per (shape, n).
+formed once per (shape, n) and cached (`_ladder`, the 64 used last).  Each
+cached value is the one a call would form, by the same operations, and a
+call uses it in the same order, so the results are the same bits as when
+every call formed them itself.  The Decimal fallback forms its own entry
+table under its raised context.
 
 The de Casteljau pyramid needs only two-point values S_lambda(1^a, t^b),
 which `blossom.de_casteljau` forms through `schur` once each; those with
@@ -53,7 +45,7 @@ from math import factorial
 from .arith import (SingularityError, all_exact, det, exact_div,
                     falling_factorial, is_integral, simplify)
 from .partitions import (FLOAT_SLACK, _is_integer_shape, _strip_zeros,
-                         partition_parts)
+                         dimension, partition_parts)
 
 
 def _check_points(points):
@@ -96,12 +88,14 @@ def _ladder(n, *parts):
     """What the bialternant of a shape at n points needs of the shape and
     n alone: the ladder a_j = lambda_j + n - 1 - j (checked to decrease),
     whether it is integral, the logarithms of its gaps below 1 (the ladder
-    term of `_lost_digits`) and its entry table (`_entries`) for up to n
-    equal points, which exact points use (float points at one value take
-    the closed form of `_weyl`, built on this ladder).  None for an integer partition with more nonzero parts
-    than points, whose Schur value is 0.  Cached for the 64 (shape, n)
-    used last; typed, because 3.0 equals 3 but makes the ladder real.  A
-    shape that fails a check raises on every call: exceptions are not
+    term of `_lost_digits`), the entry table (`_entries`) for up to n - 1
+    equal points, and for n equal points |lambda| = sum_j a_j - n(n-1)/2,
+    the float of its rounding error, and Weyl's product from
+    `partitions.dimension`, both exact for exact parts and rounded once
+    for float parts.  None for an integer partition with more nonzero
+    parts than points, whose Schur value is 0.  Cached for the 64 (shape,
+    n) used last; typed, because 3.0 equals 3 but makes the ladder real.
+    A shape that fails a check raises on every call: exceptions are not
     cached."""
     parts = _strip_zeros(partition_parts(parts))
     if len(parts) > n:
@@ -113,50 +107,25 @@ def _ladder(n, *parts):
     a = tuple(parts[j] + n - 1 - j for j in range(n))
     # only the strict ladder is needed for the determinant quotient; blossom
     # windows may break the real-partition bound on the final part
-    slack = 0 if all_exact(parts) else FLOAT_SLACK
+    exact = all_exact(parts)
+    slack = 0 if exact else FLOAT_SLACK
     for x, y in zip(a, a[1:]):
         if not x > y - slack:
             raise ValueError(f"Schur exponent ladder must decrease: {parts}")
     gaps = (abs(float(x) - float(y)) for x, y in zip(a, a[1:]))
     gap_logs = tuple(math.log10(gap) for gap in gaps if 0 < gap < 1)
     integral = all(is_integral(x) for x in a)
-    return a, integral, gap_logs, _entries(a, n)
-
-
-@lru_cache(maxsize=64, typed=True)
-def _weyl(n, *parts):
-    """What S_lambda(v, .., v) at n equal float points needs of the shape
-    and n.  The confluent bialternant at one point value has the closed
-    form (Weyl's dimension formula, as in `partitions.dimension`)
-
-        S_lambda(v^n) = v^{|lambda|} prod_{i<j} (a_i - a_j) / (j - i),
-
-    with a the ladder of `_ladder` and |lambda| = sum_j a_j - n(n-1)/2.
-    Both are formed exactly, in integers over the ladder's common
-    denominator d (a power of 2 for float ladders), and rounded once: the
-    product to a float, and |lambda| to a float size with the float of
-    its rounding error, which the caller applies as 1 + err ln v.  Formed
-    for float points only, and cached for the 64 (shape, n) used last;
-    typed, as `_ladder` is."""
-    ratios = [x.as_integer_ratio() for x in _ladder(n, *parts)[0]]
+    product = dimension(parts, n)
+    ratios = [x.as_integer_ratio() for x in a]
     d = math.lcm(*(q for _, q in ratios))
-    a = [p * (d // q) for p, q in ratios]
-    pairs = n * (n - 1) // 2
-    size = sum(a) - pairs * d
-    num, den = 1, d ** pairs
-    for i in range(n):
-        for j in range(i + 1, n):
-            num *= a[i] - a[j]
-            den *= j - i
+    size = Fraction(sum(p * (d // q) for p, q in ratios), d) - n * (n - 1) // 2
     try:
-        product = num / den
-    except OverflowError:
-        raise SingularityError(
-            f"the Schur value of {parts} at {n} equal points: its "
-            f"dimension factor is beyond the float range") from None
-    rounded = size / d
-    p, q = rounded.as_integer_ratio()
-    return rounded, (size * q - p * d) / (d * q), product
+        rounded = float(size)
+    except OverflowError:   # kept exact: a float power of it raises
+        rounded = size
+    size_error = float(size - Fraction(rounded))
+    return (a, integral, gap_logs, _entries(a, n - 1),
+            simplify(size) if exact else rounded, size_error, product)
 
 
 def _decimal_power(v, a):
@@ -266,8 +235,16 @@ def schur_bialternant(lam, points):
     """S_lambda(points) = det(u_i^{lambda_j + n - j}) / det(u_i^{n - j}),
     for integer and real partitions alike.
 
-    Repeated points get confluent treatment: group equal values in
-    descending order; a value of multiplicity m contributes the rows
+    Points that all take one value v (compared as the route computes with
+    them: exact values, or their floats on the float route) give the
+    closed form v^{|lambda|} prod_{i<j} (a_i - a_j) / (j - i), with the
+    product from `partitions.dimension`: exact, or with |lambda| and the
+    product rounded once and |lambda|'s rounding error e applied as the
+    factor 1 + e ln v.  A float power of v beyond the float range is a
+    SingularityError naming v, and so is a product beyond it.
+
+    Otherwise repeated points get confluent treatment: group equal values
+    in descending order; a value of multiplicity m contributes the rows
     d^q/dv^q [v^{a_j}] for q = 0..m-1 (falling-factorial coefficients).
     The denominator is then the closed form
 
@@ -279,45 +256,45 @@ def schur_bialternant(lam, points):
     a_j = lambda_j + n - j is integral: the quotient runs on the integer
     points d u (ints, or integer-valued Fractions for a ladder with a
     negative exponent), d the common denominator of the points, and is
-    divided by d^{|lambda|}, |lambda| = sum_j a_j - n(n-1)/2.  Otherwise
-    the points become floats.  Float points that all take one value v
-    give the closed form v^{|lambda|} prod_{i<j} (a_i - a_j) / (j - i)
-    (`_weyl`), with no determinant, so no lost digits either; a power of
-    v beyond the float range is a SingularityError naming v, as in the
-    determinant.  At two or more values Decimals take over past 4
-    predicted lost digits.  The Decimal route forms each non-integral
-    power from one exponential per ladder column and one logarithm per
-    point value, with guard digits that make it round to the correctly
-    rounded v ** x (`_decimal_power`).  An integer partition with more
-    nonzero parts than points gives 0 (0.0 at float points).  What
-    depends on the shape and the number of points alone comes from
-    `_ladder` and `_weyl`; a call checks and groups its points and forms
-    its entries."""
+    divided by d^{|lambda|}.  Otherwise the points become floats, and
+    Decimals take over past 4 predicted lost digits, each non-integral
+    power rounding to the correctly rounded v ** x (`_decimal_power`).
+    An integer partition with more nonzero parts than points gives 0 (0.0
+    at float points).  What depends on the shape and the number of points
+    alone comes from `_ladder`."""
     pts = _check_points(points)
     n = len(pts)
     ladder = _ladder(n, *lam)
     if ladder is None:
         return 0 if all_exact(pts) else 0.0
-    a, integral, gap_logs, entries = ladder
     if n == 0:
         return 1
+    a, integral, gap_logs, entries, size, size_error, product = ladder
     exact = integral and all_exact(pts)
+    values = pts if exact else [float(u) for u in pts]
+    v = values[0]
+    if values.count(v) == n:
+        if exact:
+            return simplify(Fraction(v) ** size * product)
+        try:
+            product = float(product)
+        except OverflowError:
+            product = math.inf
+        if not math.isfinite(product):
+            raise SingularityError(
+                f"the Schur value of {tuple(lam)} at {n} equal points: its "
+                f"dimension factor is beyond the float range")
+        try:
+            power = v ** size
+        except OverflowError:
+            raise _overflow(v) from None
+        if size_error:
+            power *= 1 + size_error * math.log(v)
+        return product * power
     if exact:
         d = math.lcm(*(u.denominator for u in pts))
         kind = int if a[-1] >= 0 else Fraction
         values = [kind(u * d) for u in pts]
-    else:
-        values = [float(u) for u in pts]
-        v = values[0]
-        if values.count(v) == n:
-            size, size_error, product = _weyl(n, *lam)
-            try:
-                power = v ** size
-            except OverflowError:
-                raise _overflow(v) from None
-            if size_error:
-                power *= 1 + size_error * math.log(v)
-            return product * power
 
     groups = []
     for v in sorted(values, reverse=True):
@@ -334,7 +311,7 @@ def schur_bialternant(lam, points):
     value = _confluent_quotient(groups, a, sign, entries)
     if not exact or d == 1:
         return value
-    return simplify(value / Fraction(d) ** (sum(a) - n * (n - 1) // 2))
+    return simplify(value / Fraction(d) ** size)
 
 
 schur = schur_bialternant

@@ -228,6 +228,41 @@ def test_join_command(tmp_path, capsys):
     assert right.interval == (1, 2)
 
 
+def test_join_reads_free_points_from_a_file(tmp_path, capsys):
+    left = tmp_path / "left.json"
+    assert cli.main(["curve", "--exponents", "0,1,3", "--points",
+                     "0,0;1,2;3,0", "--format", "json", "--output",
+                     str(left)]) == 0
+    free = tmp_path / "free.json"
+    free.write_text("[[4, 1], [5, 0]]")
+    argv = ["join", "--left", str(left), "--exponents", "0,1,2,4",
+            "--interval", "1,2"]
+    code, out = run(capsys, *argv, "--points-file", str(free))
+    assert code == 0
+    assert out == run(capsys, *argv, "--points", "4,1;5,0")[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["basis", "--exponents", "0,1", "--foo"],
+    ["basis", "--samples", "x"],
+    ["decasteljau", "--exponents", "0,1", "--points", "0,0;1,2", "--t", "1/2",
+     "--samples", "5"],
+    ["insert", "--exponents", "0,1", "--points", "0,0;1,2", "--rho", "2",
+     "--samples", "5"],
+    ["join", "--left", "left.json", "--exponents", "0,1", "--samples", "5"],
+    ["elevate", "--preset", "cubic-linear", "--points", "0,0;1,4;3,4;4,0",
+     "--interval", "0,2"],
+    ["elevate", "--preset", "cubic-linear", "--points", "0,0;1,4;3,4;4,0",
+     "--tail-rule", "linear", "--extra", "5"],
+    ["elevate", "--preset", "cubic-linear", "--points", "0,0;1,4;3,4;4,0",
+     "--tail-rule", "classical"],
+])
+def test_refused_flags_print_one_line(argv, capsys):
+    code, out, err = _outcome(argv, capsys)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
 def test_oracle_report(capsys):
     code, out = run(capsys, "oracle", "--exponents", "0,3,4,6,9",
                     "--samples", "17", "--seed", "3")

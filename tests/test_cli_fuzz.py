@@ -11,8 +11,8 @@ and meets a vanishing weight denominator at a float t.
 A second test runs `decasteljau` on real spaces at float t below 1e-100,
 where negative powers of t overflow the float range.
 
-Every call ends with exit code 0, 2 or 3 and no traceback; an input the
-program itself rejects (not argparse) is reported on exactly one stderr
+Every call ends with exit code 0, 2 or 3 and no traceback; every refused
+input, argparse's refusals included, is reported on exactly one stderr
 line.  No call raises a numpy RuntimeWarning, and one that exits 0
 prints no nan or inf.  No call is timed: the sizes are kept small instead
 (samples <= 65, iterations <= 5, integer exponents <= 1000 but for
@@ -85,22 +85,24 @@ LEFT_FILES = [name for name in FILES if name.startswith("left")] + [
 CONFIGS = [name for name in FILES if name.startswith("config")] + [
     "not-json.json", "missing.json"]
 
-COMMON = {"--exponents": EXPONENTS, "--preset": PRESETS, "--samples": SAMPLES,
+COMMON = {"--exponents": EXPONENTS, "--preset": PRESETS,
           "--config": CONFIGS, "--output": ["no-such-dir/out"]}
-CURVE = {"--points": POINTS, "--points-file": POINT_FILES,
-         "--interval": INTERVALS}
+SAMPLED = {"--samples": SAMPLES}
+POINTED = {"--points": POINTS, "--points-file": POINT_FILES}
+INTERVAL = {"--interval": INTERVALS}
 FLAGS = {
-    "basis": {**COMMON, "--closed-form": ["elementary", "complete", "hook",
-                                          "other"],
+    "basis": {**COMMON, **SAMPLED,
+              "--closed-form": ["elementary", "complete", "hook", "other"],
               "--l": SMALL, "--m": SMALL, "--n": SMALL},
-    "curve": {**COMMON, **CURVE, "--format": ["csv", "json", "svg", "png"]},
-    "decasteljau": {**COMMON, **CURVE, "--t": PARAMETERS},
-    "elevate": {**COMMON, **CURVE,
+    "curve": {**COMMON, **SAMPLED, **POINTED, **INTERVAL,
+              "--format": ["csv", "json", "svg", "png"]},
+    "decasteljau": {**COMMON, **POINTED, **INTERVAL, "--t": PARAMETERS},
+    "elevate": {**COMMON, **SAMPLED, **POINTED,
                 "--tail-rule": ["classical", "linear", "affine", "quadratic"],
                 "--extra": EXTRAS, "--iterations": ITERATIONS},
-    "insert": {**COMMON, **CURVE, "--rho": RHOS},
-    "join": {**COMMON, **CURVE, "--left": LEFT_FILES},
-    "oracle": {**COMMON, "--seed": ["0", "4", "x"]},
+    "insert": {**COMMON, **POINTED, **INTERVAL, "--rho": RHOS},
+    "join": {**COMMON, **POINTED, **INTERVAL, "--left": LEFT_FILES},
+    "oracle": {**COMMON, **SAMPLED, "--seed": ["0", "4", "x"]},
 }
 FILE_FLAGS = {"--points-file", "--left", "--config", "--output"}
 # a number token that is not finite, as the CSV, JSON and SVG writers
@@ -143,12 +145,11 @@ def test_cli_ends_in_a_known_exit_code(command, files, data):
         warnings.simplefilter("always")
         try:
             code = cli.main(argv)
-            parsed = True
         except SystemExit as exc:     # argparse refused the argv
-            code, parsed = exc.code, False
+            code = exc.code
     assert code in (0, 2, 3), (argv, code)
     assert "Traceback" not in err.getvalue()
-    if parsed and code:
+    if code:
         assert len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())
         assert out.getvalue() == "", argv
     assert not [w for w in caught

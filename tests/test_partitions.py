@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -118,6 +120,28 @@ def test_pairwise_dimension_real():
     assert d == pytest.approx((2.5 - 0.5 + 1) / 1 * (2.5 + 2) / 2 * (0.5 + 1) / 1)
     with pytest.raises(ValueError):
         dimension(RealPartition((1.5, 0.5, 0.25)), 2)
+
+
+def test_float_dimension_is_the_correctly_rounded_product():
+    # Weyl's product over the float ladder a_j = lambda_j + n - 1 - j,
+    # formed in Fractions and rounded once; inf beyond the float range
+    rng = random.Random(8)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        parts, top = [], rng.uniform(0.5, 40)
+        for _ in range(rng.randint(1, n)):
+            parts.append(top)
+            top -= rng.choice((rng.uniform(0.05, 6), 10 ** rng.uniform(-9, -1)))
+        padded = parts + [0] * (n - len(parts))
+        a = [Fraction(p + n - 1 - j) for j, p in enumerate(padded)]
+        exact = Fraction(1)
+        for i in range(n):
+            for j in range(i + 1, n):
+                exact *= (a[i] - a[j]) / (j - i)
+        value = dimension(tuple(parts), n)
+        assert type(value) is float
+        assert value == float(exact), (parts, n)
+    assert dimension((3e300, 2e300, 1e300, 0.5), 4) == math.inf
 
 
 def test_dimension_of_a_partition_longer_than_n():

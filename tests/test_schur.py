@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from gelfond.arith import SingularityError, det
+from gelfond.arith import SingularityError, det, simplify
 from gelfond.partitions import IntegerPartition, RealPartition, dimension
 from gelfond.schur import schur, schur_bialternant
 from oracles import (branch_last_variable, branch_last_variable_skew,
@@ -184,6 +184,64 @@ def test_one_valued_overflow_is_a_singularity():
     # and a product of ladder gaps beyond the float range
     with pytest.raises(SingularityError, match="dimension factor"):
         schur_bialternant((3e300, 2e300, 1e300, 0.5), (0.5,) * 4)
+
+
+def _one_valued_exact_cases():
+    """(parts, v, n): integer shapes (some with more nonzero parts than
+    points), shapes with negative integral parts, at int and Fraction v."""
+    rng = random.Random(21)
+    cases = []
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        if rng.random() < 0.6:
+            parts = sorted((rng.randint(0, 9)
+                            for _ in range(rng.randint(0, n + 2))), reverse=True)
+        else:
+            parts = sorted((rng.randint(-5, 6) for _ in range(n)), reverse=True)
+        v = rng.choice((1, rng.randint(2, 5),
+                        Fraction(rng.randint(1, 40), rng.randint(2, 17))))
+        cases.append((tuple(parts), v, n))
+    return cases
+
+
+def test_one_valued_exact_points_take_the_closed_form(monkeypatch):
+    # S_lambda(v^n) = v^{|lambda|} f_lambda(n), exact, an int where it is
+    # integral, with no determinant and no confluent quotient
+    formed = []
+
+    def counted(rows, exact):
+        formed.append(len(rows))
+        return det(rows, exact)
+
+    def no_quotient(groups, *rest):
+        raise AssertionError(f"a one-valued Schur value at {groups} formed "
+                             f"a confluent quotient")
+
+    monkeypatch.setattr(schur_module, "det", counted)
+    real_quotient = schur_module._confluent_quotient
+    monkeypatch.setattr(schur_module, "_confluent_quotient", no_quotient)
+    for parts, v, n in _one_valued_exact_cases():
+        value = schur(parts, (v,) * n)
+        want = simplify(Fraction(v) ** sum(parts) * dimension(parts, n))
+        assert _bits(value) == _bits(want), (parts, v, n)
+        if len([p for p in parts if p]) > n:
+            assert _bits(value) == _bits(0)
+        else:
+            assert _bits(value) == _bits(
+                oracles.reference_bialternant(parts, (v,) * n)), (parts, v, n)
+    assert formed == []
+    # the counter sees the determinant of two point values
+    monkeypatch.setattr(schur_module, "_confluent_quotient", real_quotient)
+    assert schur((2, 1), (1, 1, Fraction(1, 2))) == \
+        schur_jacobi_trudi((2, 1), (1, 1, Fraction(1, 2)))
+    assert formed == [3]
+
+
+def test_ladder_table_stops_below_n_rows():
+    # n equal points take the closed form, so no call needs row n
+    schur_module._ladder.cache_clear()
+    for shape, n in (((2, 1), 3), ((0.5, 0.2), 3), ((1,), 1), ((-1, -1), 2)):
+        assert len(schur_module._ladder(n, *shape)[3]) == n - 1
 
 
 def test_decimal_power_is_the_correctly_rounded_power():
