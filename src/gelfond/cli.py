@@ -22,9 +22,10 @@ space (0, 2, 4, 14) on one Xeon core, against 1 us batched.  Exit codes:
 0 success, 2 invalid input (an exact number too large for a float
 included), 3 numeric singularity.
 
-A JSON config file (--config) may supply any long flag (dashes as
-underscores), checked against the flag's type and choices as on the
-command line; explicit flags win over the file.
+A JSON config file (--config) may supply any long flag of the command
+(dashes as underscores) but --config itself, checked against the flag's
+type and choices as on the command line; a key for no such flag is
+refused.  Explicit flags win over the file.
 """
 
 import argparse
@@ -500,11 +501,14 @@ def _apply_config(args, parser):
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")
-        actions = {a.dest: a for a in parser._actions}
+        actions = {a.dest: a for a in parser._actions
+                   if a.dest not in ("help", "config")}
         for key, value in data.items():
             attr = key.replace("-", "_")
-            if (value is not None and hasattr(args, attr)
-                    and getattr(args, attr) is None):
+            if attr not in actions:
+                raise ValueError(f"config file {args.config}: {key!r} is "
+                                 f"not a flag of {args.command}")
+            if value is not None and getattr(args, attr) is None:
                 setattr(args, attr, _config_value(actions[attr], value))
 
 

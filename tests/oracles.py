@@ -32,7 +32,10 @@ the two against each other:
    `reference_det`), and of the product formula at one float point value
    (`reference_one_valued`): the same operations in the same order,
    re-derived on every call, so that tests can pin the production bytes
-   to them.
+   to them.  Float values at two point values left this route for the
+   minors of one matrix exponential; `reference_bialternant` still takes
+   the old route there, and tests hold those values against
+   `mp_two_point`, the confluent bialternant in mpmath.
 
 Conventions: h_m = e_m = 0 for m < 0, and hook Schur values with a
 negative arm or leg are 0, so the determinant and branching formulas
@@ -48,6 +51,8 @@ import decimal
 import math
 from fractions import Fraction
 from math import comb, factorial
+
+import mpmath
 
 from gelfond.arith import (all_exact, as_point, det, exact_div,
                            falling_factorial, is_exact, is_integral, simplify,
@@ -766,6 +771,58 @@ def reference_one_valued(a, v):
     if error:
         power *= 1 + error * math.log(v)
     return float(num / den) * power
+
+
+def mp_two_point(a, u, m, v, digits=60):
+    """S_lambda(u^m, v^b) over the ladder a (N = m + b entries, taken at
+    their exact binary values), u > v > 0, as an mpf to `digits` digits:
+    the confluent bialternant, rows d^q/dx^q x^{a_j} at u (q < m) and at
+    v (q < b) over the same rows of x^{N-1-j}, in mpmath.  The working
+    precision starts `digits` + 20 digits above the cancellation of
+    m b digits of the relative gap (u - v) / u and one digit for each
+    power of ten of each ladder gap below 1, and doubles until two
+    results agree to `digits` digits, or while a pivot cancels to 0: a
+    tiny v spreads the powers of one row over hundreds of decades."""
+    n = len(a)
+    lost = m * (n - m) * -math.log10((u - v) / u)
+    lost -= sum(math.log10(x - y) for x, y in zip(a, a[1:]) if 0 < x - y < 1)
+
+    def det(exps):
+        # elimination with row exchanges and no tolerance: mpmath.det
+        # calls a matrix singular below a pivot size relative to its
+        # largest entry, which a tiny v undercuts
+        rows = [[mpmath.ff(x, q) * mpmath.mpf(w) ** (x - q) for x in exps]
+                for w, k in ((u, m), (v, n - m)) for q in range(k)]
+        value = mpmath.mpf(1)
+        for k in range(n):
+            p = max(range(k, n), key=lambda i: abs(rows[i][k]))
+            if p != k:
+                rows[k], rows[p] = rows[p], rows[k]
+                value = -value
+            value *= rows[k][k]
+            for row in rows[k + 1:]:
+                f = row[k] / rows[k][k]
+                for j in range(k, n):
+                    row[j] -= f * rows[k][j]
+        return value
+
+    work = digits + int(lost) + 20
+    last = None
+    while True:
+        with mpmath.workdps(work):
+            try:
+                value = (det([mpmath.mpf(x) for x in a])
+                         / det(range(n - 1, -1, -1)))
+            except ZeroDivisionError:
+                # a pivot cancelled to 0: the matrix is nonsingular, so
+                # the precision is too low
+                value = None
+            if None not in (value, last) and abs(value - last) <= \
+                    abs(value) * mpmath.mpf(10) ** -digits:
+                break
+        last, work = value, 2 * work
+    with mpmath.workdps(digits):
+        return +value
 
 
 def reference_bialternant(lam, points):

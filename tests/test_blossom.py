@@ -12,6 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import oracles
 from gelfond import blossom
 from gelfond.arith import SingularityError, lerp
 from gelfond.blossom import (blossom_value, coefficients_from_control_points,
@@ -292,51 +293,38 @@ def _mp_basis_sum(points, exps, t):
                 for d in range(len(points[0]))]
 
 
-def _mp_bialternant(groups, a):
-    """det(confluent rows of v^a_j) / det(the same rows of v^(n-1-j)) at
-    80 digits, for the (value, multiplicity) groups of the points."""
-    n = len(a)
-    with mpmath.workdps(80):
-        def rows(exps):
-            return mpmath.matrix([
-                [mpmath.ff(x, q) * mpmath.mpf(v) ** (x - q) for x in exps]
-                for v, m in groups for q in range(m)])
-        a = [mpmath.mpf(x) for x in a]
-        return float(mpmath.det(rows(a))
-                     / mpmath.det(rows([n - 1 - j for j in range(n)])))
-
-
-# The apex bound is 1e-14 times the polygon's diameter where every Schur
-# value is accurate.  On the order-5 space some values take the float
-# route, which predicts at most 4 lost digits and loses up to 8.7e-13
-# relative; over 200 random polygons its apex error reached 1.9e-14 times
-# the diameter, so that case has the bound 1e-13.
-@pytest.mark.parametrize("exps, t, bound", [
-    ((0, 2.5, 2.5000001, 6), 0.3, 1e-14),
-    ((0, 2.5, 2.5000001, 6), 0.9, 1e-14),
-    ((0, 0.6, 1.95, 2.0, 4.3, 5.1), 0.9, 1e-13)])
-def test_pyramid_through_the_decimal_fallback_matches_mpmath(
-        monkeypatch, exps, t, bound):
+# Every two-point Schur value of these pyramids, which once took the
+# Decimal fallback, is within 1e-14 of the 60-digit bialternant at the
+# code's own ladder, and the apex within 1e-14 times the polygon's
+# diameter of the 80-digit basis sum.  The splits of one window share one
+# matrix exponential, so their errors largely cancel in alpha.
+@pytest.mark.parametrize("exps, t", [
+    ((0, 2.5, 2.5000001, 6), 0.3),
+    ((0, 2.5, 2.5000001, 6), 0.9),
+    ((0, 0.6, 1.95, 2.0, 4.3, 5.1), 0.9)])
+def test_pyramid_two_point_values_match_mpmath(monkeypatch, exps, t):
     schur_module = importlib.import_module("gelfond.schur")
-    fallback = schur_module._bialternant_decimal
     calls = []
 
-    def counted(groups, a, sign, lost):
-        value = fallback(groups, a, sign, lost)
-        calls.append((groups, a, value))
+    def recorded(lam, points):
+        value = schur(lam, points)
+        calls.append((lam, points, value))
         return value
 
-    monkeypatch.setattr(schur_module, "_bialternant_decimal", counted)
+    monkeypatch.setattr(blossom, "schur", recorded)
     rng = random.Random(len(exps))
     pts = tuple((rng.randint(-5, 5), rng.randint(-5, 5)) for _ in exps)
     apex, _ = de_casteljau(pts, exps, t)
-    assert calls
-    for groups, a, value in calls:
-        ref = _mp_bialternant(groups, a)
-        assert abs(value - ref) <= 1e-14 * abs(ref), (groups, a)
+    two_point = [c for c in calls if len(set(c[1])) == 2]
+    assert two_point
+    for lam, points, value in two_point:
+        n, m = len(points), points.count(1)
+        ref = oracles.mp_two_point(schur_module._ladder(n, *lam)[0],
+                                   1.0, m, t)
+        assert abs(value - ref) <= 1e-14 * abs(ref), (lam, points)
     diameter = max(math.dist(p, q) for p in pts for q in pts)
     ref = _mp_basis_sum(pts, exps, t)
-    assert max(abs(a - b) for a, b in zip(apex, ref)) <= bound * diameter
+    assert max(abs(a - b) for a, b in zip(apex, ref)) <= 1e-14 * diameter
 
 
 @pytest.mark.parametrize("exps", [EXPS, (0, 2, 4, 14), (0, 3, 600),

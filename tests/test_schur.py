@@ -1,11 +1,13 @@
 import decimal
 import importlib
+import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 import oracles
 from gelfond.arith import SingularityError, det, simplify
@@ -402,10 +404,36 @@ def _bialternant_cases():
     return cases
 
 
+def _two_point_floats(shape, pts):
+    """Whether the bialternant takes the two-point minors: float points at
+    two values, or exact ones on a ladder that is not integral."""
+    return (len(set(map(float, pts))) == 2
+            and isinstance(schur_bialternant(shape, pts), float))
+
+
+def _check_two_point(shape, pts, bound):
+    """The value against the 60-digit mpmath bialternant at the code's own
+    ladder."""
+    n = len(pts)
+    u, v = max(map(float, pts)), min(map(float, pts))
+    m = sum(float(x) == u for x in pts)
+    ref = oracles.mp_two_point(schur_module._ladder(n, *shape)[0], u, m, v)
+    value = schur_bialternant(shape, pts)
+    assert abs(value - ref) <= bound * abs(ref), (shape, pts, value, ref)
+
+
 def test_bialternant_is_the_reference_bit_for_bit():
+    # float values at two point values take the minors of one matrix
+    # exponential, which no reference copies; they are held to mpmath
+    two_point = 0
     for shape, pts in _bialternant_cases():
-        assert _bits(schur_bialternant(shape, pts)) == \
-            _bits(oracles.reference_bialternant(shape, pts)), (shape, pts)
+        if _two_point_floats(shape, pts):
+            two_point += 1
+            _check_two_point(shape, pts, 1e-13)
+        else:
+            assert _bits(schur_bialternant(shape, pts)) == \
+                _bits(oracles.reference_bialternant(shape, pts)), (shape, pts)
+    assert two_point
 
 
 @pytest.mark.parametrize("first, second", [
@@ -427,7 +455,9 @@ def test_integral_and_float_shapes_keep_their_own_ladders(first, second):
     ((0, 0.6, 1.95, 2.0, 4.3, 5.1), 0.9), ((0, 0.6, 1.95, 2.0, 4.3, 5.1), 1.0),
     ((0, 0.5, 1), 0.25)])
 def test_pyramid_values_are_the_reference_bit_for_bit(monkeypatch, exps, t):
-    # these spaces send some values through the Decimal fallback
+    # the one-valued values are the reference's bits; the two-point
+    # values, which these spaces once sent through the Decimal fallback,
+    # are within 1e-14 of mpmath (the Decimal route's bound)
     blossom = importlib.import_module("gelfond.blossom")
     calls = []
 
@@ -437,14 +467,15 @@ def test_pyramid_values_are_the_reference_bit_for_bit(monkeypatch, exps, t):
 
     monkeypatch.setattr(blossom, "schur", recorded)
     pts = tuple((k, (-1) ** k * k) for k in range(len(exps)))
-    apex, levels = blossom.de_casteljau(pts, exps, t)
+    blossom.de_casteljau(pts, exps, t)
     # at t = 1 every weight is t and the pyramid forms no Schur value
     assert bool(calls) == (t != 1)
     for lam, points in calls:
-        assert _bits(schur_bialternant(lam, points)) == \
-            _bits(oracles.reference_bialternant(lam, points)), (lam, points)
-    monkeypatch.setattr(blossom, "schur", oracles.reference_bialternant)
-    assert repr(blossom.de_casteljau(pts, exps, t)[1]) == repr(levels)
+        if len(set(points)) == 2:
+            _check_two_point(lam, points, 1e-14)
+        else:
+            assert _bits(schur_bialternant(lam, points)) == \
+                _bits(oracles.reference_bialternant(lam, points)), (lam, points)
 
 
 def test_confluent_quotient_is_the_reference_bit_for_bit():
@@ -521,18 +552,112 @@ def test_decimal_det_is_the_reference_bit_for_bit():
                         _bits(oracles.reference_det(drows)), drows
 
 
+# -- two float point values: the minors of one matrix exponential -----------
+
+def test_two_point_value_of_the_pyramid_found_off():
+    # a value of the pyramid of (0, 0.6, 1.95, 2.0, 4.3, 5.1) at t = 0.9
+    # that the float determinant took 8.6e-13 off
+    _check_two_point((0.5, 0.15, 1.1), (1, 1, 0.9), 1e-14)
+
+
+@pytest.mark.parametrize("shape, pts", [
+    ((), (1.0,) * 16 + (0.5,) * 16),
+    ((3.7, 2.2, 1.1, 0.4), (1.0,) * 16 + (0.5,) * 16),
+    ((), (1.0,) * 10 + (1e-100,) * 10),
+    ((2.5, 1.5, 0.5), (1.0,) * 10 + (1e-100,) * 10),
+    ((-4.9007, -4.2499, -3.257, -2.307, -1.3359, -0.3859, 0.5641, 1.5145),
+     (1e-7,) * 5 + (1e-7 * 3.7e-193,) * 3)])
+def test_two_point_values_whose_factors_leave_the_float_range(shape, pts):
+    # the superfactorial ratio, near 1e296 at 32 points, and the minor,
+    # near 1e-332, each leave the float range where their product does
+    # not, and the empty shape gives 1; in the last case s^{E_b} is below
+    # the float range, and so is f_lambda(8) times the rest, while
+    # u^{|lambda|} brings the value back into it
+    if not shape:
+        assert schur_bialternant(shape, pts) == pytest.approx(1.0, abs=1e-14)
+    _check_two_point(shape, pts, 1e-13)
+
+
+def test_two_point_values_whose_minors_cancel_take_decimals(monkeypatch):
+    # two clusters of four ladder entries a few hundredths apart at a
+    # tiny ratio: each minor's determinant is near 1e-12 of its diagonal
+    # product, and the minors were 6.9e-11 off
+    calls = []
+    decimal_route = schur_module._bialternant_decimal
+
+    def recorded(*args):
+        calls.append(args)
+        return decimal_route(*args)
+
+    monkeypatch.setattr(schur_module, "_bialternant_decimal", recorded)
+    a = (3.828, 3.804, 3.795, 3.767, 1.387, 1.352, 1.340, 1.320, 0.0)
+    shape = tuple(x - (8 - j) for j, x in enumerate(a))
+    _check_two_point(shape, (0.5,) * 4 + (3.3e-49,) * 5, 1e-14)
+    assert len(calls) == 1
+
+
+@st.composite
+def two_point_cases(draw):
+    """A ladder of up to 9 entries with gaps from 1e-3 to 2.5, as a shape,
+    and two float point values: u = 1 or u in [0.5, 4], v = t u with t
+    in (1e-3, 1 - 1e-3), near 1 (down to 1 - 1e-9) or tiny (down to
+    1e-300)."""
+    n = draw(st.integers(2, 9))
+    small = st.floats(1e-3, 0.05)
+    gaps = draw(st.lists(small | st.floats(0.05, 2.5), min_size=n - 1,
+                         max_size=n - 1))
+    a = [draw(st.floats(-0.99, 2))]
+    for g in reversed(gaps):
+        a.insert(0, a[0] + g)
+    shape = tuple(x - (n - 1 - j) for j, x in enumerate(a))
+    m = draw(st.integers(1, n - 1))
+    u = draw(st.just(1.0) | st.floats(0.5, 4))
+    t = draw(st.floats(1e-3, 1 - 1e-3)
+             | st.floats(1, 9).map(lambda k: 1 - 10 ** -k)
+             | st.floats(3, 300).map(lambda k: 10 ** -k))
+    return shape, (u,) * m + (u * t,) * (n - m)
+
+
+# A value whose minors both lose more than 3 digits goes to Decimals: over
+# 4500 examples of this strategy the minors kept were within 7e-14.
+TWO_POINT_BOUND = 1e-13
+
+
+@seed(20261020)
+@settings(max_examples=150, deadline=None, database=None)
+@given(case=two_point_cases())
+def test_two_point_float_values_match_mpmath(case):
+    # finite and within the bound of the 60-digit bialternant at the
+    # code's own ladder, or a SingularityError; a value whose reference
+    # is below the float range is held to the range's end
+    shape, pts = case
+    if not pts[-1] < pts[0]:
+        return
+    try:
+        value = schur_bialternant(shape, pts)
+    except SingularityError:
+        return
+    assert math.isfinite(value), case
+    n, m = len(pts), pts.count(pts[0])
+    ref = oracles.mp_two_point(schur_module._ladder(n, *shape)[0],
+                               pts[0], m, pts[-1])
+    assert abs(value - ref) <= TWO_POINT_BOUND * abs(ref) + sys.float_info.min, \
+        (case, value, ref)
+
+
 def test_ladder_cache_is_bounded():
     schur_module._ladder.cache_clear()
+    pts = (0.3, 0.6, 0.9)
     for k in range(200):
-        schur_bialternant((2 + k / 7, 1), (0.3, 0.6))
+        schur_bialternant((2 + k / 7, 1), pts)
     info = schur_module._ladder.cache_info()
     assert info.maxsize == 64 and info.currsize <= 64
     # a shape used again is a hit and gives the same bits
     before = schur_module._ladder.cache_info().hits
-    value = schur_bialternant((2 + 199 / 7, 1), (0.3, 0.6))
+    value = schur_bialternant((2 + 199 / 7, 1), pts)
     assert schur_module._ladder.cache_info().hits == before + 1
     assert _bits(value) == _bits(
-        oracles.reference_bialternant((2 + 199 / 7, 1), (0.3, 0.6)))
+        oracles.reference_bialternant((2 + 199 / 7, 1), pts))
 
 
 @pytest.mark.parametrize("shape, pts", [
