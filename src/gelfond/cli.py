@@ -17,8 +17,9 @@ coordinates 6, and the CSV dialect is RFC 4180 (CRLF); a CSV row is
 formatted by one `%` operation.  The `basis` table and the production
 columns of `oracle` are evaluated in one batch per space, which prints
 the same bytes as evaluating each parameter on its own; `curve`
-evaluates its samples one at a time, about 7 us a sample on the integer
-space (0, 2, 4, 14) on one Xeon core, against 1 us batched.  Exit codes:
+evaluates its samples one at a time, which takes about 9 times as long
+as one batch on the integer space (0, 2, 4, 14) and 13 times on the
+real space (0, 0.8, 2.5, 2.95), at 257 samples.  Exit codes:
 0 success, 2 invalid input (an exact number too large for a float
 included), 3 numeric singularity.
 
@@ -101,10 +102,17 @@ def _load_points(args):
     raise ValueError("control points required (--points or --points-file)")
 
 
+def _parse_interval(text):
+    """The ends a, b of an --interval value "a,b"."""
+    ends = _parse_numbers(text)
+    if len(ends) != 2:
+        raise ValueError(f'--interval takes two numbers "a,b", got {text!r}')
+    return tuple(ends)
+
+
 def _interval(args):
     if getattr(args, "interval", None) is not None:
-        lo, hi = _parse_numbers(args.interval)
-        return lo, hi
+        return _parse_interval(args.interval)
     return 0, 1
 
 
@@ -245,9 +253,10 @@ def cmd_curve(args):
         raise ValueError("SVG output needs 2-dimensional control points")
     ts = _parameter_grid(*curve.interval, samples)
     # one `evaluate` call per sample: perfbench/test_perfbench.py counts
-    # them.  `evaluate_many` gives the same points in one batch: for 257
-    # points on one Xeon core, 0.24 ms against 1.9 ms on (0, 2, 4, 14) and
-    # 1.2 ms against 23 ms on (0, 0.8, 2.5, 2.95)
+    # them.  `evaluate_many` gives the same points in one batch, for 257
+    # points about 9 times as fast on (0, 2, 4, 14) and 13 times on
+    # (0, 0.8, 2.5, 2.95) (best of 9 on a shared 2-vCPU Xeon VM, whose
+    # speed drifts too much between runs for absolute times)
     points = [curve.evaluate(t) for t in ts]
     if fmt == "svg":
         _write_text(args.output, _curve_svg(curve, points))
@@ -366,9 +375,8 @@ def cmd_join(args):
     exps = _exponents_from(args)
     if not getattr(args, "interval", None):
         raise ValueError("--interval b,c required for the right segment")
-    lo, hi = _parse_numbers(args.interval)
     free = _load_points(args) if args.points or args.points_file else ()
-    right = c1_join(left, exps, (lo, hi), free)
+    right = c1_join(left, exps, _parse_interval(args.interval), free)
     _write_text(args.output, curve_to_json(right) + "\n")
     return 0
 
@@ -381,7 +389,7 @@ def cmd_oracle(args):
     samples = _samples(args, default=33)
     n = exps.n
     import random
-    rng = random.Random(int(args.seed or 0))
+    rng = random.Random(args.seed or 0)
     pts = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n + 1)]
     curve = GelfondBezierCurve(exps, pts)
     dev_routes = 0.0
@@ -472,7 +480,7 @@ def _build_parser():
 
     p = sub.add_parser("oracle", help="cross-route consistency report")
     common(p)
-    p.add_argument("--seed")
+    p.add_argument("--seed", type=int)
 
     return parser, sub.choices
 

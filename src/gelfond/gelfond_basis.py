@@ -19,12 +19,13 @@ Routes:
    parameters go through Horner's rule, exact ones stay exact.  The
    polynomials are dense, so a space of more than
    MAX_BASIS_COEFFICIENTS coefficients in all is refused.
- * real exponents: one matrix exponential (Opitz) holds every divided
-   difference [r_k..r_n] f_t at once, and with the superdiagonal
-   -r_1..-r_n its last column is H_0(t)..H_n(t) itself, so `basis_table`
-   takes the whole basis from the float kernel of `divided_diff`, for a
-   whole batch of parameters in one call.  The results are floats, also
-   at exact parameters.
+ * real exponents: one matrix exponential (Opitz) of the exponents
+   reversed holds every divided difference [r_k..r_n] f_t at once, and
+   with the superdiagonal r_n..r_1 row 0 of its scaled form is H_n..H_0
+   up to powers of t and ln t (`_opitz_basis`), so `basis_table` takes
+   the whole basis from the float kernel of `divided_diff`, for a whole
+   batch of parameters in one call.  The results are floats, also at
+   exact parameters.
 
 `basis_values` (one parameter, exact or float) and `basis_table` (a batch
 of float parameters) are the production entry points; each picks the
@@ -55,7 +56,7 @@ import numpy as np
 
 from .arith import (SingularityError, all_exact, exact_div, is_exact,
                     is_integral, simplify)
-from .divided_diff import opitz_table
+from .divided_diff import opitz_matrix
 from .partitions import (ExponentSequence, RealPartition, as_exponents,
                          dimension, partition_from_exponents, partition_parts)
 from .polynomials import Poly, _horner, horner_table
@@ -159,14 +160,34 @@ def basis_polynomial(exponents, k):
 
 def _opitz_basis(r, t):
     """H_0..H_n of real exponents at the float array t, one row per
-    parameter: the last column of the Opitz kernel with superdiagonal
-    -r_1..-r_n, which is (-1)^{n-k} r_{k+1}..r_n [r_k..r_n] t^x = H_k
-    itself, so a tiny H_k keeps its relative accuracy; H_k(0) =
-    delta_{k0}.  A row does not depend on the batch it is in."""
-    out = opitz_table(r.exponents, [-r[k] for k in range(1, r.n + 1)],
-                       np.where(t > 0, t, 1.0))
-    if not t.all():
-        out[t == 0] = np.eye(1, r.n + 1)
+    parameter, from row 0 of the scaled Opitz matrix Z of the exponents
+    reversed, x = (r_n, .., r_0), with the superdiagonal r_n..r_1
+    (`divided_diff.opitz_matrix`): Z_{0,n-k} is |ln t|^{k-n} t^{-r_k}
+    times r_{k+1}..r_n |[r_k..r_n] t^x| = H_k, so
+
+        H_k(t) = |ln t|^{n-k} t^{r_k} Z_{0,n-k}.
+
+    The three factors are multiplied as mantissas and powers of two, so
+    that no partial product leaves the float range and a tiny H_k keeps
+    its relative accuracy; t^{r_k} is Python's power, so H_n is t ** r_n
+    itself.  Rows at t = 0 and t = 1 are the unit rows delta_{k0} and
+    delta_{kn}.  A row does not depend on the batch it is in."""
+    n = r.n
+    x = r.exponents[::-1]
+    inner = [0 < v < 1 for v in t.tolist()]
+    ts = t if all(inner) else t[inner]
+    z, ze = np.frexp(opitz_matrix(((x, x[:-1]),), ts)[:, 0, 0])
+    ln, le = np.frexp(-np.log(ts))
+    power, pe = np.frexp(np.reshape([[v ** e for e in x] for v in ts.tolist()],
+                                    (-1, n + 1)))
+    m = np.arange(n + 1)
+    rows = np.ldexp(z * power * ln[:, None] ** m, ze + pe + le[:, None] * m)
+    if ts is t:
+        return rows[:, ::-1]
+    out = np.zeros((t.size, n + 1))
+    out[:, 0] = t == 0
+    out[:, n] += t == 1
+    out[inner] = rows[:, ::-1]
     return out
 
 

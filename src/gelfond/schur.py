@@ -33,8 +33,10 @@ cached value is the one a call would form, by the same operations, and a
 call uses it in the same order, so the results are the same bits as when
 every call formed them itself.  The Decimal fallback forms its own entry
 table under its raised context.  What the two-point values of one ladder
-at one ratio v/u share is formed once and cached too
-(`_opitz_rows`, the 32 used last).
+at one ratio v/u share, the scaled Opitz matrices of the ladder and of
+the ladder negated and reversed (`_opitz_rows`: one call of the kernel
+that also gives the real-exponent basis, `divided_diff.opitz_matrix`), is
+formed once and cached too, for the 32 used last.
 
 The de Casteljau pyramid needs only two-point values S_lambda(1^a, t^b),
 which `blossom.de_casteljau` forms through `schur` once each; those with
@@ -267,11 +269,14 @@ def _float_dimension(product, lam, n):
 
 @lru_cache(maxsize=32)
 def _opitz_rows(a, s):
-    """The two scaled Opitz matrices `divided_diff.opitz_matrix(a, s)` of
-    the ladder a at s, as row lists.  Cached for the 32 (ladder, s) used
+    """The scaled Opitz matrices (`divided_diff.opitz_matrix`) at s of the
+    ladder a and of the ladder negated and reversed, both with the
+    superdiagonal 1, as row lists.  Cached for the 32 (ladder, s) used
     last: the N - 1 splits of one pyramid window share an entry, and a
     pyramid of order n forms about 2n entries."""
-    return opitz_matrix(a, s).tolist()
+    ones = (1.0,) * (len(a) - 1)
+    return opitz_matrix(((a, ones), (tuple(-x for x in reversed(a)), ones)),
+                        [s])[0].tolist()
 
 
 def _tn_pivots(rows):
@@ -339,7 +344,7 @@ def _two_point(a, tails, m, s):
             det G[0:b, m:N] / ((1 - s)^{mb} s^{b(b-1)/2}),
 
     G = exp(ln(s) J), J = diag(a) plus a superdiagonal of ones.  On the
-    scaled matrix Z = `opitz_matrix(a, s)[0]`, whose rows and columns
+    scaled matrix Z = `_opitz_rows(a, s)[0]`, whose rows and columns
     carry |ln s|^{i-j} s^{-a_j} and the signs, that minor is
     det Z[0:b, m:N] |ln s|^{mb} s^{a_m + .. + a_{N-1}}, so
 
@@ -354,7 +359,7 @@ def _two_point(a, tails, m, s):
     nonnegative, and the minor is the product of `_tn_pivots`.
 
     Jacobi's complementary minor of G^{-1} gives the same determinant as
-    the m x m minor Z'[0:m, b:N] of Z' = `opitz_matrix(a, s)[1]`, the
+    the m x m minor Z'[0:m, b:N] of Z' = `_opitz_rows(a, s)[1]`, the
     scaled matrix of G^{-1} reversed and transposed.  The smaller of the
     two minors is taken first.  A minor loses digits where its
     determinant is far below the product of its diagonal (never above

@@ -282,7 +282,7 @@ ORACLE_REPORTS = [
      ["partition-of-unity residual: 2.6645352591003757e-15",
       "de casteljau vs basis sum: 1.3322676295501878e-15"]),
     (["0,2.5,2.5000001,6", "--samples", "21"], "2.6196682045842579e-09",
-     ["partition-of-unity residual: 2.2204460492503131e-16",
+     ["partition-of-unity residual: 3.3306690738754696e-16",
       "de casteljau vs basis sum: 3.3306690738754696e-16"]),
 ]
 
@@ -593,6 +593,27 @@ def test_boundary_inputs_exit_2(argv, tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["curve", "--exponents", "0,1", "--points", "0,0;1,1",
+      "--interval", "0,1,2"], "--interval"),
+    (["curve", "--exponents", "0,1", "--points", "0,0;1,1",
+      "--interval", "1/2"], "--interval"),
+    (["join", "--left", "{tmp}/left.json", "--exponents", "0,1,3",
+      "--interval", "1,2,3"], "--interval"),
+    (["join", "--left", "{tmp}/left.json", "--exponents", "0,1,3",
+      "--interval", "1"], "--interval"),
+    (["oracle", "--exponents", "0,1.5,3", "--seed", "abc"], "--seed"),
+])
+def test_malformed_values_name_their_flag(argv, flag, tmp_path, capsys):
+    # these used to print Python's unpacking or int() message
+    assert cli.main(["curve", "--exponents", "0,1,3", "--points", "0,0;1,2;3,0",
+                     "--format", "json", "--output", f"{tmp_path}/left.json"]) == 0
+    code, out, err = _outcome([a.replace("{tmp}", str(tmp_path)) for a in argv],
+                              capsys)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and flag in err, err
 
 
 @pytest.mark.parametrize("argv", [

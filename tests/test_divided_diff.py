@@ -4,11 +4,12 @@ from fractions import Fraction
 from itertools import accumulate
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gelfond.arith import SingularityError
-from gelfond.divided_diff import BLOCK_ROWS, opitz_table
+from gelfond.divided_diff import opitz_matrix
 from gelfond.gelfond_basis import basis_table, basis_values, gelfond_basis_schur
 from oracles import (MIN_GAP, divided_difference, exponential_dd,
                      exponential_dd_derivative, exponential_dd_naive,
@@ -186,14 +187,14 @@ KERNEL_TS = (1e-3, 0.01, 0.2, 0.5, 0.8, 0.95, 0.99, 0.999999)
 
 def test_kernel_matches_mpmath():
     """Orders 1-20, gaps from 1e-6, exponents up to 300, t from 1e-3 to
-    1 - 1e-6: absolute error and unity residual at most 1e-14, relative
-    error at most 1e-8, also near t = 1 where H_0 is as small as 1e-122.
-    The relative bound is checked where H_k >= 1e-250, so that the
-    divided difference H_k / (r_{k+1}..r_n) is still a normal float.
+    1 - 1e-6: absolute error, relative error and unity residual at most
+    1e-14, also near t = 1 where H_0 is as small as 1e-122.  The relative
+    bound is checked where H_k >= 1e-250.
 
-    The worst absolute error here is about 1.2e-15.  Squaring the
-    diagonal instead of recomputing it gives 2.5e-14, so the absolute
-    bound is 1e-14 rather than 1e-13."""
+    The worst errors here are about 1.1e-15 absolute and 1.9e-15
+    relative.  Taking H_k from the last column of the unscaled matrix
+    exponential with the superdiagonal -r_{k+1}, whose squarings end in
+    that column, gave 1.0e-13 relative."""
     worst_abs = worst_rel = 0.0
     for exps in _kernel_spaces():
         n = len(exps) - 1
@@ -208,15 +209,17 @@ def test_kernel_matches_mpmath():
                 if abs(ref[k]) >= 1e-250:
                     rel = err / abs(float(ref[k]))
                     worst_rel = max(worst_rel, rel)
-                    assert rel <= 1e-8, (exps, t, k, row[k], ref[k])
+                    assert rel <= 1e-14, (exps, t, k, row[k], ref[k])
     assert worst_abs > 0 and worst_rel > 0     # the loops did compare
 
 
 def test_tiny_basis_values_keep_relative_accuracy():
-    """H_10 of (0, 30, .., 600) at t = 0.1 is 1.85e-295.  A kernel whose
-    last column is the divided difference H_k / (r_{k+1}..r_n) gets it
-    wrong by 4.9e-3 relative, because that quotient is subnormal; with
-    the basis itself in the last column the worst is about 6e-14."""
+    """H_10 of (0, 30, .., 600) at t = 0.1 is 1.85e-295.  A kernel that
+    forms the divided difference H_k / (r_{k+1}..r_n) gets it wrong by
+    4.9e-3 relative, because that quotient is subnormal; from the scaled
+    matrix with the exponents as its superdiagonal, the powers of t and
+    ln t multiplied back as mantissas and powers of two, the worst is
+    about 1.6e-15."""
     exps = tuple(30.0 * j for j in range(21))
     row = basis_table(exps, [0.1])[0]
     ref = _mp_basis(exps, 0.1)
@@ -228,50 +231,73 @@ def test_tiny_basis_values_keep_relative_accuracy():
     assert checked >= 11
 
 
-def _dd_table(nodes, ts):
-    """[x_k..x_n] t^x for k = 0..n at every t of `ts`: the kernel with a
-    superdiagonal of ones."""
-    return opitz_table(nodes, (1.0,) * (len(nodes) - 1), ts)
+def _scaled(nodes, ts, upper=None):
+    """The kernel's scaled matrices Z of one node tuple at every t of
+    `ts`, with the superdiagonal `upper`, ones by default."""
+    if upper is None:
+        upper = (1.0,) * (len(nodes) - 1)
+    return opitz_matrix(((tuple(nodes), tuple(upper)),), ts)[:, 0]
+
+
+NODES = (0.0, 0.5, 0.5 + 1e-6, 2.0, 7.25)
 
 
 def test_kernel_divided_differences_match_mpmath():
-    nodes = (0.0, 0.5, 0.5 + 1e-6, 2.0, 7.25)
-    for t in (1e-3, 0.3, 0.97):
-        got = _dd_table(nodes, [t])[0]
-        for k in range(len(nodes)):
-            with mpmath.workdps(120):
-                tail = [mpmath.mpf(x) for x in nodes[k:]]
-                ref = mpmath.fsum(
-                    mpmath.mpf(t) ** xi
-                    / mpmath.fprod(xi - xj for j, xj in enumerate(tail) if j != i)
-                    for i, xi in enumerate(tail))
-            assert abs(got[k] - float(ref)) <= 1e-12 * abs(float(ref)), (t, k)
+    """Every entry Z_ij = |ln t|^{i-j} t^{-x_j} |[x_i..x_j] t^x| of the
+    nodes in both orders: decreasing, as the callers give them, and
+    increasing, where the entries grow as t^{x_i - x_j}."""
+    for nodes in (NODES[::-1], NODES):
+        for t in (1e-3, 0.3, 0.97):
+            got = _scaled(nodes, [t])[0]
+            for i in range(len(nodes)):
+                for j in range(i, len(nodes)):
+                    with mpmath.workdps(120):
+                        tail = [mpmath.mpf(x) for x in nodes[i:j + 1]]
+                        dd = mpmath.fsum(
+                            mpmath.mpf(t) ** xi
+                            / mpmath.fprod(xi - xj for k, xj in enumerate(tail)
+                                           if k != q)
+                            for q, xi in enumerate(tail))
+                        ref = float(abs(dd) * abs(mpmath.log(t)) ** (i - j)
+                                    / mpmath.mpf(t) ** nodes[j])
+                    assert abs(got[i, j] - ref) <= 1e-12 * ref, (nodes, t, i, j)
+            assert not np.tril(got, -1).any()
 
 
 def test_kernel_repeated_nodes_and_endpoints():
     t = 0.4
-    got = _dd_table((1.0, 2.0, 2.0), [t])[0]
-    assert got[0] == pytest.approx(exponential_dd_recursive((1.0, 2.0, 2.0), t),
-                                   rel=1e-13)
-    assert got[1] == pytest.approx(t ** 2 * math.log(t), rel=1e-13)
-    # t = 1: exp(0) = I, so only [x_n] t^x = 1 survives
-    assert _dd_table((0.0, 1.5, 3.0), [1.0]).tolist() == [[0.0, 0.0, 1.0]]
-    assert _dd_table((0.0, 1.5), []).shape == (0, 2)
-    for bad in (0.0, -0.5, 1.5, float("nan")):
+    got = _scaled((2.0, 2.0, 1.0), [t])[0]
+    # [2, 2] t^x = t^2 ln t, and [2, 2, 1] t^x by the confluent recursion
+    assert got[0, 1] == pytest.approx(1.0, rel=1e-13)
+    assert got[0, 2] == pytest.approx(
+        exponential_dd_recursive((1.0, 2.0, 2.0), t) / (math.log(t) ** 2 * t),
+        rel=1e-13)
+    # t = 1: exp(0) = I, so only H_n survives; the kernel itself takes
+    # t in (0, 1), where ln t is not 0
+    assert basis_table((0.0, 1.5, 3.0), [1.0]).tolist() == [[0.0, 0.0, 1.0]]
+    assert _scaled((1.5, 0.0), []).shape == (0, 2, 2)
+    for bad in (0.0, -0.5, 1.0, 1.5, float("nan")):
         with pytest.raises(ValueError):
-            _dd_table((0.0, 1.5), [0.5, bad])
+            _scaled((1.5, 0.0), [0.5, bad])
     with pytest.raises(ValueError):
-        _dd_table((), [0.5])
-    with pytest.raises(ValueError):
-        _dd_table((0.0, float("inf")), [0.5])
+        _scaled((), [0.5])
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            _scaled((bad, 0.0), [0.5])
+        with pytest.raises(ValueError):
+            _scaled((1.0, 0.0), [0.5], (bad,))
     # the scaling power of two of larger nodes is not a float
     for big in (2.0 ** 1023, 1e308, -1e308):
         with pytest.raises(ValueError, match="2\\^1023"):
-            _dd_table((0.0, big), [0.5])
+            _scaled((big, 0.0), [0.5])
+        with pytest.raises(ValueError, match="2\\^1023"):
+            _scaled((1.0, 0.0), [0.5], (big,))
     big = 0.999 * 2.0 ** 1023
-    # [0, big] t^x = (t^big - 1)/big, a subnormal
-    row = _dd_table((0.0, big), [0.5])[0]
-    assert row[0] == pytest.approx(-1 / big, rel=1e-12) and row[1] == 0.0
+    # Z_01 = (1 - t^big) / (|ln t| big), a subnormal
+    row = _scaled((big, 0.0), [0.5])[0]
+    assert row[0, 1] == pytest.approx(1 / (math.log(2) * big), rel=1e-12)
+    # at the superdiagonal 1 the entries of these nodes are below the
+    # float range; the basis takes the exponents as its superdiagonal
     vals = basis_values((0, 1e200, 1e300), 0.5)
     assert all(math.isfinite(v) for v in vals) and abs(sum(vals) - 1) < 1e-14
 
@@ -301,20 +327,29 @@ def test_batched_rows_equal_pointwise_rows(gaps, ts):
     exps = tuple(accumulate(gaps, initial=0.0))
     if len(set(exps)) < len(exps):
         return
+    real = not all(x.is_integer() for x in exps)
     table = basis_table(exps, ts)
     for t, row in zip(ts, table):
         assert row.tolist() == list(basis_values(exps, t))
-    inner = [t for t in ts if t > 0]
+        # H_n is t^{r_n} as Python's power forms it, as in the Schur route
+        if real:
+            assert row[-1] == t ** exps[-1] == gelfond_basis_schur(exps, len(gaps), t)
+    inner = [t for t in ts if 0 < t < 1]
     if inner:
-        dd = _dd_table(exps, inner)
-        for t, row in zip(inner, dd):
-            assert row.tolist() == _dd_table(exps, [t])[0].tolist()
+        nodes = exps[::-1]
+        for t, z in zip(inner, _scaled(nodes, inner, nodes[:-1])):
+            assert z.tolist() == _scaled(nodes, [t], nodes[:-1])[0].tolist()
 
 
 def test_rows_do_not_depend_on_the_block():
+    """One batch of 133 parameters in (0, 1) takes six squaring counts,
+    for a stack of two matrices; every row is the row of a batch of
+    one."""
     exps = (0.0, 0.7, 2.05, 2.0501, 5.5)
-    ts = [i / (2 * BLOCK_ROWS + 6) for i in range(2 * BLOCK_ROWS + 7)]
-    table = _dd_table(exps, ts[1:])
-    for t, row in zip(ts[1:], table):
-        assert row.tolist() == _dd_table(exps, [t])[0].tolist()
+    ts = [i / 134 for i in range(135)]
+    nodes = exps[::-1]
+    stack = ((nodes, (1.0,) * 4), (nodes, nodes[:-1]))
+    table = opitz_matrix(stack, ts[1:-1])
+    for t, row in zip(ts[1:-1], table):
+        assert row.tolist() == opitz_matrix(stack, [t])[0].tolist()
     assert basis_table(exps, ts).tolist() == [list(basis_values(exps, t)) for t in ts]

@@ -35,7 +35,8 @@ MOVED_OR_DELETED = {
         "divided_difference", "exponential_dd_shifted",
         "exponential_dd_derivative", "exponential_dd_table", "exponential_dd",
         "exponential_dd_naive", "exponential_dd_recursive", "_check_t",
-        "MIN_GAP"),
+        "MIN_GAP", "opitz_table", "_exp_last_column", "_taylor_terms",
+        "_checked_nodes", "BLOCK_ROWS"),
     "gelfond.gelfond_basis": (
         "elementary_basis_polynomial", "complete_basis_polynomial",
         "hook_basis_polynomial", "_bernstein_poly", "vanishing_orders",
