@@ -16,9 +16,11 @@ classical de Casteljau algorithm: at each pyramid node
     p_i^r = (1 - alpha) p_i^{r-1} + alpha p_{i+1}^{r-1},
     alpha = alpha(0^{n-r-i}, 1^i, t^{r-1}; t).
 
-Every weight of the pyramid is a ratio of four two-point Schur values
-S_w(a, b) = S_{lam[w:w+a+b]}(1^a, t^b), w in {0, 1}, over windows of the
-space's partition lam; `de_casteljau` forms each of them once.  The
+Every weight of the pyramid is t times two ratios of two-point Schur
+values S_w(a, b) = S_{lam[w:w+a+b]}(1^a, t^b), w in {0, 1}, over windows
+of the space's partition lam, each ratio within one window;
+`de_casteljau` forms each value once (`schur.schur_window`), at a float
+t from blocks of one pair of matrix exponentials of the space.  The
 pyramid's left edge holds the control points of s -> P(t s), its right
 edge those of P on [t, 1] in the Chebyshev-Bernstein basis.
 
@@ -27,17 +29,19 @@ through the total positivity of the basis; the implementation checks
 alpha in [-1e-12, 1 + 1e-12] at every node, raises SingularityError when
 it falls outside (also under `python -O`), and never clamps.  A weight
 that is not finite, from a float Schur value that left the float range,
-is a SingularityError naming t.
+a float Schur value that is 0 or subnormal, and a Schur value that
+could not be formed are SingularityErrors naming t.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 from .arith import (SingularityError, exact_div, is_exact, lerp, simplify,
                     vec_add, vec_scale, vec_sub)
 from .partitions import (as_exponents, dimension, muntz_tableau,
                          partition_from_exponents)
-from .schur import schur
+from .schur import schur, schur_window
 
 ALPHA_SLACK = 1e-12
 
@@ -144,15 +148,21 @@ def blossom_value(coeffs, exponents, args, zeros=0):
 
 
 def _alpha(t, mu_t, eta_1, mu_1, eta_t):
-    """t S_mu(args, t) S_eta(args, 1) / (S_mu(args, 1) S_eta(args, t))
-    from its four Schur values (`pseudo_affinity` names them).  A zero
-    denominator and a weight that is not finite (inf or nan) raise
+    """t (S_mu(args, t) / S_mu(args, 1)) (S_eta(args, 1) / S_eta(args, t))
+    from its four Schur values (`pseudo_affinity` names them).  Each ratio
+    holds two values of one shape, so no product of two values is formed:
+    it could leave the float range where the values and the weight do
+    not.  A zero denominator, a float value that is 0 or subnormal (its
+    digits are gone) and a weight that is not finite (inf or nan) raise
     SingularityError naming t."""
-    num = mu_t * eta_1
-    den = mu_1 * eta_t
-    if den == 0:
+    if mu_1 == 0 or eta_t == 0:
         raise SingularityError(f"pseudo-affinity denominator vanished at t={t}")
-    alpha = t * exact_div(num, den)
+    for value in (mu_t, eta_1, mu_1, eta_t):
+        if not is_exact(value) and abs(value) < sys.float_info.min:
+            raise SingularityError(
+                f"a Schur value of the pseudo-affinity at t={t} is {value}, "
+                f"below the normal float range")
+    alpha = t * exact_div(mu_t, mu_1) * exact_div(eta_1, eta_t)
     if not -math.inf < alpha < math.inf:
         raise SingularityError(f"pseudo-affinity {alpha} is not finite at t={t}")
     return alpha
@@ -192,13 +202,16 @@ def de_casteljau(points, exponents, t):
     partition padded by one zero:
 
         S_w(a, b) = S_{lam[w:w+a+b]}(1^a, t^b),     w in {0, 1},
-        alpha = t S_0(i, L) S_1(i+1, L-1) / (S_0(i+1, L-1) S_1(i, L)).
+        alpha = t (S_0(i, L) / S_0(i+1, L-1)) (S_1(i+1, L-1) / S_1(i, L)).
 
-    Each S_w(a, b) is formed once per pyramid, on first use: S_0(i+1, L-1),
-    for one, serves both node (L, i) and node (L-1, i+1), so a pyramid
-    evaluates at most n(n+3) Schur values, not 4 per node.  At t = 0 and
-    at t = 1 every alpha is t and no Schur value is formed.  Real
-    exponents give the pyramid at float(t)."""
+    Each S_w(a, b) is formed once per pyramid, on first use, by
+    `schur.schur_window`: S_0(i+1, L-1), for one, serves both node (L, i)
+    and node (L-1, i+1), so a pyramid evaluates at most n(n+3) Schur
+    values, not 4 per node.  At a float t inside (0, 1) every two-point
+    value is a minor of a principal block of one scaled Opitz pair, that
+    of the space's ladder, so the pyramid forms one matrix exponential
+    pair.  At t = 0 and at t = 1 every alpha is t and no Schur value is
+    formed.  Real exponents give the pyramid at float(t)."""
     r = as_exponents(exponents)
     n = r.n
     points = tuple(points)
@@ -215,7 +228,11 @@ def de_casteljau(points, exponents, t):
 
     def S(w, a, b):
         if (w, a, b) not in table:
-            table[w, a, b] = schur(parts[w:w + a + b], (1,) * a + (t,) * b)
+            try:
+                table[w, a, b] = schur_window(parts, w, a, b, t)
+            except SingularityError as error:
+                raise SingularityError(
+                    f"de Casteljau pyramid at t={t}: {error}") from None
         return table[w, a, b]
 
     # at either end every weight is t; an exact 1 is the Fraction that

@@ -14,7 +14,8 @@ so that no entry leaves the float range.  Its two callers:
    H_n..H_0 up to powers of t and ln t;
  * the two-point Schur values (`schur._two_point`): with the superdiagonal
    1, minors of the matrix of a ladder and of the ladder negated and
-   reversed.
+   reversed, or of their principal blocks, one pair for every window of
+   a space's ladder at one t.
 
 Integer basis polynomials are built from their own residue form.  The
 naive partial-fraction sum, the classical recursion with confluent
@@ -104,8 +105,12 @@ def _squared(setup, lt, s):
     z *= np.exp(h[:, None, None] * columns)[..., None, :]
     z = np.ldexp(z, (e - s) * shift)
     z.reshape(-1, size * size)[:, ::size + 1] = 1.0
-    for e in np.exp(np.ldexp(h, np.arange(s)[:, None])[..., None, None, None]
-                    * gaps):
+    # h 2^k (x_m - x_j) overflows to -inf for nodes far apart, and
+    # exp(-inf) = 0 is the entry wanted
+    with np.errstate(over="ignore"):
+        squares = np.exp(np.ldexp(h, np.arange(s)[:, None])[..., None, None, None]
+                         * gaps)
+    for e in squares:
         z = z @ (e * z)
     return z
 
@@ -123,7 +128,7 @@ def _opitz_setup(stack):
     / m! run to a power of two above n + TAYLOR_EXTRA, built by doubling:
     J^k..J^{2k-1} are J^0..J^{k-1} times J^k.  Cached for the 32 stacks
     used last, read-only: a pyramid and the Schur route of `oracle` use
-    about 3n ladders of a space of order n."""
+    one stack per space, the pair of its ladder, and its basis one more."""
     x = np.array([nodes for nodes, _ in stack], dtype=float)
     u = np.array([upper for _, upper in stack], dtype=float).reshape(len(x), -1)
     depth, size = x.shape

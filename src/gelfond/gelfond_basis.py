@@ -60,7 +60,7 @@ from .divided_diff import opitz_matrix
 from .partitions import (ExponentSequence, RealPartition, as_exponents,
                          dimension, partition_from_exponents, partition_parts)
 from .polynomials import Poly, _horner, horner_table
-from .schur import schur
+from .schur import schur, schur_window
 
 # An integer space's basis is held as n + 1 dense polynomials of r_n + 1
 # Fraction coefficients each, so time and memory grow with r_n; above
@@ -100,14 +100,16 @@ def _oracle_shortcut(r, k, t):
 def gelfond_basis_schur(exponents, k, t):
     """Schur-quotient evaluation, the route that `oracle` checks the
     production routes against; works for real exponents, exact for
-    integer exponents with rational t."""
+    integer exponents with rational t.  The numerator is a window of the
+    space's partition (`schur.schur_window`): at a float t, a minor of the
+    matrix pair that the pyramid at t forms."""
     r = as_exponents(exponents)
     value = _oracle_shortcut(r, k, t)
     if value is not None:
         return value
     lam = partition_from_exponents(r).parts
     m = r.n - k
-    num = schur(lam[k:], (1,) + (t,) * m)
+    num = schur_window(lam + (0,), k, 1, m, t)
     den = schur(lam[k + 1:], (t,) * m)
     if den == 0:
         raise SingularityError(f"Schur denominator vanished at t={t}")

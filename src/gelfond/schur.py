@@ -12,7 +12,9 @@ forms, by the points:
        S_lambda(v, .., v) = v^{|lambda|} f_lambda(n),
        f_lambda(n) = prod_{i<j} (a_i - a_j) / (j - i)   (`partitions.dimension`),
 
-   exact or float, with no determinant and no cancellation;
+   exact or float, with no determinant and no cancellation (in floats
+   the power's mantissa and exponent apart, so that a power below the
+   float range times a large product keeps its digits);
  * two or more exact values on an integral ladder: the quotient on
    integers, since Schur functions are homogeneous: S_lambda(u) =
    S_lambda(d u) / d^{|lambda|}, d the common denominator of the points;
@@ -38,11 +40,13 @@ the ladder negated and reversed (`_opitz_rows`: one call of the kernel
 that also gives the real-exponent basis, `divided_diff.opitz_matrix`), is
 formed once and cached too, for the 32 used last.
 
-The de Casteljau pyramid needs only two-point values S_lambda(1^a, t^b),
-which `blossom.de_casteljau` forms through `schur` once each; those with
-a = 0 or b = 0 are one-valued, and at a float t the others of one
-window of the space's partition and one number of points share one pair
-of matrix exponentials.  The
+The de Casteljau pyramid needs only two-point values S_lambda(1^a, t^b)
+over windows of the space's partition, which `blossom.de_casteljau`
+forms through `schur_window` once each, and so do the numerators of the
+basis's Schur route (`gelfond_basis.gelfond_basis_schur`).  Those with
+a = 0 or b = 0 are one-valued; at a float t the others of one space
+share one pair of matrix exponentials, that of the space's ladder, of
+which each window's pair is a principal block.  The
 cross-check routes (Jacobi-Trudi, Nagelsbach-Kostka, Giambelli, tableau
 sums, skew shapes, one-variable branching over interlacing partitions,
 the splitting limit) live with the tests, in `tests/oracles.py`.
@@ -58,7 +62,7 @@ from functools import lru_cache
 from math import factorial
 
 from .arith import (SingularityError, all_exact, det, exact_div,
-                    falling_factorial, is_integral, simplify)
+                    falling_factorial, is_exact, is_integral, simplify)
 from .divided_diff import opitz_matrix
 from .partitions import (FLOAT_SLACK, _is_integer_shape, _strip_zeros,
                          dimension, partition_parts)
@@ -272,8 +276,9 @@ def _opitz_rows(a, s):
     """The scaled Opitz matrices (`divided_diff.opitz_matrix`) at s of the
     ladder a and of the ladder negated and reversed, both with the
     superdiagonal 1, as row lists.  Cached for the 32 (ladder, s) used
-    last: the N - 1 splits of one pyramid window share an entry, and a
-    pyramid of order n forms about 2n entries."""
+    last: every window of one space at one s is a block of the entry of
+    the space's ladder (`schur_window`), so a pyramid forms one entry,
+    and the Schur route of the basis at the same t finds it."""
     ones = (1.0,) * (len(a) - 1)
     return opitz_matrix(((a, ones), (tuple(-x for x in reversed(a)), ones)),
                         [s])[0].tolist()
@@ -300,18 +305,23 @@ def _tn_pivots(rows):
     return pivots
 
 
-def _minor(matrices, m, b):
-    """det Z[0:b, m:N] of the first of the two scaled Opitz matrices
-    `matrices`, or the same determinant as Z'[0:m, b:N] of the second, as
-    a float mantissa and a power of two: the smaller minor first, and the
+def _minor(matrices, w, m, b):
+    """det Z[w:w+b, w+m:w+N] of the first of the two scaled Opitz matrices
+    `matrices`, N = m + b, or the same determinant as Z'[w':w'+m, w'+b:w'+N]
+    of the second, w' = len(Z) - w - N, as a float mantissa and a power of
+    two: the minors of the principal blocks that belong to the window of
+    N nodes from node w (`_two_point`).  The smaller minor first, and the
     other when the first has a ratio of diagonal product to determinant
     past CANCELLATION.  None when both do, or when a pivot is 0 or
     subnormal."""
-    minors = [(matrices[0], m, b), (matrices[1], b, m)]
+    n = m + b
+    minors = [(matrices[0], w, m, b),
+              (matrices[1], len(matrices[1]) - w - n, b, m)]
     if m < b:
         minors.reverse()
-    for rows, column, size in minors:
-        minor = [row[column:] for row in rows[:size]]
+    for rows, start, column, size in minors:
+        minor = [row[start + column:start + n]
+                 for row in rows[start:start + size]]
         diagonal = [minor[k][k] for k in range(size)]
         pivots = _tn_pivots(minor)
         if min(pivots) < sys.float_info.min:
@@ -331,11 +341,11 @@ def _split_product(factors, mantissa=1.0, exponent=0):
     return mantissa, exponent
 
 
-def _two_point(a, tails, m, s):
-    """S_lambda(1^m, s^b) / f_lambda(N) over the ladder a of N = m + b
-    points, 0 < s < 1, as a float mantissa and a power of two, from a
-    minor of a scaled Opitz matrix; None where that minor would lose
-    digits.
+def _two_point(nodes, w, tails, m, s):
+    """S_lambda(1^m, s^b) / f_lambda(N) over the ladder a = nodes[w:w+N]
+    (up to a shift) of N = m + b = len(tails) points, 0 < s < 1, as a
+    float mantissa and a power of two, from a minor of a scaled Opitz
+    matrix; None where that minor would lose digits.
 
     The confluent bialternant at 1^m and s^b is (McCurdy, Ng & Parlett,
     Math. Comp. 1984; signs flipped after Gasca & Pena, LAA 1992)
@@ -344,9 +354,9 @@ def _two_point(a, tails, m, s):
             det G[0:b, m:N] / ((1 - s)^{mb} s^{b(b-1)/2}),
 
     G = exp(ln(s) J), J = diag(a) plus a superdiagonal of ones.  On the
-    scaled matrix Z = `_opitz_rows(a, s)[0]`, whose rows and columns
-    carry |ln s|^{i-j} s^{-a_j} and the signs, that minor is
-    det Z[0:b, m:N] |ln s|^{mb} s^{a_m + .. + a_{N-1}}, so
+    scaled matrix Z of a, whose rows and columns carry |ln s|^{i-j}
+    s^{-a_j} and the signs, that minor is det Z[0:b, m:N] |ln s|^{mb}
+    s^{a_m + .. + a_{N-1}}, so
 
         S / f_lambda(N) = sf(N-1) / (sf(m-1) sf(b-1))
                           (-ln(s) / (1 - s))^{mb} det Z[0:b, m:N] s^{E_b},
@@ -356,11 +366,16 @@ def _two_point(a, tails, m, s):
     (`_tails`).  The factors can each leave the float range where their
     product does not: they are multiplied as mantissas and powers of
     two, and so is the caller's u^{|lambda|} f_lambda(N).  Z is totally
-    nonnegative, and the minor is the product of `_tn_pivots`.
+    nonnegative, and the minor is the product of `_tn_pivots`.  Entry
+    (i, j) of Z depends on nodes i..j alone, and not on a shift of them,
+    so Z is the principal block Z[w:w+N, w:w+N] of the scaled matrix of
+    all the nodes, `_opitz_rows(nodes, s)[0]`: the windows of one ladder
+    at one s share that pair.
 
     Jacobi's complementary minor of G^{-1} gives the same determinant as
-    the m x m minor Z'[0:m, b:N] of Z' = `_opitz_rows(a, s)[1]`, the
-    scaled matrix of G^{-1} reversed and transposed.  The smaller of the
+    the m x m minor Z'[0:m, b:N] of Z', the scaled matrix of G^{-1}
+    reversed and transposed, the block of `_opitz_rows(nodes, s)[1]`
+    from node len(nodes) - w - N.  The smaller of the
     two minors is taken first.  A minor loses digits where its
     determinant is far below the product of its diagonal (never above
     it: Hadamard-Fischer), which happens at small s and close ladder
@@ -372,7 +387,7 @@ def _two_point(a, tails, m, s):
         raise SingularityError(
             f"the ratio {s} of two Schur point values is not in (0, 1) in "
             f"floats")
-    b = len(a) - m
+    b = len(tails) - m
     mantissa, exponent, size, size_error = tails[b]
     if not math.isfinite(size):
         raise _beyond(s)
@@ -383,10 +398,10 @@ def _two_point(a, tails, m, s):
         # points are a fifth of real-sample's two-point values, and
         # forming their 2 x 2 matrices instead made its ops about 10%
         # slower (cProfile of 150 ops)
-        g = float(a[0] - a[1])
+        g = float(nodes[w] - nodes[w + 1])
         minor = math.frexp(math.expm1(g * ln) / (g * ln) if g else 1.0)
     else:
-        minor = _minor(_opitz_rows(a, s), m, b)
+        minor = _minor(_opitz_rows(nodes, s), w, m, b)
         if minor is None:
             return None
     scale, e = math.frexp(-ln / (1 - s))
@@ -493,7 +508,8 @@ def schur_bialternant(lam, points):
     product from `partitions.dimension`: exact, or with |lambda| and the
     product rounded once and |lambda|'s rounding error e applied as the
     factor 1 + e ln v.  A float power of v beyond the float range is a
-    SingularityError naming v, and so is a product beyond it.
+    SingularityError naming v, and so are a product and a value beyond
+    it.
 
     Otherwise repeated points get confluent treatment: group equal values
     in descending order; a value of multiplicity m contributes the rows
@@ -527,14 +543,20 @@ def schur_bialternant(lam, points):
         return 0 if all_exact(pts) else 0.0
     if n == 0:
         return 1
-    a, integral, gap_logs, entries, size, size_error, product, tails = ladder
+    a, integral, gap_logs, entries, size, size_error, product, _ = ladder
     exact = integral and all_exact(pts)
     values = pts if exact else [float(u) for u in pts]
     v = values[0]
     if values.count(v) == n:
         if exact:
             return simplify(Fraction(v) ** size * product)
-        return _float_dimension(product, lam, n) * _power(v, size, size_error)
+        # a power below the float range times a large product can be a
+        # normal value: the power's mantissa first, then its exponent
+        power, e = _split_power(v, size, size_error)
+        try:
+            return math.ldexp(_float_dimension(product, lam, n) * power, e)
+        except OverflowError:
+            raise _overflow(v) from None
     if exact:
         d = math.lcm(*(u.denominator for u in pts))
         kind = int if a[-1] >= 0 else Fraction
@@ -549,15 +571,9 @@ def schur_bialternant(lam, points):
 
     if not exact and len(groups) == 2:
         (u, m), (v, _) = groups
-        split = _two_point(a, tails, m, v / u)
-        if split is not None:
-            power, e = _split_power(u, size, size_error)
-            mantissa, exponent = _split_product(
-                (_float_dimension(product, lam, n), power), *split)
-            try:
-                return math.ldexp(mantissa, exponent + e)
-            except OverflowError:
-                raise _beyond(v / u) from None
+        value = _two_point_value(lam, ladder, u, m, v / u, a, 0)
+        if value is not None:
+            return value
     sign = -1 if sum(m * (m - 1) // 2 for _, m in groups) % 2 else 1
     if not exact:
         lost = _lost_digits(groups, gap_logs)
@@ -575,4 +591,40 @@ def schur_bialternant(lam, points):
     return simplify(value / Fraction(d) ** size)
 
 
+def _two_point_value(lam, ladder, u, m, s, nodes, w):
+    """S_lambda(u^m, (s u)^b) in floats from the shape's `_ladder` entry:
+    u^{|lambda|} f_lambda(N) times `_two_point`(nodes, w, ..); None where
+    both minors would lose digits.  A value beyond the float range is a
+    SingularityError."""
+    a, _, _, _, size, size_error, product, tails = ladder
+    split = _two_point(nodes, w, tails, m, s)
+    if split is None:
+        return None
+    power, e = _split_power(u, size, size_error)
+    mantissa, exponent = _split_product(
+        (_float_dimension(product, lam, len(a)), power), *split)
+    try:
+        return math.ldexp(mantissa, exponent + e)
+    except OverflowError:
+        raise _beyond(s) from None
+
+
 schur = schur_bialternant
+
+
+def schur_window(lam, w, m, b, t):
+    """S_{lam[w:w+m+b]}(1^m, t^b), lam the partition of a space padded by
+    one zero.  At two float values, 0 < t < 1, a minor of principal
+    blocks of the scaled Opitz pair of lam's own ladder at t
+    (`_two_point`), so every window of one space at one t shares one
+    `_opitz_rows` entry; otherwise (one value, exact t on an integral
+    window's ladder), and where both block minors would lose digits,
+    `schur` of the window."""
+    window = lam[w:w + m + b]
+    ladder = _ladder(m + b, *window)
+    if m and b and not (ladder[1] and is_exact(t)) and 0 < float(t) < 1:
+        value = _two_point_value(window, ladder, 1.0, m, float(t),
+                                 _ladder(len(lam), *lam)[0], w)
+        if value is not None:
+            return value
+    return schur_bialternant(window, (1,) * m + (t,) * b)

@@ -5,12 +5,14 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 import oracles
 from gelfond import blossom
@@ -22,10 +24,11 @@ from gelfond.blossom import (blossom_value, coefficients_from_control_points,
 from gelfond.curves import GelfondBezierCurve
 from gelfond.dimelev import polygon_diameter
 from gelfond.gelfond_basis import (basis_polynomial, basis_table, basis_values,
-                                   chebyshev_basis, elementary_exponents)
+                                   chebyshev_basis, elementary_exponents,
+                                   gelfond_basis_schur)
 from gelfond.partitions import partition_from_exponents
 from gelfond.polynomials import Poly
-from gelfond.schur import schur
+from gelfond.schur import schur, schur_window
 
 EXPS = (0, 3, 4, 6, 9)
 
@@ -225,10 +228,24 @@ REAL7 = (0, 0.5, 1.8, 4.0, 4.07, 4.97, 5.32, 6.92)
     ((0, 1.2, 1.55, 3.65), 0.15),
     (EXPS, Fraction(2, 7)), (EXPS, 0.61), ((0, 1, 2), 1)])
 def test_shared_schur_values_leave_the_pyramid_unchanged(exps, t):
+    # at an exact t and at the ends the pyramid is the same bits; at a
+    # float t inside (0, 1) its two-point values come from blocks of one
+    # matrix pair of the space's ladder, and those of pseudo_affinity
+    # from the pair of each shape's own ladder, which round differently
     rng = random.Random(len(exps))
     pts = tuple((rng.uniform(-1, 1), rng.randint(-5, 5)) for _ in exps)
     _, levels = de_casteljau(pts, exps, t)
-    assert levels == _pyramid_node_by_node(pts, exps, t)
+    node_by_node = _pyramid_node_by_node(pts, exps, t)
+    if 0 < t < 1 and not (isinstance(t, Fraction)
+                          and all(isinstance(x, int) for x in exps)):
+        diameter = max(math.dist(p, q) for p in pts for q in pts)
+        assert len(levels) == len(node_by_node)
+        for level, other in zip(levels, node_by_node):
+            assert len(level) == len(other)
+            for p, q in zip(level, other):
+                assert math.dist(p, q) <= 1e-14 * diameter
+    else:
+        assert levels == node_by_node
 
 
 @pytest.mark.parametrize("exps", [
@@ -261,14 +278,19 @@ def test_pyramid_of_a_space_with_a_negative_integral_part(exps):
 def test_pyramid_computes_each_schur_value_once(monkeypatch):
     calls = []
 
+    def counted_window(lam, w, m, b, t):
+        calls.append((lam[w:w + m + b], m, b))
+        return schur_window(lam, w, m, b, t)
+
     def counted(lam, points):
         calls.append((tuple(lam), tuple(sorted(points))))
         return schur(lam, points)
 
+    monkeypatch.setattr(blossom, "schur_window", counted_window)
     monkeypatch.setattr(blossom, "schur", counted)
     n = len(REAL7) - 1
     de_casteljau(tuple(range(n + 1)), REAL7, 0.37)
-    assert len(calls) == len(set(calls))
+    assert calls and len(calls) == len(set(calls))
     assert len(calls) <= n * (n + 3) + n
     # node by node, every pseudo-affinity evaluates its own four
     calls.clear()
@@ -296,8 +318,9 @@ def _mp_basis_sum(points, exps, t):
 # Every two-point Schur value of these pyramids, which once took the
 # Decimal fallback, is within 1e-14 of the 60-digit bialternant at the
 # code's own ladder, and the apex within 1e-14 times the polygon's
-# diameter of the 80-digit basis sum.  The splits of one window share one
-# matrix exponential, so their errors largely cancel in alpha.
+# diameter of the 80-digit basis sum.  The values of one pyramid come from
+# blocks of one matrix exponential, so their errors largely cancel in
+# alpha.
 @pytest.mark.parametrize("exps, t", [
     ((0, 2.5, 2.5000001, 6), 0.3),
     ((0, 2.5, 2.5000001, 6), 0.9),
@@ -306,25 +329,80 @@ def test_pyramid_two_point_values_match_mpmath(monkeypatch, exps, t):
     schur_module = importlib.import_module("gelfond.schur")
     calls = []
 
-    def recorded(lam, points):
-        value = schur(lam, points)
-        calls.append((lam, points, value))
+    def recorded(lam, w, m, b, t):
+        value = schur_window(lam, w, m, b, t)
+        calls.append((lam[w:w + m + b], m, value))
         return value
 
-    monkeypatch.setattr(blossom, "schur", recorded)
+    monkeypatch.setattr(blossom, "schur_window", recorded)
     rng = random.Random(len(exps))
     pts = tuple((rng.randint(-5, 5), rng.randint(-5, 5)) for _ in exps)
     apex, _ = de_casteljau(pts, exps, t)
-    two_point = [c for c in calls if len(set(c[1])) == 2]
+    two_point = [c for c in calls if 0 < c[1] < len(c[0])]
     assert two_point
-    for lam, points, value in two_point:
-        n, m = len(points), points.count(1)
-        ref = oracles.mp_two_point(schur_module._ladder(n, *lam)[0],
+    for lam, m, value in two_point:
+        ref = oracles.mp_two_point(schur_module._ladder(len(lam), *lam)[0],
                                    1.0, m, t)
-        assert abs(value - ref) <= 1e-14 * abs(ref), (lam, points)
+        assert abs(value - ref) <= 1e-14 * abs(ref), (lam, m)
     diameter = max(math.dist(p, q) for p in pts for q in pts)
     ref = _mp_basis_sum(pts, exps, t)
     assert max(abs(a - b) for a, b in zip(apex, ref)) <= 1e-14 * diameter
+
+
+@pytest.mark.parametrize("exps", [REAL7, (0, 0.7, 1.9, 2.5), EXPS,
+                                  (0, 2.5, 2.5000001, 6)])
+def test_float_pyramid_forms_one_matrix_exponential(exps, monkeypatch):
+    # every two-point value of a pyramid at a float t is a minor of a block
+    # of the scaled Opitz pair of the space's ladder, and the two-point
+    # numerators of the Schur basis route at the same t reuse that pair
+    schur_module = importlib.import_module("gelfond.schur")
+    calls = []
+    kernel = schur_module.opitz_matrix
+
+    def counted(stack, ts):
+        calls.append(len(stack[0][0]))
+        return kernel(stack, ts)
+
+    monkeypatch.setattr(schur_module, "opitz_matrix", counted)
+    schur_module._opitz_rows.cache_clear()
+    pts = tuple((k, k * k) for k in range(len(exps)))
+    de_casteljau(pts, exps, 0.37)
+    assert calls == [len(exps)]
+    for k in range(len(exps)):
+        gelfond_basis_schur(exps, k, 0.37)
+    assert calls == [len(exps)]
+
+
+@st.composite
+def large_gap_pyramids(draw):
+    """A space of order 2 to 8 whose gaps each come from 1e-7 to 1e-1
+    (log-uniform), 0.3 to 2.5 or 5 to 60, integer control points and t
+    from 1e-3 to 0.5."""
+    n = draw(st.integers(2, 8))
+    gap = (st.floats(-7, -1).map(lambda k: 10 ** k) | st.floats(0.3, 2.5)
+           | st.floats(5, 60))
+    exps = (0, *accumulate(draw(st.lists(gap, min_size=n, max_size=n))))
+    coordinate = st.integers(-9, 9)
+    pts = tuple(draw(st.tuples(coordinate, coordinate)) for _ in exps)
+    return exps, pts, draw(st.floats(1e-3, 0.5))
+
+
+@seed(20261020)
+@settings(max_examples=150, deadline=None, database=None)
+@given(case=large_gap_pyramids())
+def test_large_gap_pyramids_answer_or_name_t(case):
+    # the weights are ratios of Schur values of one shape each; a product
+    # of two values from different shapes can be subnormal where every
+    # value is normal, and then lost digits unseen
+    exps, pts, t = case
+    try:
+        apex, _ = de_casteljau(pts, exps, t)
+    except SingularityError as error:
+        assert f"t={t}" in str(error), (case, error)
+        return
+    diameter = max(math.dist(p, q) for p in pts for q in pts)
+    ref = _mp_basis_sum(pts, exps, t)
+    assert max(abs(a - b) for a, b in zip(apex, ref)) <= 1e-13 * diameter, case
 
 
 @pytest.mark.parametrize("exps", [EXPS, (0, 2, 4, 14), (0, 3, 600),

@@ -2,10 +2,13 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
 from itertools import accumulate
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -464,6 +467,19 @@ def test_huge_exponent_pyramid_ends_at_once(t, code, capsys):
         levels = json.loads(out)["levels"]
         end = [0, 0] if float(t) == 0 else [3, 0]
         assert levels[0] == [[0, 0], [1, 2], [3, 0]] and levels[-1] == [end]
+
+
+@pytest.mark.parametrize("argv", [
+    ["basis", "--exponents", "0,8e307", "--samples", "10001"],
+    ["curve", "--exponents", "0,8e307", "--points", "0,0;1,1"]])
+def test_far_apart_nodes_warn_of_nothing(argv):
+    # the Opitz kernel's squarings take exp(-inf) = 0 for nodes this far
+    # apart, on purpose, and numpy must not print an overflow warning
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-m", "gelfond.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0 and done.stderr == ""
 
 
 def test_singularity_exit_code(monkeypatch, capsys):
