@@ -7,9 +7,7 @@ derivatives, dimension elevation and C1 joining.
 """
 
 from .arith import SingularityError
-from .blossom import (blossom_value, coefficients_from_control_points,
-                      control_points_from_coefficients, de_casteljau,
-                      monomial_blossom, pseudo_affinity)
+from .blossom import de_casteljau, pseudo_affinity
 from .curves import (GelfondBezierCurve, c1_join, curve_from_json,
                      curve_to_json, endpoint_derivatives, initial_tangency)
 from .dimelev import (convergence_report, corner_cutting, exponent_source,
@@ -25,9 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SingularityError",
-    "blossom_value", "coefficients_from_control_points",
-    "control_points_from_coefficients", "de_casteljau", "monomial_blossom",
-    "pseudo_affinity",
+    "de_casteljau", "pseudo_affinity",
     "GelfondBezierCurve", "c1_join", "curve_from_json", "curve_to_json",
     "endpoint_derivatives", "initial_tangency",
     "convergence_report", "corner_cutting", "exponent_source",

@@ -93,12 +93,22 @@ def _parse_points(spec):
     return pts
 
 
+def _read_json(flag, path, parse=json.loads):
+    """The file at `path`, given to the command-line `flag`, through
+    `parse` (JSON decoding by default).  A file that cannot be opened or
+    decoded raises ValueError naming the flag and the path."""
+    try:
+        with open(path) as fh:
+            return parse(fh.read())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{flag} {path}: {exc}") from None
+
+
 def _load_points(args):
     if getattr(args, "points", None):
         return _parse_points(args.points)
     if getattr(args, "points_file", None):
-        with open(args.points_file) as fh:
-            return _parse_points(json.load(fh))
+        return _parse_points(_read_json("--points-file", args.points_file))
     raise ValueError("control points required (--points or --points-file)")
 
 
@@ -370,8 +380,7 @@ def cmd_insert(args):
 def cmd_join(args):
     if not args.left:
         raise ValueError("--left curve file required")
-    with open(args.left) as fh:
-        left = curve_from_json(fh.read())
+    left = _read_json("--left", args.left, curve_from_json)
     exps = _exponents_from(args)
     if not getattr(args, "interval", None):
         raise ValueError("--interval b,c required for the right segment")
@@ -505,8 +514,7 @@ def _apply_config(args, parser):
     """Fill the flags left unset from the --config file, read against the
     command's own `parser`."""
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            data = json.load(fh)
+        data = _read_json("--config", args.config)
         if not isinstance(data, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")
         actions = {a.dest: a for a in parser._actions

@@ -17,8 +17,7 @@ import numpy as np
 
 from .arith import (as_point, exact_div, format_number, is_exact, parse_number,
                     vec_add, vec_scale, vec_sub, vec_zero_like)
-from .blossom import (blossom_value, coefficients_from_control_points,
-                      de_casteljau)
+from .blossom import blossom_pyramid, de_casteljau
 from .gelfond_basis import basis_table, basis_values, hodograph_data
 from .partitions import as_exponents
 
@@ -39,7 +38,6 @@ class GelfondBezierCurve:
             raise ValueError(f"empty interval [{a}, {b}]")
         self.points = pts
         self.interval = (a, b)
-        self._coeffs = None
         # the point layout, settled once for `evaluate`: tuple or scalar
         # points, and the coordinates as columns (one for scalars)
         self._tuples = dims != {None}
@@ -129,16 +127,12 @@ class GelfondBezierCurve:
                                  self._unit_parameter(t))
         return levels
 
-    def coefficients(self):
-        """Monomial coefficients of the unit-domain representation."""
-        if self._coeffs is None:
-            self._coeffs = coefficients_from_control_points(
-                self.points, self.exponents)
-        return self._coeffs
-
     def blossom(self, args):
-        """Unit-domain blossom; args live in (0, 1] local coordinates."""
-        return blossom_value(self.coefficients(), self.exponents, args)
+        """Unit-domain blossom f_P(u_1, .., u_n), args in [0, 1] local
+        coordinates: the apex of `blossom.blossom_pyramid`, so
+        blossom((t,) * n) is `evaluate_de_casteljau(t)` on [0, 1]."""
+        value, _ = blossom_pyramid(self.points, self.exponents, args)
+        return value
 
     def derivative(self):
         """The hodograph, as a curve over the reduced exponent space.

@@ -36,6 +36,15 @@ import numpy as np
 TAYLOR_THETA = 1.0
 TAYLOR_EXTRA = 18
 
+# The Taylor table divides term m by m!, a float up to 170!.  From 111
+# nodes the table has 256 terms, and those past 170! are left out.  The
+# kernel serves at most MAX_NODES nodes, spaces up to order 170, where the
+# first term of every entry is still in the table: on random real spaces
+# (gaps 0.3-2.5) orders 110, 140 and 170 came within 7e-15 relative of a
+# 600-digit partial-fraction sum at t in {0.05, 0.5, 0.95, 0.999}; at
+# order 200 and t = 0.05 one value was 1.1e-4 off.
+MAX_NODES = 171
+
 
 def opitz_matrix(stack, ts):
     """The scaled matrix exponentials of a stack of bidiagonal matrices at
@@ -128,12 +137,16 @@ def _opitz_setup(stack):
     / m! run to a power of two above n + TAYLOR_EXTRA, built by doubling:
     J^k..J^{2k-1} are J^0..J^{k-1} times J^k.  Cached for the 32 stacks
     used last, read-only: a pyramid and the Schur route of `oracle` use
-    one stack per space, the pair of its ladder, and its basis one more."""
+    one stack per space, the pair of its ladder, and its basis one more.
+    More than MAX_NODES nodes raise ValueError naming the order."""
     x = np.array([nodes for nodes, _ in stack], dtype=float)
     u = np.array([upper for _, upper in stack], dtype=float).reshape(len(x), -1)
     depth, size = x.shape
     if not size:
         raise ValueError("at least one node required")
+    if size > MAX_NODES:
+        raise ValueError(f"order {size - 1} is above {MAX_NODES - 1}, the "
+                         f"largest order of the float divided differences")
     top = np.abs(np.append(x, u)).max(initial=1.0)
     if not top < 2.0 ** 1023:
         raise ValueError(f"nodes and superdiagonal entries must be finite and "
@@ -179,7 +192,9 @@ def _opitz_layout(size, count, depth):
     shift = offsets - offsets[:, None]
     k = np.arange(count)[:, None, None]
     term = np.where(shift < 0, count, np.minimum(k + shift, count))
-    factorials = [float(math.factorial(m)) for m in range(count)] + [1.0]
+    # m! past 170! is beyond the float range: those terms are left out
+    factorials = [float(math.factorial(m)) if m < MAX_NODES else math.inf
+                  for m in range(count)] + [1.0]
     out = (((term * depth)[:, None] + np.arange(depth)[:, None, None])
            * size * size + offsets[:, None] * size + offsets,
            (np.take(factorials, term) * (-1.0) ** k)[:, None],

@@ -21,6 +21,11 @@ the two against each other:
    shift and derivative identities of [x_0..x_s] t^x;
  * the closed-form basis polynomials of the elementary, complete and hook
    families, and the vanishing orders of H_k at 0 and 1;
+ * blossoms through monomial coefficients: the blossom of t^{r_k} as a
+   Schur quotient over the Muntz tableau (`monomial_blossom`), the
+   conversions between control points and monomial coefficients, the
+   blossom as their sum (`blossom_value`), and the same route in mpmath
+   at distinct points (`mp_blossom`);
  * the variation-diminishing count of hyperplane crossings;
  * the CSV tables of `basis` and `curve` by the per-field route: basis
    values one parameter at a time, the curve as the basis sum over
@@ -54,15 +59,18 @@ from math import comb, factorial
 
 import mpmath
 
-from gelfond.arith import (all_exact, as_point, det, exact_div,
-                           falling_factorial, is_exact, is_integral, simplify,
-                           vec_add, vec_scale)
+from gelfond.arith import (SingularityError, all_exact, as_point, det,
+                           exact_div, falling_factorial, is_exact,
+                           is_integral, simplify, vec_add, vec_scale, vec_sub)
+from gelfond.blossom import monomial_control_points
 from gelfond.cli import _fmt17, _parameter_grid
 from gelfond.gelfond_basis import (_oracle_shortcut, basis_polynomial,
                                    basis_values, complete_exponents,
                                    elementary_exponents, hook_exponents)
 from gelfond.partitions import (FLOAT_SLACK, IntegerPartition, RealPartition,
-                                _strip_zeros, as_exponents, partition_parts)
+                                _strip_zeros, as_exponents, dimension,
+                                muntz_tableau, partition_from_exponents,
+                                partition_parts)
 from gelfond.polynomials import Poly
 from gelfond.schur import _check_points, _decimal_power, schur
 
@@ -628,6 +636,148 @@ def hyperplane_crossings(curve, normal, offset, samples=401):
     curve_vals = [height(p) for p in curve.evaluate_many(ts)]
     poly_vals = [height(p) for p in curve.points]
     return count(curve_vals), count(poly_vals)
+
+
+# -- blossoms ----------------------------------------------------------------
+
+def monomial_blossom(exponents, k, args, zeros=0):
+    """Blossom of t^{r_k} at (0^zeros, args); args must be positive."""
+    r = as_exponents(exponents)
+    n = r.n
+    if not 0 <= k <= n:
+        raise ValueError(f"monomial index {k} outside 0..{n}")
+    args = tuple(args)
+    if len(args) + zeros != n:
+        raise ValueError(f"blossom needs {n} arguments, got {len(args)} + {zeros} zeros")
+    if zeros < 0:
+        raise ValueError("negative zero count")
+    exact = all(is_exact(x) for x in args) and r.is_integer()
+    if k == 0:
+        return 1 if exact else 1.0
+    if k > n - zeros:
+        return 0 if exact else 0.0
+    lam = partition_from_exponents(r)
+    tableau = muntz_tableau(lam)
+    lam_k = (tableau[k].parts + (0,) * n)[:n]
+    lam_0 = (tableau[0].parts + (0,) * n)[:n]
+    head = exact_div(dimension(lam_0, n), dimension(lam_k, n))
+    num = schur(lam_k[:n - zeros], args)
+    den = schur(lam_0[:n - zeros], args)
+    if den == 0:
+        raise SingularityError("blossom denominator vanished")
+    return head * exact_div(num, den)
+
+
+def control_points_from_coefficients(coeffs, exponents):
+    """Control points of P(t) = a_0 + sum a_k t^{r_k}; coefficients may be
+    scalars or same-length tuples."""
+    r = as_exponents(exponents)
+    n = r.n
+    coeffs = tuple(coeffs)
+    if len(coeffs) != n + 1:
+        raise ValueError(f"expected {n + 1} coefficients, got {len(coeffs)}")
+    columns = [monomial_control_points(r, k) for k in range(n + 1)]
+    points = []
+    for j in range(n + 1):
+        p = vec_scale(columns[0][j], coeffs[0])
+        for k in range(1, n + 1):
+            if columns[k][j]:
+                p = vec_add(p, vec_scale(columns[k][j], coeffs[k]))
+        points.append(p)
+    return tuple(points)
+
+
+def coefficients_from_control_points(points, exponents):
+    """Invert the triangular relation between control points and monomial
+    coefficients (the diagonal entries are nonzero products)."""
+    r = as_exponents(exponents)
+    n = r.n
+    points = tuple(points)
+    if len(points) != n + 1:
+        raise ValueError(f"expected {n + 1} control points, got {len(points)}")
+    columns = [monomial_control_points(r, k) for k in range(n + 1)]
+    coeffs = []
+    for j in range(n + 1):
+        acc = points[j]
+        for k in range(j):
+            if columns[k][j]:
+                acc = vec_sub(acc, vec_scale(columns[k][j], coeffs[k]))
+        diag = columns[j][j]
+        coeffs.append(vec_scale(exact_div(1, diag), acc))
+    return tuple(coeffs)
+
+
+def blossom_value(coeffs, exponents, args, zeros=0):
+    """f_P(0^zeros, args) for P given by monomial coefficients."""
+    r = as_exponents(exponents)
+    n = r.n
+    coeffs = tuple(coeffs)
+    if len(coeffs) != n + 1:
+        raise ValueError(f"expected {n + 1} coefficients, got {len(coeffs)}")
+    out = coeffs[0]
+    for k in range(1, n + 1):
+        w = monomial_blossom(r, k, args, zeros)
+        if w:
+            out = vec_add(out, vec_scale(w, coeffs[k]))
+    return out
+
+
+def coefficients(curve):
+    """Monomial coefficients of the unit-domain representation."""
+    return coefficients_from_control_points(curve.points, curve.exponents)
+
+
+def mp_blossom(points, exponents, args, digits=100):
+    """f_P(args) at `digits` digits, for distinct positive args: the
+    monomial route of `blossom_value` in mpmath, with the ladders formed
+    from the exponents, not from a float partition.  The tableau shape of
+    t^{r_k} has the ladder b_j = r_n - r_j over j != k, so its blossom is
+
+        prod_{i<j; i,j != 0} (b_i - b_j) / prod_{i<j; i,j != k} (b_i - b_j)
+          * det(u_i^{b_j})_{j != k} / det(u_i^{b_j})_{j != 0},
+
+    the Vandermonde denominators of the two Schur values cancelling; the
+    coefficients solve the triangular system of the monomials' control
+    points prod_{i=j+1}^n (1 - r_k/r_i)."""
+    def mp(x):
+        x = Fraction(x) if is_exact(x) else x
+        return (mpmath.mpf(x.numerator) / x.denominator
+                if isinstance(x, Fraction) else mpmath.mpf(x))
+
+    with mpmath.workdps(digits):
+        r = [mp(x) for x in exponents]
+        n = len(r) - 1
+        u = [mp(x) for x in args]
+        b = [r[n] - x for x in r]
+
+        def column(k, j):
+            if j < k:
+                return mpmath.mpf(0)
+            return mpmath.fprod(1 - r[k] / r[i] for i in range(j + 1, n + 1))
+
+        def alternant(k):
+            cols = [j for j in range(n + 1) if j != k]
+            weyl = mpmath.fprod(b[cols[i]] - b[cols[j]]
+                                for i in range(n) for j in range(i + 1, n))
+            return weyl, mpmath.det(mpmath.matrix(
+                [[ui ** b[j] for j in cols] for ui in u]))
+
+        weyl0, det0 = alternant(0)
+        dims = len(points[0]) if isinstance(points[0], tuple) else None
+        coords = [p if dims else (p,) for p in points]
+        out = []
+        for d in range(dims or 1):
+            coeffs = []
+            for j in range(n + 1):
+                acc = mp(coords[j][d]) - mpmath.fsum(
+                    column(k, j) * coeffs[k] for k in range(j))
+                coeffs.append(acc / column(j, j))
+            total = coeffs[0]
+            for k in range(1, n + 1):
+                weyl, det = alternant(k)
+                total += coeffs[k] * weyl0 / weyl * det / det0
+            out.append(float(total))
+        return tuple(out) if dims else out[0]
 
 
 # -- command-line tables -----------------------------------------------------

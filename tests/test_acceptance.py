@@ -25,7 +25,8 @@ from gelfond.partitions import (IntegerPartition, exponents_from_partition,
                                 partition_from_exponents)
 from gelfond.polynomials import Poly
 from gelfond.schur import schur_bialternant
-from oracles import (gelfond_basis_dd, schur_giambelli, schur_jacobi_trudi,
+from oracles import (coefficients_from_control_points, gelfond_basis_dd,
+                     schur_giambelli, schur_jacobi_trudi,
                      schur_nagelsbach_kostka, schur_tableaux, vanishing_orders)
 
 FIG_POLYGON = ((0, 0), (1, 4), (3, 4), (4, 0))
@@ -266,7 +267,7 @@ def test_criterion_09_derivatives():
         pts = tuple(Fraction(rng.randint(-8, 8), 4) for _ in range(n + 1))
         curve = GelfondBezierCurve(exps, pts)
         order, value = initial_tangency(curve)
-        coeffs = curve.coefficients()
+        coeffs = coefficients_from_control_points(pts, exps)
         poly = sum((Poly.monomial(c, e)
                     for c, e in zip(coeffs, exps)), Poly())
         for _ in range(order):

@@ -5,7 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, permutations
 from math import comb
 from pathlib import Path
 
@@ -15,12 +15,12 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 import oracles
+from oracles import (blossom_value, coefficients_from_control_points,
+                     control_points_from_coefficients, monomial_blossom)
 from gelfond import blossom
 from gelfond.arith import SingularityError, lerp
-from gelfond.blossom import (blossom_value, coefficients_from_control_points,
-                             control_points_from_coefficients, de_casteljau,
-                             monomial_blossom, monomial_control_points,
-                             pseudo_affinity)
+from gelfond.blossom import (blossom_pyramid, de_casteljau,
+                             monomial_control_points, pseudo_affinity)
 from gelfond.curves import GelfondBezierCurve
 from gelfond.dimelev import polygon_diameter
 from gelfond.gelfond_basis import (basis_polynomial, basis_table, basis_values,
@@ -31,6 +31,7 @@ from gelfond.polynomials import Poly
 from gelfond.schur import schur, schur_window
 
 EXPS = (0, 3, 4, 6, 9)
+REAL7 = (0, 0.5, 1.8, 4.0, 4.07, 4.97, 5.32, 6.92)
 
 
 def test_monomial_blossom_diagonal():
@@ -108,6 +109,81 @@ def test_pyramid_nodes_are_blossoms():
             args = (1,) * i + (t,) * r
             assert node == blossom_value(coeffs, EXPS, args,
                                          zeros=n - r - i)
+
+
+@pytest.mark.parametrize("exps, t", [
+    (EXPS, Fraction(2, 7)), (EXPS, 0.61), ((0, 1, 2), 1), (EXPS, 0.0),
+    ((0, 0.7, 1.9, 2.5), 0.37), ((0, 0.7, 1.9, 2.5), Fraction(1, 3)),
+    ((0, 2.5, 2.5000001, 6), 0.9)])
+def test_blossom_diagonal_is_the_de_casteljau_pyramid(exps, t):
+    rng = random.Random(len(exps))
+    pts = tuple((rng.randint(-5, 5), rng.uniform(-1, 1)) for _ in exps)
+    curve = GelfondBezierCurve(exps, pts)
+    n = len(exps) - 1
+    assert curve.blossom((t,) * n) == curve.evaluate_de_casteljau(t)
+    assert blossom_pyramid(pts, exps, (t,) * n) == de_casteljau(pts, exps, t)
+
+
+@pytest.mark.parametrize("exps", [EXPS, (0, 2, 4, 14), REAL7])
+def test_blossom_at_zeros_and_ones_is_a_control_point(exps):
+    rng = random.Random(len(exps))
+    exact = all(isinstance(x, int) for x in exps)
+    pts = tuple((Fraction(rng.randint(-9, 9), 7), rng.randint(-5, 5)) if exact
+                else (rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in exps)
+    curve = GelfondBezierCurve(exps, pts)
+    n = len(exps) - 1
+    for k in range(n + 1):
+        for args in set(permutations((0,) * (n - k) + (1,) * k)):
+            assert curve.blossom(args) == pts[k], args
+            if not exact:
+                assert curve.blossom([float(u) for u in args]) == pts[k], args
+
+
+def test_blossom_is_the_monomial_route_on_integer_spaces():
+    # exact args, zeros and ones among them, against the blossom through
+    # monomial coefficients and Muntz-tableau Schur quotients
+    rng = random.Random(31)
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        r = (0,) + tuple(sorted(rng.sample(range(1, 3 * n + 3), n)))
+        pts = tuple((rng.randint(-5, 5), Fraction(rng.randint(-9, 9), 4))
+                    for _ in r)
+        args = tuple(rng.choice([0, 1, Fraction(rng.randint(1, 11), 12)])
+                     for _ in range(n))
+        coeffs = coefficients_from_control_points(pts, r)
+        want = blossom_value(coeffs, r, [u for u in args if u],
+                             zeros=args.count(0))
+        assert GelfondBezierCurve(r, pts).blossom(args) == want, (r, args)
+
+
+# At distinct args the pyramid's Schur values take the float quotient and
+# its Decimal fallback.  Bounds: 1e-13 of the polygon diameter to n = 10,
+# 2e-12 at n = 12.  Over 40 spaces per order (gaps 0.3-2.5, args in
+# [0.05, 0.95]) the worst errors were 4.8e-14 (n = 4), 1.7e-14 (7),
+# 1.9e-14 (10) and 5.9e-15 (12).
+@pytest.mark.parametrize("n, spaces, bound", [
+    (4, 6, 1e-13), (7, 4, 1e-13), (10, 3, 1e-13), (12, 2, 2e-12)])
+def test_blossom_on_real_spaces_matches_mpmath(n, spaces, bound):
+    rng = random.Random(n)
+    for _ in range(spaces):
+        r = (0, *accumulate(rng.uniform(0.3, 2.5) for _ in range(n)))
+        pts = tuple((rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in r)
+        args = tuple(rng.uniform(0.05, 0.95) for _ in range(n))
+        got = GelfondBezierCurve(r, pts).blossom(args)
+        ref = oracles.mp_blossom(pts, r, args)
+        assert max(abs(a - b) for a, b in zip(got, ref)) \
+            <= bound * polygon_diameter(pts), (r, args)
+
+
+@pytest.mark.parametrize("args, named", [
+    ((Fraction(1, 2),) * 3, "got 3"), ((0.5,) * 5, "got 5"),
+    ((0.5, 1.5, 0.2, 0.1), "[1.5]"), ((-0.25, 0, 1, 1), "[-0.25]"),
+    ((0.5, math.nan, 0.2, 0.1), "[nan]")])
+def test_blossom_refuses_args_naming_them(args, named):
+    curve = GelfondBezierCurve(EXPS, (0, 1, 3, 2, 5))
+    with pytest.raises(ValueError) as error:
+        curve.blossom(args)
+    assert named in str(error.value)
 
 
 def test_printed_pyramid_weights():
@@ -218,9 +294,6 @@ def _pyramid_node_by_node(points, exps, t):
             row.append(lerp(prev[i], prev[i + 1], alpha))
         levels.append(tuple(row))
     return levels
-
-
-REAL7 = (0, 0.5, 1.8, 4.0, 4.07, 4.97, 5.32, 6.92)
 
 
 @pytest.mark.parametrize("exps, t", [

@@ -676,6 +676,44 @@ def test_json_inputs_exit_2(argv, data, tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["join", "--left", "{file}", "--exponents", "0,1,2", "--interval", "1,2",
+      "--points", "5,5"], "--left"),
+    (["curve", "--exponents", "0,1", "--points-file", "{file}"],
+     "--points-file"),
+    (["basis", "--config", "{file}"], "--config"),
+])
+def test_unparsable_json_files_name_their_flag(argv, flag, tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_text("{'points': [[0, 0]]}")
+    code, out, err = _outcome([a.replace("{file}", str(path)) for a in argv],
+                              capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {flag} {path}: Expecting property name")
+    assert len(err.splitlines()) == 1
+    path.unlink()
+    code, out, err = _outcome([a.replace("{file}", str(path)) for a in argv],
+                              capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {flag} {path}: [Errno 2]")
+
+
+@pytest.mark.parametrize("command", [
+    ["basis"], ["oracle"], ["curve", "--points-file", "{file}"],
+    ["decasteljau", "--points-file", "{file}", "--t", "0.5"]])
+def test_real_spaces_above_order_170_are_refused(command, tmp_path, capsys):
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(list(range(172))))
+    exps = ",".join(str(0.5 * k) for k in range(172))
+    argv = [a.replace("{file}", str(path)) for a in command]
+    started = time.perf_counter()
+    code, out, err = _outcome(argv + ["--exponents", exps], capsys)
+    assert time.perf_counter() - started < 5
+    assert (code, out) == (2, "")
+    assert err == "error: order 171 is above 170, the largest order of the " \
+        "float divided differences\n"
+
+
 def test_points_file_takes_scalar_points(tmp_path, capsys):
     path = tmp_path / "points.json"
     path.write_text("[0, 1, 3, 2]")

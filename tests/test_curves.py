@@ -9,12 +9,12 @@ from gelfond.curves import (GelfondBezierCurve, c1_join, c1_join_head,
                             endpoint_derivatives, initial_tangency)
 from gelfond.gelfond_basis import basis_values
 from gelfond.polynomials import Poly
-from oracles import hyperplane_crossings
+from oracles import coefficients, hyperplane_crossings
 
 
 def unit_poly(curve, dim):
     """Exact polynomial of one coordinate in the local parameter."""
-    coeffs = curve.coefficients()
+    coeffs = coefficients(curve)
     exps = tuple(int(x) for x in curve.exponents)
     out = Poly()
     for k, c in enumerate(coeffs):

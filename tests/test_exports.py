@@ -45,11 +45,14 @@ MOVED_OR_DELETED = {
         "hook_dimension", "hook_partition_dimension", "pairwise_dimension",
         "interlacing_partitions"),
     "gelfond.curves": ("hyperplane_crossings",),
+    "gelfond.blossom": (
+        "monomial_blossom", "blossom_value", "coefficients_from_control_points",
+        "control_points_from_coefficients"),
 }
 MOVED_METHODS = {
     "IntegerPartition": ("conjugate", "hooks", "contents", "contains",
                          "frobenius", "from_frobenius"),
-    "GelfondBezierCurve": ("left_segment",),
+    "GelfondBezierCurve": ("left_segment", "coefficients"),
 }
 
 

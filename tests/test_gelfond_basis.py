@@ -441,3 +441,42 @@ def test_real_exponents_take_the_kernel(monkeypatch):
     assert basis_derivative(slope, 1, 0.3) == pytest.approx(
         (basis_values(slope, 0.3 + 1e-6)[1] - basis_values(slope, 0.3 - 1e-6)[1])
         / 2e-6, rel=1e-6)
+
+
+def _mp_partial_fractions(exps, t, digits=600):
+    """H_0..H_n at `digits` digits from the partial-fraction form
+    (-1)^{n-k} r_{k+1}..r_n sum_{i>=k} t^{r_i} / prod_{j>=k, j!=i} (r_i - r_j),
+    the products built up as k falls."""
+    with mpmath.workdps(digits):
+        r = [mpmath.mpf(x) for x in exps]
+        n = len(r) - 1
+        powers = [mpmath.mpf(t) ** x for x in r]
+        products = [mpmath.mpf(1)] * (n + 1)
+        scale = mpmath.mpf(1)
+        out = [None] * (n + 1)
+        for k in range(n, -1, -1):
+            for i in range(k + 1, n + 1):
+                products[i] *= r[i] - r[k]
+            products[k] = mpmath.fprod(r[k] - r[j] for j in range(k + 1, n + 1))
+            out[k] = float((-1) ** (n - k) * scale * mpmath.fsum(
+                powers[i] / products[i] for i in range(k, n + 1)))
+            scale *= r[k] if k else 1
+        return out
+
+
+def test_real_basis_of_order_above_109_keeps_its_digits():
+    # from order 110 the Taylor table has 256 terms, past the 170! that
+    # a float holds; over orders 110, 140 and 170 every value was within
+    # 7e-15 relative of the reference
+    rng = random.Random(120)
+    exps = (0, *accumulate(rng.uniform(0.3, 2.5) for _ in range(120)))
+    for t in (0.05, 0.5, 0.95):
+        got = basis_table(exps, [t])[0]
+        want = _mp_partial_fractions(exps, t)
+        assert max(abs(g - w) / w for g, w in zip(got, want)) <= 1e-13, t
+
+
+def test_real_basis_above_order_170_is_refused_naming_the_order():
+    exps = tuple(0.5 * k for k in range(172))
+    with pytest.raises(ValueError, match="order 171 is above 170"):
+        basis_table(exps, [0.5])
